@@ -99,13 +99,22 @@ def gap(q: float, noise: NoiseModel) -> GapReport:
     p_qm = failure_probability_closed(q, noise)
     if isinstance(q, int) and not isinstance(q, bool):
         p_classical = float(classical_failure_probability(q))
+        # The classical probability is 1/4 - 2^-floor((q+3)/2) exactly, so the
+        # gap is the asymptotic term minus that power of two; subtracting the
+        # two probabilities, both near 1/4, would cancel. At q = 2 the power
+        # is 1/4 itself and the classical probability is 0, so the plain
+        # difference is the exact one there.
+        if q == 2:
+            gap_exact = p_classical - p_qm
+        else:
+            gap_exact = asymptotic - math.ldexp(1.0, -((q + 3) // 2))
         return GapReport(
             q=q,
             epsilon=noise.epsilon,
             p_qm=p_qm,
             p_classical_exact=p_classical,
             p_classical_limit=0.25,
-            gap_exact=p_classical - p_qm,
+            gap_exact=gap_exact,
             gap_asymptotic=asymptotic,
         )
     return GapReport(

@@ -18,7 +18,7 @@ from .asymptotics import (
     macroscopic_report,
 )
 from .configs import Configuration, classify, enumerate_configurations, parse_configuration, Word
-from .errors import GhzGapError
+from .errors import CapacityError, GhzGapError
 from .experiment import (
     ExperimentConfig,
     LhvModel,
@@ -38,6 +38,10 @@ from .strategies import (
 
 #: Listing individual bad words in reports is capped at this q.
 _LIST_BAD_WORDS_LIMIT = 12
+
+#: `lhv optimize` answers up to this q: its exact counts near 2^q must stay
+#: within the 4300 digits Python converts an int to text by default.
+_LHV_OPTIMIZE_LIMIT = 14_000
 
 
 def _classification_fields(config: Configuration) -> dict[str, Any]:
@@ -90,6 +94,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> str:
 
 
 def _cmd_lhv_optimize(args: argparse.Namespace) -> str:
+    if args.q > _LHV_OPTIMIZE_LIMIT:
+        raise CapacityError(
+            f"lhv optimize supports q <= {_LHV_OPTIMIZE_LIMIT}, got {args.q}"
+        )
     report = minimize_bad_words(args.q)
     strategy = report.strategy
     payload: dict[str, Any] = {

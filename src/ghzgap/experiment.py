@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from statistics import NormalDist
 from typing import Iterator, Optional, Union
 
@@ -37,6 +38,12 @@ from .strategies import (
 
 #: Trials per random-stream chunk. Fixed: changing it would change the draws.
 CHUNK_TRIALS = 1 << 16
+
+#: min_trials_to_disprove settles its answer with exact rational powers up to
+#: this many trials (at most ~10 ms). An exact boundary (1 - p)^N = 1 - c
+#: between binary floats needs N <= 1074, so beyond the limit the float
+#: logs decide alone.
+_EXACT_SETTLE_LIMIT = 1 << 12
 
 #: Environment variable selecting the worker count (results never depend on it).
 WORKERS_ENV_VAR = "GHZGAP_WORKERS"
@@ -324,15 +331,19 @@ def min_trials_to_disprove(p_failure: float, confidence: float) -> int:
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
     if p_failure == 1.0:
         return 1
-    target = 1.0 - confidence
-    miss = 1.0 - p_failure
-    n = max(1, math.ceil(math.log(target) / math.log(miss)))
+    # Both logs through log1p, so p_failure far below the float spacing at 1
+    # still counts; the quotient is taken exactly, so it cannot overflow.
+    ratio = Fraction(math.log1p(-confidence)) / Fraction(math.log1p(-p_failure))
+    n = max(1, math.ceil(ratio))
     # Float rounding can land the ceiling one step off an exact boundary;
-    # settle it by direct evaluation.
-    while n > 1 and miss ** (n - 1) <= target:
-        n -= 1
-    while miss**n > target:
-        n += 1
+    # settle it in exact rationals.
+    if n <= _EXACT_SETTLE_LIMIT:
+        miss = 1 - Fraction(p_failure)
+        target = 1 - Fraction(confidence)
+        while n > 1 and miss ** (n - 1) <= target:
+            n -= 1
+        while miss**n > target:
+            n += 1
     return n
 
 

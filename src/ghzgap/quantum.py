@@ -22,9 +22,6 @@ from .errors import CapacityError, DomainError
 #: State-vector construction stays affordable up to this q.
 ORACLE_LIMIT = 8
 
-#: Switch point above which (1 - 2*eps)**q is evaluated in the log domain.
-_LOG_DOMAIN_Q = 1000.0
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -72,19 +69,22 @@ class OutcomeTuple:
         )
 
 
+def _log_attenuation(q: float, noise: NoiseModel) -> float:
+    """q * log(1 - 2*eps), taken through log1p; -inf at eps = 1/2."""
+    if noise.epsilon == 0.5:
+        return -math.inf
+    return q * math.log1p(-2.0 * noise.epsilon)
+
+
 def parity_attenuation(q: float, noise: NoiseModel) -> float:
     """Expected sign retention (1 - 2*eps)**q of a q-fold product under flips.
 
     Each independent flip inverts the product's sign, so its expectation is
-    attenuated by this factor. Evaluated in the log domain for large q to
-    avoid spurious under/overflow in intermediate powers.
+    attenuated by this factor. Evaluated in the log domain, which keeps full
+    relative precision for tiny eps and avoids spurious under/overflow in
+    intermediate powers for huge q.
     """
-    base = 1.0 - 2.0 * noise.epsilon
-    if q <= _LOG_DOMAIN_Q:
-        return base**q
-    if base == 0.0:
-        return 0.0
-    return math.exp(q * math.log1p(-2.0 * noise.epsilon))
+    return math.exp(_log_attenuation(q, noise))
 
 
 def failure_probability_sum(q: int, noise: NoiseModel) -> float:
@@ -106,12 +106,14 @@ def failure_probability_sum(q: int, noise: NoiseModel) -> float:
 def failure_probability_closed(q: float, noise: NoiseModel) -> float:
     """Closed form 1/4 - (1/4)(1 - 2*eps)^q of the odd-error sum.
 
+    Evaluated as -expm1(q*log1p(-2*eps))/4, so the difference from 1/4 never
+    cancels: the result keeps full relative precision for eps down to 1e-300.
     Accepts real q so that astronomically large station counts evaluate
-    stably; agrees with the sum form to better than 1e-12 for integer q.
+    stably.
     """
     if q < 1:
         raise DomainError(f"station count must be at least 1, got {q}")
-    return 0.25 - 0.25 * parity_attenuation(q, noise)
+    return -0.25 * math.expm1(_log_attenuation(q, noise))
 
 
 def failure_probability_exact(q: int, epsilon: Fraction) -> Fraction:

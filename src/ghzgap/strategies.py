@@ -7,14 +7,20 @@ answers disagree), so the 4^q raw strategies collapse to 2^(q+1) canonical
 classes. A word whose predicted total differs from its eigenvalue is a bad
 word; the minimal bad-word count over all strategies is the classical floor
 on the failure rate.
+
+A class with sign a and m disagreeing stations has Mermin sum (eigenvalue
+times prediction, summed over words) a*Im((1+i)^(q-m) (1-i)^m), which is 0
+or a signed power of two, so its bad-word count is a closed form. Because
+(1-i)/(1+i) = -i, that count repeats with period 4 in m, and the optimum is
+found among m <= 3. Word enumeration and a 4^q brute force stay as
+independent checks of both.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +29,6 @@ from .configs import (
     Configuration,
     enumerate_words,
     word_count,
-    word_eigenvalue,
 )
 from .errors import CapacityError, DomainError
 
@@ -160,10 +165,13 @@ def bad_word_count_naive(
 def bad_word_count_analytic(q: int, a_sign: int, m: int) -> int:
     """Bad words of any strategy with |t_mask| = m and the given a_sign.
 
-    Words are grouped by their r count R and by the overlap j between the
-    r stations and the m disagreeing stations; the prediction on such a word
-    is ``a_sign * (-1)**j`` and there are C(m, j) * C(q - m, R - j) of them.
-    Exact integer arithmetic, O(q^2) terms.
+    The eigenvalue of a word with r count R is Im(i^R) and the prediction is
+    ``a_sign * (-1)**|R & T|``, so summing their product over all r masks is
+    the generating function (1 + x)^(q - m) (1 - x)^m taken at x = i:
+    ``a_sign * Im((1+i)^(q-m) (1-i)^m) = a_sign * 2^(q/2) sin(pi (q - 2m)/4)``.
+    That Mermin sum is 0 or +-2^floor(q/2), with the sign fixed by
+    (q - 2m) mod 8, and the bad words are half of 2^(q-1) minus it.
+    Exact integer arithmetic, a few shifts.
     """
     if a_sign not in (+1, -1):
         raise DomainError(f"a_sign must be +1 or -1, got {a_sign}")
@@ -171,29 +179,24 @@ def bad_word_count_analytic(q: int, a_sign: int, m: int) -> int:
         raise DomainError(f"m must be between 0 and q={q}, got {m}")
     if q < 1:
         raise DomainError(f"station count must be at least 1, got {q}")
-    total = 0
-    for r in range(1, q + 1, 2):
-        eigenvalue = word_eigenvalue(r)
-        for j in range(0, min(m, r) + 1):
-            if r - j > q - m:
-                continue
-            prediction = a_sign if j % 2 == 0 else -a_sign
-            if prediction != eigenvalue:
-                total += math.comb(m, j) * math.comb(q - m, r - j)
-    return total
+    phase = (q - 2 * m) % 8
+    sine_sign = 0 if phase % 4 == 0 else (1 if phase < 4 else -1)
+    mermin = (a_sign * sine_sign) << (q // 2)
+    return ((1 << (q - 1)) - mermin) >> 1
 
 
 def minimize_bad_words(q: int) -> BadWordReport:
     """Strategy class minimizing the bad-word count, searched in closed form.
 
-    Scans a_sign and m = |t_mask| (the only aggregates the count depends on)
-    and breaks ties deterministically: smallest m first, then a_sign = +1,
-    with the t_mask realized on the lowest m stations.
+    The count depends only on a_sign and m = |t_mask|, and since
+    (1-i)/(1+i) = -i it repeats with period 4 in m, so scanning m <= 3 finds
+    every value. Ties break deterministically: smallest m first, then
+    a_sign = +1, with the t_mask realized on the lowest m stations.
     """
     if q < 1:
         raise DomainError(f"station count must be at least 1, got {q}")
     best: Optional[tuple[int, int, int]] = None
-    for m in range(q + 1):
+    for m in range(min(q, 3) + 1):
         for a_sign in (+1, -1):
             count = bad_word_count_analytic(q, a_sign, m)
             if best is None or count < best[0]:
@@ -289,13 +292,3 @@ def max_classical_mermin_sum(q: int) -> int:
     """Largest mermin_sum any deterministic strategy can reach."""
     return word_count(q) - 2 * mermin_bound(q)
 
-
-def all_canonical_strategies(q: int) -> Iterator[CanonicalStrategy]:
-    """All 2^(q+1) canonical classes, ascending t_mask, a_sign +1 first."""
-    if not 1 <= q <= ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"enumeration supports 1 <= q <= {ENUMERATION_LIMIT}, got {q}"
-        )
-    for t_mask in range(1 << q):
-        for a_sign in (+1, -1):
-            yield CanonicalStrategy(q=q, a_sign=a_sign, t_mask=t_mask)

@@ -71,6 +71,14 @@ class TestGap:
                 rhs = Fraction(mermin_bound(q), 2**q) - Fraction(1, 4)
                 assert lhs == rhs, (q, eps)
 
+    def test_gap_exact_relative_accuracy(self):
+        # both probabilities sit near 1/4; their difference must not cancel
+        for q, eps in ((2, 1e-12), (30, 0.1), (1000, 0.01), (3000, 0.01), (2000, 1e-12)):
+            exact = float(gap_exact_fraction(q, Fraction(eps)))
+            assert gap(q, NoiseModel(eps)).gap_exact == pytest.approx(
+                exact, rel=1e-12, abs=0.0
+            ), (q, eps)
+
     def test_discrepancy_magnitude_branches(self):
         for q in range(2, 30):
             magnitude = Fraction(1, 4) - classical_failure_probability(q)

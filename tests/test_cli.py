@@ -95,6 +95,17 @@ class TestLhvOptimize:
         assert payload["brute_force"]["matches"] is True
         assert payload["brute_force"]["bad_count"] == payload["bad_count"] == 6
 
+    def test_q_at_cap(self, capsys):
+        payload = run_json(capsys, "lhv", "optimize", "--q", "14000")
+        assert payload["bad_count"] == payload["bound"]
+        assert payload["bad_words"] is None
+
+    def test_q_over_cap_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "lhv", "optimize", "--q", "14001")
+        assert code == 3
+        assert out == ""
+        assert "14000" in err
+
     def test_brute_force_over_cap_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "lhv", "optimize", "--q", "9", "--verify-brute-force")
         assert code == 3
@@ -159,6 +170,13 @@ class TestGap:
         assert payload["gap_exact"] == 0.125
         assert payload["gap_asymptotic"] == 0.25
 
+    def test_gap_exact_far_below_quarter(self, capsys):
+        payload = run_json(capsys, "gap", "--q", "3000", "--eps", "0.01")
+        assert payload["gap_exact"] == pytest.approx(1.19e-27, rel=1e-2, abs=0.0)
+        assert payload["gap_exact"] == pytest.approx(
+            payload["gap_asymptotic"], rel=1e-12, abs=0.0
+        )
+
     def test_huge_q_uses_asymptotic_path(self, capsys):
         payload = run_json(capsys, "gap", "--q", "4e27", "--eps", "6e-28")
         assert payload["p_classical_exact"] is None
@@ -203,6 +221,12 @@ class TestDisproveAndCat:
             capsys, "disprove", "--p-failure", "0.125", "--confidence", "0.99"
         )
         assert payload["trials"] == 35
+
+    def test_disprove_tiny_rate(self, capsys):
+        payload = run_json(
+            capsys, "disprove", "--p-failure", "1e-20", "--confidence", "0.99"
+        )
+        assert payload["trials"] == pytest.approx(4.605170185988091e20, rel=1e-9)
 
     def test_disprove_zero_rate_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "disprove", "--p-failure", "0", "--confidence", "0.99")

@@ -1,6 +1,7 @@
 """Monte Carlo engine: reproducibility, tallies, and the sample-size helpers."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -215,6 +216,18 @@ class TestSampleSizes:
     def test_exact_boundary(self):
         # confidence 1 - 2^-7 sits exactly on the n = 7 boundary at p = 1/2
         assert min_trials_to_disprove(0.5, 1 - 2**-7) == 7
+
+    def test_tiny_failure_probability(self):
+        # 1 - p rounds to 1.0 here, so log(1 - p) would be 0
+        n = min_trials_to_disprove(1e-20, 0.99)
+        assert isinstance(n, int)
+        assert n == pytest.approx(math.log(100) / 1e-20, rel=1e-9)
+
+    def test_subnormal_failure_probability(self):
+        # the ratio of logs overflows a float; the answer is still exact
+        n = min_trials_to_disprove(5e-324, 0.99)
+        expected = Fraction(math.log(100)) / Fraction(5e-324)
+        assert abs(n - expected) <= Fraction(1, 10**9) * expected
 
     def test_zero_rate_has_no_finite_answer(self):
         with pytest.raises(DomainError):

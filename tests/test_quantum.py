@@ -98,8 +98,24 @@ class TestFailureProbability:
         with pytest.raises(DomainError):
             failure_probability_sum(0, NoiseModel(0.1))
 
+    def test_relative_accuracy_at_tiny_eps(self):
+        # 1/4 - (1/4)(1 - 2 eps)^q cancels almost every digit at eps = 1e-12;
+        # the expm1/log1p form keeps them all
+        eps = Fraction(1, 10**12)
+        noise = NoiseModel(1e-12)
+        for q in range(1, 2001):
+            exact = float(failure_probability_exact(q, eps))
+            got = failure_probability_closed(q, noise)
+            assert abs(got - exact) <= 1e-12 * exact, (q, got, exact)
+
+    def test_relative_accuracy_down_to_smallest_eps(self):
+        for eps in (1e-300, 1e-100, 1e-20):
+            assert failure_probability_closed(3, NoiseModel(eps)) == pytest.approx(
+                1.5 * eps, rel=1e-12, abs=0.0
+            )
+
     def test_attenuation_log_domain_continuity(self):
-        # direct and log-domain evaluation meet smoothly at the switch point
+        # attenuation is continuous in real q around q = 1000
         noise = NoiseModel(1e-4)
         assert parity_attenuation(1000, noise) == pytest.approx(
             parity_attenuation(1000.0000001, noise), rel=1e-9

@@ -1,11 +1,18 @@
 """Deterministic-strategy counting: naive, closed-form, and brute-force routes."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghzgap.configs import enumerate_configurations, enumerate_words, parse_configuration
+from ghzgap.configs import (
+    enumerate_configurations,
+    enumerate_words,
+    parse_configuration,
+    word_eigenvalue,
+)
 from ghzgap.errors import CapacityError, DomainError
 from ghzgap.strategies import (
     BRUTE_FORCE_LIMIT,
@@ -21,6 +28,36 @@ from ghzgap.strategies import (
     minimize_bad_words_brute_force,
     predict_total,
 )
+
+
+def bad_word_count_double_sum(q, a_sign, m):
+    """Bad words of a class by grouping words on (r count R, overlap j with T).
+
+    A word with R r-stations, j of them among the m disagreeing stations, is
+    predicted as a_sign * (-1)**j, and there are C(m, j) * C(q - m, R - j) of
+    them. O(q^2) big-integer terms; an oracle for the closed form.
+    """
+    total = 0
+    for r in range(1, q + 1, 2):
+        eigenvalue = word_eigenvalue(r)
+        for j in range(0, min(m, r) + 1):
+            if r - j > q - m:
+                continue
+            prediction = a_sign if j % 2 == 0 else -a_sign
+            if prediction != eigenvalue:
+                total += math.comb(m, j) * math.comb(q - m, r - j)
+    return total
+
+
+def full_scan_minimum(q):
+    """(bad_count, m, a_sign) over every m in 0..q, smallest m then +1 on ties."""
+    best = None
+    for m in range(q + 1):
+        for a_sign in (+1, -1):
+            count = bad_word_count_analytic(q, a_sign, m)
+            if best is None or count < best[0]:
+                best = (count, m, a_sign)
+    return best
 
 
 def all_raw_strategies(q):
@@ -75,6 +112,43 @@ class TestBadWordCounts:
                         bad_word_count_analytic(q, a_sign, m) == naive.bad_count
                     ), (q, m, a_sign)
 
+    def test_closed_form_matches_double_sum_small_q(self):
+        for q in range(1, 41):
+            for m in range(q + 1):
+                for a_sign in (+1, -1):
+                    assert bad_word_count_analytic(
+                        q, a_sign, m
+                    ) == bad_word_count_double_sum(q, a_sign, m), (q, m, a_sign)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=300).flatmap(
+            lambda q: st.tuples(st.just(q), st.integers(min_value=0, max_value=q))
+        ),
+        st.sampled_from([+1, -1]),
+    )
+    def test_closed_form_matches_double_sum(self, q_and_m, a_sign):
+        q, m = q_and_m
+        assert bad_word_count_analytic(q, a_sign, m) == bad_word_count_double_sum(
+            q, a_sign, m
+        )
+
+    def test_closed_form_period_four_in_m(self):
+        for q in (57, 200, 1001):
+            for m in range(q - 3):
+                for a_sign in (+1, -1):
+                    assert bad_word_count_analytic(
+                        q, a_sign, m
+                    ) == bad_word_count_analytic(q, a_sign, m + 4)
+
+    def test_closed_form_rejects_bad_arguments(self):
+        with pytest.raises(DomainError):
+            bad_word_count_analytic(5, 0, 1)
+        with pytest.raises(DomainError):
+            bad_word_count_analytic(5, +1, 6)
+        with pytest.raises(DomainError):
+            bad_word_count_analytic(0, +1, 0)
+
     def test_count_depends_only_on_m_not_mask_layout(self):
         q = 6
         for mask in (0b000111, 0b101010, 0b110100):
@@ -87,8 +161,28 @@ class TestBadWordCounts:
 
 class TestMinimizer:
     def test_matches_bound_analytic(self):
-        for q in range(2, 21):
-            assert minimize_bad_words(q).bad_count == mermin_bound(q)
+        for q in range(2, 2001):
+            assert minimize_bad_words(q).bad_count == mermin_bound(q), q
+
+    def test_matches_full_scan_small_q(self):
+        for q in range(1, 130):
+            self._assert_matches_full_scan(q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=130, max_value=2000))
+    def test_matches_full_scan(self, q):
+        self._assert_matches_full_scan(q)
+
+    @staticmethod
+    def _assert_matches_full_scan(q):
+        bad, m, a_sign = full_scan_minimum(q)
+        report = minimize_bad_words(q)
+        assert (report.bad_count, report.strategy.a_sign, report.strategy.t_mask) == (
+            bad,
+            a_sign,
+            (1 << m) - 1,
+        ), q
+        assert report.probability == Fraction(bad, 1 << q)
 
     def test_matches_bound_brute_force(self):
         for q in range(2, BRUTE_FORCE_LIMIT + 1):
