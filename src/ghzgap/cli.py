@@ -25,6 +25,7 @@ from .experiment import (
     QuantumModel,
     min_trials_to_disprove,
     run_experiment,
+    stream_environment,
 )
 from .quantum import NoiseModel
 from .reporting import build_manifest, dumps_csv, dumps_json
@@ -147,8 +148,8 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     )
     report = run_experiment(cfg)
     strategy_fields: Optional[dict[str, Any]] = None
-    if args.model == "lhv":
-        strategy = minimize_bad_words(args.q).strategy
+    strategy = report.strategy
+    if strategy is not None:
         strategy_fields = {
             "a_sign": strategy.a_sign,
             "t_mask": strategy.t_mask,
@@ -189,6 +190,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
             "ci_level": args.ci_level,
         },
         seed=args.seed,
+        environment=stream_environment(),
     )
     payload: dict[str, Any] = {"manifest": manifest.to_payload(), **row}
     payload["strategy"] = strategy_fields

@@ -1,34 +1,44 @@
 """Seeded Monte Carlo trials for the quantum and hidden-variable models.
 
 Each trial draws a configuration uniformly (every station independently
-chooses l or r), obtains the q results from the selected model, and counts a
-failure when a word's total result differs from its eigenvalue. Strings never
-fail. Trials are processed in fixed-size chunks, each with its own
-counter-based random stream derived from the master seed and the chunk
+chooses l or r), obtains the total result from the selected model, and
+counts a failure when a word's total result differs from its eigenvalue.
+Strings never fail. Trials are processed in fixed-size chunks, each with its
+own counter-based Philox stream derived from the master seed and the chunk
 index, so tallies are bit-for-bit reproducible regardless of how many
 workers process the chunks.
+
+A failure depends only on the configuration's r count and on the parity of
+the station errors, so a trial costs one bit-packed configuration (a masked
+uint64) and, when errors are possible, one uniform for the odd-error parity;
+no per-station result is drawn. The order of those draws is random stream
+version STREAM_VERSION (see `_chunk_arrays`). `iter_trials` replays the
+same chunks and builds full quantum result tuples from a second per-chunk
+stream that the aggregate run never touches.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Iterator, Optional, Union
+from typing import Any, Callable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 import numpy as np
 
-from .configs import Configuration, ConfigurationClass, classify
+from .configs import MAX_STATIONS, Configuration, ConfigurationClass, classify
 from .errors import DomainError
 from .quantum import (
     NoiseModel,
     OutcomeTuple,
     failure_probability_closed,
     parity_attenuation,
-    sample_result_bits,
+    sample_parity_tuples,
+    sample_result_bits,  # noqa: F401  (re-exported: callers look it up here)
 )
 from .strategies import (
     CanonicalStrategy,
@@ -38,6 +48,10 @@ from .strategies import (
 
 #: Trials per random-stream chunk. Fixed: changing it would change the draws.
 CHUNK_TRIALS = 1 << 16
+
+#: Version of the seed -> draws contract: bumped whenever the draw order or
+#: the per-chunk streams change, so every such change is deliberate.
+STREAM_VERSION = 2
 
 #: min_trials_to_disprove settles its answer with exact rational powers up to
 #: this many trials (at most ~10 ms). An exact boundary (1 - p)^N = 1 - c
@@ -83,8 +97,11 @@ class ExperimentConfig:
     ci_level: float = 0.95
 
     def __post_init__(self) -> None:
-        if not 1 <= self.q <= 64:
-            raise DomainError(f"station count must lie in [1, 64], got {self.q}")
+        # configurations are packed into one uint64 per trial
+        if not 1 <= self.q <= MAX_STATIONS:
+            raise DomainError(
+                f"station count must lie in [1, {MAX_STATIONS}], got {self.q}"
+            )
         if self.trials < 1:
             raise DomainError(f"trial count must be at least 1, got {self.trials}")
         if not 0 <= self.master_seed < (1 << 64):
@@ -111,7 +128,12 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Tallies of a run plus the matching theoretical failure probability."""
+    """Tallies of a run plus the matching theoretical failure probability.
+
+    ``strategy`` is the answer table the hidden-variable model played (the
+    canonical optimum unless the model fixed one); None for the quantum
+    model.
+    """
 
     config: ExperimentConfig
     trials: int
@@ -123,6 +145,16 @@ class ExperimentReport:
     ci_high: float
     theory: float
     station_r_counts: tuple[int, ...]
+    strategy: Optional[CanonicalStrategy]
+
+
+def stream_environment() -> dict[str, Any]:
+    """How the draws of a run are produced; independent of the worker count."""
+    return {
+        "rng": "Philox",
+        "stream_version": STREAM_VERSION,
+        "chunk_trials": CHUNK_TRIALS,
+    }
 
 
 def _resolve_strategy(cfg: ExperimentConfig) -> Optional[CanonicalStrategy]:
@@ -133,55 +165,86 @@ def _resolve_strategy(cfg: ExperimentConfig) -> Optional[CanonicalStrategy]:
     return minimize_bad_words(cfg.q).strategy
 
 
-def _chunk_rng(master_seed: int, chunk_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(chunk_index,))
+def _chunk_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(seq))
+
+
+def _chunk_count(cfg: ExperimentConfig) -> int:
+    return (cfg.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+
+
+class _Chunk(NamedTuple):
+    """Per-trial arrays of one chunk, each of length n."""
+
+    masks: np.ndarray  # uint64; bit k set: station k+1 applies r
+    is_word: np.ndarray  # bool
+    failure: np.ndarray  # bool
+    parity: np.ndarray  # uint8; 1 where the observed total is -1
 
 
 def _chunk_arrays(
     cfg: ExperimentConfig, strategy: Optional[CanonicalStrategy], chunk_index: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one chunk. Returns (config_bits, is_word, failure, outcome_data).
+) -> _Chunk:
+    """Draw one chunk: one masked uint64 and at most one uniform per trial.
 
-    ``outcome_data`` is the (n, q) sign matrix for the quantum model and the
-    (n,) observed-total sign vector for the hidden-variable model. The draw
-    order within a chunk is fixed: configuration bits, then result bits
-    (quantum only), then error flips.
+    Draw order of random stream version 2, from the chunk's Philox stream:
+
+    1. n raw 64-bit words, ANDed with the low-q mask (skipped at q = 64),
+       are the configuration masks. Their popcount r gives the word flag
+       r & 1 and the eigenvalue bit (r >> 1) & 1.
+    2. Only when eps > 0: n uniforms u; the station errors of a trial have
+       odd parity when u < 2 * failure_probability_closed(q, noise), the
+       probability that an odd number of q independent flips occur.
+
+    On a word the noiseless quantum total is the eigenvalue, so the quantum
+    model fails exactly on odd error parity; its ``parity`` is meaningful on
+    words only (a string's total is a fair coin no tally reads). The
+    hidden-variable total is the strategy's prediction
+    a_bit ^ parity(mask & t_mask), inverted by odd error parity.
     """
     q = cfg.q
-    start = chunk_index * CHUNK_TRIALS
-    n = min(CHUNK_TRIALS, cfg.trials - start)
+    n = min(CHUNK_TRIALS, cfg.trials - chunk_index * CHUNK_TRIALS)
     rng = _chunk_rng(cfg.master_seed, chunk_index)
 
-    config_bits = rng.integers(0, 2, size=(n, q), dtype=np.uint8)
-    r = config_bits.sum(axis=1, dtype=np.int64)
+    masks = rng.bit_generator.random_raw(n)
+    if q < 64:
+        masks &= np.uint64((1 << q) - 1)
+    r = np.bitwise_count(masks)
     is_word = (r & 1).astype(bool)
-    eigen_bits = (((r - 1) >> 1) & 1).astype(np.uint8)
+    eigen = (r >> 1) & 1
+    noise = cfg.model.noise
+    if noise.epsilon > 0.0:
+        odd = rng.random(n) < 2.0 * failure_probability_closed(q, noise)
+    else:
+        odd = np.zeros(n, dtype=bool)
 
     if isinstance(cfg.model, QuantumModel):
-        result_bits = sample_result_bits(config_bits, cfg.model.noise, rng)
-        total_parity = (result_bits.sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
-        failure = is_word & (total_parity != eigen_bits)
-        signs = (1 - 2 * result_bits.astype(np.int8)).astype(np.int8)
-        return config_bits, is_word, failure, signs
+        return _Chunk(masks, is_word, is_word & odd, eigen ^ odd)
 
     assert strategy is not None
-    t_row = np.array([strategy.t_mask >> k & 1 for k in range(q)], dtype=np.uint8)
     a_bit = 0 if strategy.a_sign == +1 else 1
-    pred_parity = (
-        a_bit ^ ((config_bits & t_row).sum(axis=1, dtype=np.int64) & 1)
-    ).astype(np.uint8)
-    eps = cfg.model.noise.epsilon
-    if eps > 0.0:
-        flips = (rng.random(size=(n, q)) < eps).astype(np.uint8)
-        obs_parity = pred_parity ^ (flips.sum(axis=1, dtype=np.int64) & 1).astype(
-            np.uint8
-        )
-    else:
-        obs_parity = pred_parity
-    failure = is_word & (obs_parity != eigen_bits)
-    totals = (1 - 2 * obs_parity.astype(np.int8)).astype(np.int8)
-    return config_bits, is_word, failure, totals
+    predicted = a_bit ^ (np.bitwise_count(masks & np.uint64(strategy.t_mask)) & 1)
+    parity = predicted ^ odd
+    return _Chunk(masks, is_word, is_word & (parity != eigen), parity)
+
+
+#: Row v, column k: bit k of the byte value v.
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+
+
+def _station_r_counts(masks: np.ndarray, q: int) -> np.ndarray:
+    """How many of the packed masks set each of the q station bits.
+
+    Each byte position of the little-endian masks is histogrammed; its
+    256-bin histogram times the 256x8 bit table counts its eight stations.
+    """
+    octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    counts = [
+        np.bincount(octets[:, b], minlength=256) @ _BYTE_BITS
+        for b in range((q + 7) // 8)
+    ]
+    return np.concatenate(counts)[:q]
 
 
 def _theory_value(cfg: ExperimentConfig, strategy: Optional[CanonicalStrategy]) -> float:
@@ -215,35 +278,50 @@ def _worker_count(workers: Optional[int]) -> int:
     return workers
 
 
+_T = TypeVar("_T")
+
+
+def _map_in_order(fn: Callable[[int], _T], count: int, workers: int) -> Iterator[_T]:
+    """fn(0), ..., fn(count - 1) in order, at most 2 * workers calls in flight."""
+    if workers == 1:
+        yield from map(fn, range(count))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for i in range(count):
+            pending.append(pool.submit(fn, i))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> ExperimentReport:
     """Run all trials and return the aggregate report.
 
     ``workers`` (default: the GHZGAP_WORKERS environment variable, else 1)
-    only sets how many threads process the chunks; every tally is a pure sum
-    over chunks, so the report is identical for any worker count.
+    only sets how many threads process the chunks; the chunk tallies are
+    summed in chunk order as they complete, so the report is identical for
+    any worker count.
     """
     strategy = _resolve_strategy(cfg)
-    n_chunks = (cfg.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
 
     def tally(chunk_index: int) -> tuple[int, int, np.ndarray]:
-        config_bits, is_word, failure, _ = _chunk_arrays(cfg, strategy, chunk_index)
+        chunk = _chunk_arrays(cfg, strategy, chunk_index)
         return (
-            int(is_word.sum()),
-            int(failure.sum()),
-            config_bits.sum(axis=0, dtype=np.int64),
+            int(np.count_nonzero(chunk.is_word)),
+            int(np.count_nonzero(chunk.failure)),
+            _station_r_counts(chunk.masks, cfg.q),
         )
 
-    count = _worker_count(workers)
-    if count == 1:
-        parts = [tally(i) for i in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            parts = list(pool.map(tally, range(n_chunks)))
-
-    word_trials = sum(p[0] for p in parts)
-    failures = sum(p[1] for p in parts)
-    station_r = np.sum([p[2] for p in parts], axis=0)
-    rate = failures / cfg.trials
+    word_trials = failures = 0
+    station_r = np.zeros(cfg.q, dtype=np.int64)
+    for words, fails, counts in _map_in_order(
+        tally, _chunk_count(cfg), _worker_count(workers)
+    ):
+        word_trials += words
+        failures += fails
+        station_r += counts
     low, high = wilson_interval(failures, cfg.trials, cfg.ci_level)
     return ExperimentReport(
         config=cfg,
@@ -251,11 +329,12 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Expe
         word_trials=word_trials,
         string_trials=cfg.trials - word_trials,
         failures=failures,
-        failure_rate=rate,
+        failure_rate=failures / cfg.trials,
         ci_low=low,
         ci_high=high,
         theory=_theory_value(cfg, strategy),
         station_r_counts=tuple(int(c) for c in station_r),
+        strategy=strategy,
     )
 
 
@@ -264,30 +343,31 @@ def iter_trials(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
 
     Intended for inspection at small trial counts; tallies of the yielded
     records match run_experiment for the same configuration bit for bit.
+    A quantum trial's result tuple is uniform over the tuples of its total's
+    parity (over all tuples for a string), drawn from the chunk's second
+    stream, spawn key (chunk_index, 1).
     """
     strategy = _resolve_strategy(cfg)
-    n_chunks = (cfg.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    quantum = isinstance(cfg.model, QuantumModel)
     index = 0
-    for chunk_index in range(n_chunks):
-        config_bits, _, failure, outcome_data = _chunk_arrays(
-            cfg, strategy, chunk_index
-        )
-        weights = 1 << np.arange(cfg.q, dtype=np.int64)
-        masks = (config_bits.astype(np.int64) * weights).sum(axis=1)
-        for i in range(config_bits.shape[0]):
-            configuration = Configuration(q=cfg.q, r_mask=int(masks[i]))
-            if isinstance(cfg.model, QuantumModel):
-                outcome: Union[OutcomeTuple, int] = OutcomeTuple(
-                    results=tuple(int(s) for s in outcome_data[i])
-                )
-            else:
-                outcome = int(outcome_data[i])
+    for chunk_index in range(_chunk_count(cfg)):
+        chunk = _chunk_arrays(cfg, strategy, chunk_index)
+        if quantum:
+            tuple_rng = _chunk_rng(cfg.master_seed, chunk_index, 1)
+            bits = sample_parity_tuples(cfg.q, chunk.parity, chunk.is_word, tuple_rng)
+            outcomes = (1 - 2 * bits.astype(np.int64)).tolist()
+        else:
+            outcomes = (1 - 2 * chunk.parity.astype(np.int64)).tolist()
+        for mask, outcome, failure in zip(
+            chunk.masks.tolist(), outcomes, chunk.failure.tolist()
+        ):
+            configuration = Configuration(q=cfg.q, r_mask=mask)
             yield TrialRecord(
                 index=index,
                 configuration=configuration,
                 config_class=classify(configuration),
-                outcome=outcome,
-                failure=bool(failure[i]),
+                outcome=OutcomeTuple(results=tuple(outcome)) if quantum else outcome,
+                failure=failure,
             )
             index += 1
 

@@ -4,8 +4,10 @@ Outcome statistics follow a parity law that needs no state vector: on a word
 the q results are uniform over the sign tuples whose product equals the
 word's eigenvalue, on a string they are uniform over all tuples, and each
 station's result is then flipped independently with the per-station error
-probability. A 2^q state-vector oracle (small q only) cross-checks both the
-eigenvalue taxonomy and this sampling law from first principles.
+probability. Since a flip mask acts on a word only through its parity, the
+sampler draws one odd-flip bit per row instead of q flips. A 2^q
+state-vector oracle (small q only) cross-checks both the eigenvalue
+taxonomy and this sampling law from first principles.
 """
 
 from __future__ import annotations
@@ -125,6 +127,21 @@ def failure_probability_exact(q: int, epsilon: Fraction) -> Fraction:
     return Fraction(1, 4) - Fraction(1, 4) * (1 - 2 * epsilon) ** q
 
 
+def sample_parity_tuples(
+    q: int, parity: np.ndarray, fixed: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """(n, q) result bits, uniform over the tuples of a given parity.
+
+    Row i is uniform over the q-bit tuples with parity ``parity[i]`` where
+    ``fixed[i]`` is set, and uniform over all tuples elsewhere: q fair bits
+    are drawn, then the last station absorbs any parity mismatch.
+    """
+    bits = rng.integers(0, 2, size=(len(parity), q), dtype=np.uint8)
+    mismatch = np.bitwise_xor.reduce(bits, axis=1) ^ parity
+    bits[:, -1] ^= mismatch & fixed
+    return bits
+
+
 def sample_result_bits(
     config_bits: np.ndarray, noise: NoiseModel, rng: np.random.Generator
 ) -> np.ndarray:
@@ -132,23 +149,23 @@ def sample_result_bits(
 
     `config_bits` has shape (n, q) with entry 1 where the station applies
     ``r``. The returned array has the same shape with entry 1 meaning the
-    station reported -1. Rows with an odd r count get their last station
-    adjusted so the noiseless total matches the word eigenvalue, which keeps
-    the draw uniform over the parity-consistent tuples; even rows stay
-    uniform over all tuples. Station errors are then applied as independent
-    bit flips.
+    station reported -1.
+
+    Independent station flips reach a row only through their parity: XOR
+    with any flip mask maps the tuples of one parity onto those of the
+    other. So a word's results are uniform over the tuples whose parity is
+    the eigenvalue bit XOR an odd-flip bit, drawn once per row (only when
+    eps > 0) with probability 2 * failure_probability_closed; a string's
+    results stay uniform over all tuples. The odd-flip bits are drawn
+    first, then the tuples.
     """
     n, q = config_bits.shape
     r = config_bits.sum(axis=1, dtype=np.int64)
     is_word = (r & 1).astype(np.uint8)
-    eigen_bits = (((r - 1) >> 1) & 1).astype(np.uint8)
-
-    bits = rng.integers(0, 2, size=(n, q), dtype=np.uint8)
-    parity = (bits.sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
-    bits[:, -1] ^= (parity ^ eigen_bits) & is_word
+    target = ((r >> 1) & 1).astype(np.uint8)
     if noise.epsilon > 0.0:
-        bits ^= (rng.random(size=(n, q)) < noise.epsilon).astype(np.uint8)
-    return bits
+        target ^= rng.random(n) < 2.0 * failure_probability_closed(q, noise)
+    return sample_parity_tuples(q, target, is_word, rng)
 
 
 def sample_outcome_batch(

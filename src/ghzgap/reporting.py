@@ -2,7 +2,8 @@
 
 Every floating-point value is serialized with 17 significant digits so the
 printed text re-parses to the identical bit pattern; reports embed a
-manifest (command, parameter echo, seed, version, timestamp) so a payload
+manifest (command, parameter echo, seed, version, timestamp, and for
+seeded runs the random-stream environment) so a payload
 can always be traced back to the invocation that produced it.
 """
 
@@ -104,9 +105,10 @@ class RunManifest:
     seed: Optional[int]
     version: str
     timestamp: str
+    environment: Optional[Mapping[str, Any]] = None
 
     def to_payload(self) -> dict[str, Any]:
-        return {
+        payload = {
             "schema_version": self.schema_version,
             "command": self.command,
             "parameters": dict(self.parameters),
@@ -114,6 +116,9 @@ class RunManifest:
             "version": self.version,
             "timestamp": self.timestamp,
         }
+        if self.environment is not None:
+            payload["environment"] = dict(self.environment)
+        return payload
 
 
 def _timestamp() -> str:
@@ -136,8 +141,13 @@ def _timestamp() -> str:
 
 
 def build_manifest(
-    command: str, parameters: Mapping[str, Any], seed: Optional[int] = None
+    command: str,
+    parameters: Mapping[str, Any],
+    seed: Optional[int] = None,
+    environment: Optional[Mapping[str, Any]] = None,
 ) -> RunManifest:
+    """Manifest for one report; ``environment`` states how its numbers were
+    produced (e.g. the random stream) and is left out when None."""
     from . import __version__
 
     return RunManifest(
@@ -147,4 +157,5 @@ def build_manifest(
         seed=seed,
         version=__version__,
         timestamp=_timestamp(),
+        environment=environment,
     )

@@ -108,7 +108,7 @@ class TestEpsilonThreshold:
 
     def test_cat_scale_value(self):
         value = epsilon_threshold(4e27, 1e-2)
-        assert value == pytest.approx(4.023594781085251e-28, rel=1e-12)
+        assert value == pytest.approx(4.023594781085251e-28, rel=1e-12, abs=0.0)
 
     def test_round_trip_across_scales(self):
         for q in (10.0, 1e3, 1e10, 4e27):

@@ -153,6 +153,20 @@ class TestSimulate:
         for column in ("trials", "word_trials", "failures"):
             assert int(row[column]) == payload[column]
 
+    def test_manifest_states_random_stream(self, capsys):
+        payload = run_json(
+            capsys,
+            "simulate",
+            "--q", "3", "--model", "qm", "--trials", "100", "--seed", "5",
+        )
+        assert payload["manifest"]["environment"] == {
+            "rng": "Philox",
+            "stream_version": 2,
+            "chunk_trials": 65536,
+        }
+        unseeded = run_json(capsys, "classify", "--config", "lrr")
+        assert "environment" not in unseeded["manifest"]
+
     def test_identical_seeds_identical_output(self, capsys, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         args = ["simulate", "--q", "5", "--model", "qm", "--eps", "0.02",
@@ -235,7 +249,7 @@ class TestDisproveAndCat:
     def test_cat_juxtaposes_thresholds(self, capsys):
         payload = run_json(capsys, "cat", "--mass-kg", "4", "--delta", "0.01")
         assert payload["q"] == pytest.approx(3.744e27, rel=1e-3)
-        assert payload["epsilon_derived"] == pytest.approx(4.2987e-28, rel=1e-4)
+        assert payload["epsilon_derived"] == pytest.approx(4.2987e-28, rel=1e-4, abs=0.0)
         assert payload["epsilon_reference"] == 6e-28
         assert payload["gap_at_derived"] == pytest.approx(0.01, rel=1e-9)
 

@@ -3,16 +3,19 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ghzgap.configs import Word
+from ghzgap.configs import MAX_STATIONS, Word
 from ghzgap.errors import DomainError
 from ghzgap.experiment import (
     CHUNK_TRIALS,
     ExperimentConfig,
     LhvModel,
     QuantumModel,
+    _map_in_order,
+    _station_r_counts,
     iter_trials,
     min_trials_to_disprove,
     run_experiment,
@@ -20,7 +23,7 @@ from ghzgap.experiment import (
     wilson_interval,
 )
 from ghzgap.quantum import NoiseModel, OutcomeTuple
-from ghzgap.strategies import CanonicalStrategy
+from ghzgap.strategies import CanonicalStrategy, minimize_bad_words
 
 
 def qm_config(**kw):
@@ -36,7 +39,8 @@ class TestValidation:
         with pytest.raises(DomainError):
             qm_config(q=0)
         with pytest.raises(DomainError):
-            qm_config(q=65)
+            qm_config(q=MAX_STATIONS + 1)
+        assert qm_config(q=MAX_STATIONS).q == 64
 
     def test_trials_positive(self):
         with pytest.raises(DomainError):
@@ -79,6 +83,21 @@ class TestReproducibility:
         baseline = run_experiment(cfg, workers=1)
         monkeypatch.setenv("GHZGAP_WORKERS", "6")
         assert run_experiment(cfg) == baseline
+
+    def test_chunks_in_flight_are_bounded(self):
+        started = []
+
+        def work(i):
+            started.append(i)
+            return i
+
+        for workers in (1, 2, 3):
+            started.clear()
+            for i, result in enumerate(_map_in_order(work, 50, workers)):
+                assert result == i
+                # results come in order, with at most 2 * workers calls ahead
+                assert max(started) < i + 2 * workers
+            assert sorted(started) == list(range(50))
 
     def test_bad_env_var_rejected(self, monkeypatch):
         monkeypatch.setenv("GHZGAP_WORKERS", "several")
@@ -134,17 +153,41 @@ class TestTallies:
         assert noisy.failure_rate > quiet.failure_rate
         assert noisy.ci_low <= noisy.theory <= noisy.ci_high
 
+    def test_station_r_counts_match_column_sums(self):
+        gen = np.random.Generator(np.random.Philox(31))
+        for q in (1, 7, 8, 9, 63, 64):
+            bits = gen.integers(0, 2, size=(5_000, q), dtype=np.uint64)
+            masks = (bits << np.arange(q, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+            counts = _station_r_counts(masks, q)
+            assert counts.tolist() == bits.sum(axis=0).tolist(), q
+
+    def test_report_carries_resolved_strategy(self):
+        assert run_experiment(qm_config()).strategy is None
+        report = run_experiment(qm_config(q=6, model=LhvModel()))
+        assert report.strategy == minimize_bad_words(6).strategy
+        fixed = CanonicalStrategy(q=3, a_sign=-1, t_mask=0b101)
+        assert run_experiment(qm_config(model=LhvModel(strategy=fixed))).strategy == fixed
+
 
 class TestTrialIteration:
     def test_matches_aggregate_run(self):
-        cfg = qm_config(model=QuantumModel(NoiseModel(0.15)), trials=2_000)
-        report = run_experiment(cfg)
-        records = list(iter_trials(cfg))
-        assert len(records) == 2_000
-        assert sum(r.failure for r in records) == report.failures
-        assert sum(
-            1 for r in records if isinstance(r.config_class, Word)
-        ) == report.word_trials
+        cases = [
+            qm_config(model=QuantumModel(NoiseModel(0.15)), trials=2_000),
+            qm_config(q=9, model=QuantumModel(NoiseModel(0.05)), trials=CHUNK_TRIALS + 300),
+            qm_config(q=5, model=LhvModel(noise=NoiseModel(0.1)), trials=CHUNK_TRIALS + 300),
+        ]
+        for cfg in cases:
+            report = run_experiment(cfg)
+            records = list(iter_trials(cfg))
+            assert len(records) == cfg.trials
+            assert sum(r.failure for r in records) == report.failures
+            assert sum(
+                1 for r in records if isinstance(r.config_class, Word)
+            ) == report.word_trials
+            masks = [r.configuration.r_mask for r in records]
+            assert tuple(
+                sum(m >> k & 1 for m in masks) for k in range(cfg.q)
+            ) == report.station_r_counts
 
     def test_failure_only_on_words(self):
         cfg = qm_config(model=QuantumModel(NoiseModel(0.4)), trials=3_000)

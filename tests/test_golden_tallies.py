@@ -1,0 +1,85 @@
+"""Golden tallies: seed -> failures, word trials and station r counts.
+
+The file pins the random stream: any change to the draws of a run makes
+these tests fail, so a new stream must come with a new STREAM_VERSION and
+regenerated goldens (`PYTHONPATH=src python tests/test_golden_tallies.py`).
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ghzgap.experiment import (
+    CHUNK_TRIALS,
+    STREAM_VERSION,
+    ExperimentConfig,
+    LhvModel,
+    QuantumModel,
+    run_experiment,
+)
+from ghzgap.quantum import NoiseModel
+
+GOLDEN_PATH = Path(__file__).with_name("golden_tallies.json")
+#: Crosses the first chunk boundary, so the second chunk's stream is pinned too.
+TRIALS = CHUNK_TRIALS + 4321
+
+
+def _cases():
+    index = 0
+    for model in ("qm", "lhv"):
+        for q in (3, 10, 64):
+            for eps in (0.0, 0.01):
+                yield {"model": model, "q": q, "eps": eps, "trials": TRIALS, "seed": 9_100 + index}
+                index += 1
+
+
+def _report(case):
+    noise = NoiseModel(case["eps"])
+    model = QuantumModel(noise) if case["model"] == "qm" else LhvModel(noise=noise)
+    cfg = ExperimentConfig(
+        q=case["q"], model=model, trials=case["trials"], master_seed=case["seed"]
+    )
+    return run_experiment(cfg, workers=1)
+
+
+def _tallies(report):
+    return {
+        "failures": report.failures,
+        "word_trials": report.word_trials,
+        "station_r_counts": list(report.station_r_counts),
+    }
+
+
+def _golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def _key(case):
+    return case["model"], case["q"], case["eps"], case["trials"], case["seed"]
+
+
+def test_golden_file_matches_stream():
+    golden = _golden()
+    assert golden["stream_version"] == STREAM_VERSION
+    assert golden["chunk_trials"] == CHUNK_TRIALS
+    assert [_key(c) for c in golden["cases"]] == [_key(c) for c in _cases()]
+
+
+@pytest.mark.parametrize(
+    "case", list(_cases()), ids=lambda c: f"{c['model']}-q{c['q']}-eps{c['eps']}"
+)
+def test_seed_pins_tallies(case):
+    golden = {_key(c): c for c in _golden()["cases"]}[_key(case)]
+    expected = {k: golden[k] for k in ("failures", "word_trials", "station_r_counts")}
+    assert _tallies(_report(case)) == expected
+
+
+if __name__ == "__main__":
+    cases = [{**case, **_tallies(_report(case))} for case in _cases()]
+    body = ",\n".join(json.dumps(c) for c in cases)  # one case per line
+    GOLDEN_PATH.write_text(
+        f'{{"stream_version": {STREAM_VERSION}, "chunk_trials": {CHUNK_TRIALS}, '
+        f'"cases": [\n{body}\n]}}\n'
+    )
+    print(f"wrote {len(cases)} cases to {GOLDEN_PATH}")

@@ -1,13 +1,15 @@
 """Failure-probability algebra, the outcome sampler, and the state-vector oracle."""
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
-from ghzgap.configs import classify, parse_configuration, Word
+from ghzgap.configs import classify, enumerate_configurations, parse_configuration, Word
 from ghzgap.errors import CapacityError, DomainError
 from ghzgap.quantum import (
     NoiseModel,
@@ -21,6 +23,7 @@ from ghzgap.quantum import (
     product_observable_expectation,
     sample_outcome_batch,
     sample_outcomes,
+    sample_parity_tuples,
     statevector_oracle,
 )
 
@@ -190,6 +193,34 @@ class TestSampler:
         failures = (np.prod(signs, axis=1) == 1).mean()  # eigenvalue is -1
         p = 0.5 * (1 - (1 - 2 * 0.1) ** 3)
         assert abs(failures - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+    def test_noisy_law_matches_state_vector_with_flips(self):
+        # exact law: the state-vector law pushed through independent flips,
+        # one [[1-eps, eps], [eps, 1-eps]] channel per station
+        eps, draws = 0.1, 200_000
+        flip = np.array([[1 - eps, eps], [eps, 1 - eps]])
+        gen = rng(41)
+        for q in range(1, 5):
+            channel = functools.reduce(np.kron, [flip] * q)
+            weights = 1 << (q - 1 - np.arange(q))
+            for config in enumerate_configurations(q):
+                law = channel @ joint_outcome_probabilities(config).ravel()
+                signs = sample_outcome_batch(config, NoiseModel(eps), gen, draws)
+                index = (signs == -1).astype(np.int64) @ weights
+                observed = np.bincount(index, minlength=1 << q)
+                p_value = stats.chisquare(observed, f_exp=law * draws).pvalue
+                assert p_value > 1e-3, (config.text(), p_value)
+
+    def test_parity_tuples(self):
+        gen = rng(8)
+        parity = gen.integers(0, 2, size=10_000, dtype=np.uint8)
+        fixed = np.arange(10_000) % 3 != 0
+        bits = sample_parity_tuples(5, parity, fixed, gen)
+        assert bits.shape == (10_000, 5)
+        row_parity = bits.sum(axis=1) & 1
+        assert (row_parity[fixed] == parity[fixed]).all()
+        free = row_parity[~fixed] != parity[~fixed]
+        assert abs(free.mean() - 0.5) < 4 * 0.5 / math.sqrt(free.size)
 
 
 class TestOracle:
