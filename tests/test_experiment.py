@@ -1,6 +1,7 @@
 """Monte Carlo engine: reproducibility, tallies, and the sample-size helpers."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,23 @@ class TestReproducibility:
                 # results come in order, with at most 2 * workers calls ahead
                 assert max(started) < i + 2 * workers
             assert sorted(started) == list(range(50))
+
+    @pytest.mark.parametrize(
+        "model",
+        [QuantumModel(), QuantumModel(NoiseModel(0.05)), LhvModel(noise=NoiseModel(0.05))],
+        ids=["qm", "qm-noisy", "lhv-noisy"],
+    )
+    def test_chunks_reuse_thread_buffers(self, model):
+        cfg = qm_config(q=64, model=model, trials=4 * CHUNK_TRIALS + 5)
+        run_experiment(cfg, workers=1)  # makes this thread's chunk buffers
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a chunk-sized temporary would take at least one byte per trial
+        assert peak < CHUNK_TRIALS
 
     def test_bad_env_var_rejected(self, monkeypatch):
         monkeypatch.setenv("GHZGAP_WORKERS", "several")
