@@ -93,17 +93,28 @@ def gap(q: float, noise: NoiseModel) -> GapReport:
     """Full gap report at one point.
 
     Integer q ≥ 2 fills the exact classical probability and exact gap; any
-    real q ≥ 1 (e.g. 4e27) fills the asymptotic fields only.
+    real q ≥ 1 (e.g. 4e27) fills the asymptotic fields only. q must be
+    finite, and an integer q must fit the float range.
     """
+    try:
+        finite = math.isfinite(q)
+    except OverflowError:  # an int too large to convert
+        raise DomainError("station count q exceeds the float range") from None
+    if not finite:
+        raise DomainError(f"station count q must be finite, got {q!r}")
     asymptotic = gap_asymptotic(q, noise)
     p_qm = failure_probability_closed(q, noise)
     if isinstance(q, int) and not isinstance(q, bool):
-        p_classical = float(classical_failure_probability(q))
-        # The classical probability is 1/4 - 2^-floor((q+3)/2) exactly, so the
-        # gap is the asymptotic term minus that power of two; subtracting the
-        # two probabilities, both near 1/4, would cancel. At q = 2 the power
-        # is 1/4 itself and the classical probability is 0, so the plain
+        # The classical probability is 1/4 - 2^-floor((q+3)/2) exactly. One
+        # float subtraction rounds it as float(classical_failure_probability(q))
+        # would, without that Fraction's 2^q-sized integers. The gap is the
+        # asymptotic term minus the same power of two; subtracting the two
+        # probabilities, both near 1/4, would cancel. At q = 2 the power is
+        # 1/4 itself and the classical probability is 0, so the plain
         # difference is the exact one there.
+        if q < 2:
+            raise DomainError(f"classical failure probability needs q >= 2, got {q}")
+        p_classical = 0.25 - math.ldexp(1.0, -((q + 3) // 2))
         if q == 2:
             gap_exact = p_classical - p_qm
         else:

@@ -9,14 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
-from .asymptotics import (
-    CONSTITUENT_FACTORS,
-    classical_failure_probability,
-    gap,
-    macroscopic_report,
-)
+from .asymptotics import CONSTITUENT_FACTORS, GapReport, gap, macroscopic_report
 from .configs import Configuration, classify, enumerate_configurations, parse_configuration, Word
 from .errors import CapacityError, GhzGapError
 from .experiment import (
@@ -44,6 +39,31 @@ _LIST_BAD_WORDS_LIMIT = 12
 #: within the 4300 digits Python converts an int to text by default.
 _LHV_OPTIMIZE_LIMIT = 14_000
 
+#: Namespace entries that are not parameters of the command that ran: the
+#: subcommand names, the handler, and switches that only pick the output.
+_NOT_PARAMETERS = frozenset(
+    {"command", "lhv_command", "gap_command", "handler", "verbose", "csv"}
+)
+
+
+def _manifest(
+    args: argparse.Namespace,
+    drop: tuple[str, ...] = (),
+    seed: Optional[int] = None,
+    environment: Optional[Mapping[str, Any]] = None,
+) -> dict[str, Any]:
+    """Manifest payload naming the command that ran and echoing its options
+    from the namespace, less the entries named in ``drop``."""
+    names = (args.command, getattr(args, "lhv_command", None), getattr(args, "gap_command", None))
+    parameters = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in _NOT_PARAMETERS and key not in drop
+    }
+    return build_manifest(
+        " ".join(name for name in names if name), parameters, seed, environment
+    ).to_payload()
+
 
 def _classification_fields(config: Configuration) -> dict[str, Any]:
     cls = classify(config)
@@ -57,7 +77,7 @@ def _classification_fields(config: Configuration) -> dict[str, Any]:
 def _cmd_classify(args: argparse.Namespace) -> str:
     config = parse_configuration(args.config)
     payload: dict[str, Any] = {
-        "manifest": build_manifest("classify", {"config": args.config}).to_payload(),
+        "manifest": _manifest(args),
         "q": config.q,
         "r_count": config.r_count,
         **_classification_fields(config),
@@ -79,13 +99,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> str:
         print(f"{len(items)} configurations at q={args.q}", file=sys.stderr)
     if args.format == "csv":
         return dumps_csv(["configuration", "kind", "eigenvalue"], items)
-    manifest = build_manifest(
-        "enumerate",
-        {"q": args.q, "words_only": args.words_only, "format": args.format},
-    )
     return dumps_json(
         {
-            "manifest": manifest.to_payload(),
+            "manifest": _manifest(args),
             "q": args.q,
             "words_only": args.words_only,
             "count": len(items),
@@ -102,10 +118,7 @@ def _cmd_lhv_optimize(args: argparse.Namespace) -> str:
     report = minimize_bad_words(args.q)
     strategy = report.strategy
     payload: dict[str, Any] = {
-        "manifest": build_manifest(
-            "lhv optimize",
-            {"q": args.q, "verify_brute_force": args.verify_brute_force},
-        ).to_payload(),
+        "manifest": _manifest(args),
         "q": args.q,
         "a_sign": strategy.a_sign,
         "t_mask": strategy.t_mask,
@@ -179,27 +192,14 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         )
     if args.csv:
         return dumps_csv(list(row), [row])
-    manifest = build_manifest(
-        "simulate",
-        {
-            "q": args.q,
-            "model": args.model,
-            "eps": args.eps,
-            "trials": args.trials,
-            "seed": args.seed,
-            "ci_level": args.ci_level,
-        },
-        seed=args.seed,
-        environment=stream_environment(),
-    )
-    payload: dict[str, Any] = {"manifest": manifest.to_payload(), **row}
+    manifest = _manifest(args, seed=args.seed, environment=stream_environment())
+    payload: dict[str, Any] = {"manifest": manifest, **row}
     payload["strategy"] = strategy_fields
     payload["station_r_counts"] = list(report.station_r_counts)
     return dumps_json(payload)
 
 
-def _gap_row(q: int | float, eps: float) -> dict[str, Any]:
-    report = gap(q, NoiseModel(eps))
+def _gap_row(report: GapReport) -> dict[str, Any]:
     return {
         "q": report.q,
         "eps": report.epsilon,
@@ -225,13 +225,8 @@ def _parse_q(text: str) -> int | float:
 def _cmd_gap(args: argparse.Namespace) -> str:
     report = gap(args.q, NoiseModel(args.eps))
     payload: dict[str, Any] = {
-        "manifest": build_manifest("gap", {"q": args.q, "eps": args.eps}).to_payload(),
-        "q": report.q,
-        "eps": report.epsilon,
-        "p_qm": report.p_qm,
-        "p_classical_exact": report.p_classical_exact,
-        "gap_exact": report.gap_exact,
-        "gap_asymptotic": report.gap_asymptotic,
+        "manifest": _manifest(args),
+        **_gap_row(report),
         "p_classical_limit": report.p_classical_limit,
     }
     if args.verbose:
@@ -246,25 +241,17 @@ def _cmd_gap_sweep(args: argparse.Namespace) -> str:
     if args.q_min > args.q_max:
         raise GhzGapError(f"--q-min {args.q_min} exceeds --q-max {args.q_max}")
     rows = [
-        _gap_row(q, eps)
+        _gap_row(gap(q, NoiseModel(eps)))
         for q in range(args.q_min, args.q_max + 1)
         for eps in args.eps_list
     ]
     if args.verbose:
         print(f"{len(rows)} gap rows", file=sys.stderr)
-    columns = ["q", "eps", "p_qm", "p_classical_exact", "gap_exact", "gap_asymptotic"]
     if args.format == "csv":
-        return dumps_csv(columns, rows)
-    manifest = build_manifest(
-        "gap sweep",
-        {
-            "q_min": args.q_min,
-            "q_max": args.q_max,
-            "eps_list": list(args.eps_list),
-            "format": args.format,
-        },
-    )
-    return dumps_json({"manifest": manifest.to_payload(), "rows": rows})
+        return dumps_csv(list(rows[0]), rows)
+    # argparse also fills the parent `gap` parser's --q and --eps in here.
+    manifest = _manifest(args, drop=("q", "eps"))
+    return dumps_json({"manifest": manifest, "rows": rows})
 
 
 def _cmd_disprove(args: argparse.Namespace) -> str:
@@ -274,12 +261,9 @@ def _cmd_disprove(args: argparse.Namespace) -> str:
             f"{trials} trials expose a failure with confidence {args.confidence}",
             file=sys.stderr,
         )
-    manifest = build_manifest(
-        "disprove", {"p_failure": args.p_failure, "confidence": args.confidence}
-    )
     return dumps_json(
         {
-            "manifest": manifest.to_payload(),
+            "manifest": _manifest(args),
             "p_failure": args.p_failure,
             "confidence": args.confidence,
             "trials": trials,
@@ -295,17 +279,9 @@ def _cmd_cat(args: argparse.Namespace) -> str:
             f"vs reference {report.epsilon_reference:.3e}",
             file=sys.stderr,
         )
-    manifest = build_manifest(
-        "cat",
-        {
-            "mass_kg": args.mass_kg,
-            "delta": args.delta,
-            "convention": args.convention,
-        },
-    )
     return dumps_json(
         {
-            "manifest": manifest.to_payload(),
+            "manifest": _manifest(args),
             "mass_kg": report.mass_kg,
             "convention": report.convention,
             "q": report.q,
@@ -361,9 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True, help="master seed (required)")
     p.add_argument("--ci-level", type=float, default=0.95)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--csv", action="store_true")
+    p.add_argument("--csv", action="store_true", help="one CSV row instead of JSON")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("gap", parents=[common], help="quantum-classical failure gap")

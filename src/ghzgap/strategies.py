@@ -262,26 +262,12 @@ def mermin_bound(q: int) -> int:
     return (1 << (q - 2)) - (1 << ((q - 3) // 2))
 
 
-def mermin_sum(strategy: CanonicalStrategy, method: str = "auto") -> int:
+def mermin_sum(strategy: CanonicalStrategy) -> int:
     """Sum over words of eigenvalue times predicted total.
 
-    `method` picks the route: "enumerate" walks every word (q <= 24),
-    "analytic" uses the identity with the closed-form bad-word count,
-    "auto" enumerates while capacity allows.
+    Each word adds +1 when predicted and -1 when missed, so the sum is the
+    word count minus twice the closed-form bad-word count.
     """
-    if method not in ("auto", "enumerate", "analytic"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "enumerate" if strategy.q <= ENUMERATION_LIMIT else "analytic"
-    if method == "enumerate":
-        if strategy.q > ENUMERATION_LIMIT:
-            raise CapacityError(
-                f"enumeration supports q <= {ENUMERATION_LIMIT}, got {strategy.q}"
-            )
-        return sum(
-            eigenvalue * predict_total(strategy, config)
-            for config, eigenvalue in enumerate_words(strategy.q)
-        )
     bad = bad_word_count_analytic(
         strategy.q, strategy.a_sign, strategy.t_mask.bit_count()
     )

@@ -79,6 +79,28 @@ class TestGap:
                 exact, rel=1e-12, abs=0.0
             ), (q, eps)
 
+    def test_classical_field_is_rounded_fraction(self):
+        for q in list(range(2, 1200)) + [2150, 2151, 2152, 5000]:
+            assert gap(q, NoiseModel(0.01)).p_classical_exact == float(
+                classical_failure_probability(q)
+            ), q
+
+    def test_huge_integer_q_is_constant_work(self):
+        report = gap(10**300, NoiseModel(0.01))
+        assert report.p_classical_exact == 0.25
+        assert report.gap_exact == report.gap_asymptotic == 0.0
+
+    @pytest.mark.parametrize(
+        "q", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "1e400"]
+    )
+    def test_unrepresentable_q_rejected(self, q):
+        with pytest.raises(DomainError, match="station count q"):
+            gap(q, NoiseModel(0.0))
+
+    def test_q_one_has_no_classical_probability(self):
+        with pytest.raises(DomainError):
+            gap(1, NoiseModel(0.0))
+
     def test_discrepancy_magnitude_branches(self):
         for q in range(2, 30):
             magnitude = Fraction(1, 4) - classical_failure_probability(q)

@@ -167,6 +167,12 @@ class TestSimulate:
         unseeded = run_json(capsys, "classify", "--config", "lrr")
         assert "environment" not in unseeded["manifest"]
 
+    def test_json_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--q", "3", "--model", "qm", "--trials", "10",
+                  "--seed", "1", "--json"])
+        assert excinfo.value.code == 2
+
     def test_identical_seeds_identical_output(self, capsys, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         args = ["simulate", "--q", "5", "--model", "qm", "--eps", "0.02",
@@ -212,7 +218,7 @@ class TestGap:
         assert len(rows) == 10
         assert out.splitlines()[0] == "q,eps,p_qm,p_classical_exact,gap_exact,gap_asymptotic"
         by_key = {(r["q"], r["eps"]): r for r in rows}
-        assert float(by_key[("3", "0")]["gap_exact"]) == 0.125
+        assert float(by_key[("3", "0.0")]["gap_exact"]) == 0.125
 
     def test_sweep_json_matches_csv(self, capsys):
         args = ["gap", "sweep", "--q-min", "2", "--q-max", "5", "--eps-list", "0.01"]
@@ -227,6 +233,29 @@ class TestGap:
     def test_bad_range_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "gap", "sweep", "--q-min", "5", "--q-max", "2")
         assert code == 3
+
+    @pytest.mark.parametrize("q", ["nan", "inf", "1e400"])
+    def test_non_finite_q_exits_3(self, capsys, q):
+        code, out, err = run_cli(capsys, "gap", "--q", q, "--eps", "0.01")
+        assert code == 3
+        assert out == ""
+        assert "station count q must be finite" in err
+
+    def test_integer_q_beyond_float_range_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "gap", "--q", "1" + "0" * 400)
+        assert code == 3
+        assert out == ""
+        assert "float range" in err
+
+    def test_underflowed_gap_stays_float(self, capsys):
+        point = run_json(capsys, "gap", "--q", "1000000", "--eps", "0.01")
+        sweep = run_json(
+            capsys, "gap", "sweep", "--q-min", "1000000", "--q-max", "1000000",
+            "--eps-list", "0.01", "--format", "json",
+        )
+        for row in (point, *sweep["rows"]):
+            assert isinstance(row["gap_asymptotic"], float)
+            assert row["gap_asymptotic"] == 0.0
 
 
 class TestDisproveAndCat:
@@ -259,6 +288,47 @@ class TestDisproveAndCat:
             "--convention", "molecules",
         )
         assert payload["q"] == pytest.approx(3.744e27 / 28, rel=1e-3)
+
+
+class TestManifest:
+    @pytest.mark.parametrize(
+        "argv, command, parameters",
+        [
+            (["classify", "--config", "llr"], "classify", ["config"]),
+            (["enumerate", "--q", "3"], "enumerate", ["q", "words_only", "format"]),
+            (["lhv", "optimize", "--q", "4"], "lhv optimize", ["q", "verify_brute_force"]),
+            (
+                ["simulate", "--q", "3", "--model", "qm", "--trials", "10", "--seed", "1"],
+                "simulate",
+                ["q", "model", "eps", "trials", "seed", "ci_level"],
+            ),
+            (["gap", "--q", "5"], "gap", ["q", "eps"]),
+            (
+                ["gap", "sweep", "--q-min", "2", "--q-max", "3", "--format", "json"],
+                "gap sweep",
+                ["q_min", "q_max", "eps_list", "format"],
+            ),
+            (
+                ["disprove", "--p-failure", "0.5", "--confidence", "0.9"],
+                "disprove",
+                ["p_failure", "confidence"],
+            ),
+            (["cat", "--mass-kg", "4"], "cat", ["mass_kg", "delta", "convention"]),
+        ],
+    )
+    def test_command_and_parameter_keys(self, capsys, argv, command, parameters):
+        manifest = run_json(capsys, *argv)["manifest"]
+        assert manifest["command"] == command
+        assert list(manifest["parameters"]) == parameters
+
+    def test_parameters_echo_values(self, capsys):
+        manifest = run_json(
+            capsys, "gap", "sweep", "--q-min", "2", "--q-max", "3",
+            "--eps-list", "0", "0.01", "--format", "json",
+        )["manifest"]
+        assert manifest["parameters"] == {
+            "q_min": 2, "q_max": 3, "eps_list": [0.0, 0.01], "format": "json",
+        }
 
 
 class TestConsoleScript:

@@ -49,6 +49,15 @@ def bad_word_count_double_sum(q, a_sign, m):
     return total
 
 
+def mermin_sum_enumerated(strategy):
+    """Sum over every word of eigenvalue times predicted total; the route
+    mermin_sum once offered as method="enumerate", kept as its oracle."""
+    return sum(
+        eigenvalue * predict_total(strategy, config)
+        for config, eigenvalue in enumerate_words(strategy.q)
+    )
+
+
 def full_scan_minimum(q):
     """(bad_count, m, a_sign) over every m in 0..q, smallest m then +1 on ties."""
     best = None
@@ -220,10 +229,11 @@ class TestMerminSum:
                 assert mermin_sum(strategy) == 2 ** (q - 1) - 2 * bad
 
     def test_enumerate_and_analytic_routes_agree(self):
-        strategy = CanonicalStrategy(q=9, a_sign=-1, t_mask=0b10110)
-        assert mermin_sum(strategy, method="enumerate") == mermin_sum(
-            strategy, method="analytic"
-        )
+        for q in range(1, 11):
+            for a_sign in (+1, -1):
+                for t_mask in {0, 1, (1 << q) - 1, 0b10110 & ((1 << q) - 1)}:
+                    strategy = CanonicalStrategy(q=q, a_sign=a_sign, t_mask=t_mask)
+                    assert mermin_sum(strategy) == mermin_sum_enumerated(strategy)
 
     def test_max_classical_values(self):
         for q in range(2, 21):
