@@ -17,7 +17,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
-from .quantum import NoiseModel, failure_probability_closed, parity_attenuation
+from .quantum import (
+    NoiseModel,
+    failure_probability_closed,
+    failure_probability_exact,
+    parity_attenuation,
+)
 from .strategies import mermin_bound
 
 #: 2022 SI definition, exact.
@@ -104,6 +109,7 @@ def gap(q: float, noise: NoiseModel) -> GapReport:
         raise DomainError(f"station count q must be finite, got {q!r}")
     asymptotic = gap_asymptotic(q, noise)
     p_qm = failure_probability_closed(q, noise)
+    p_classical = gap_exact = None
     if isinstance(q, int) and not isinstance(q, bool):
         # The classical probability is 1/4 - 2^-floor((q+3)/2) exactly. One
         # float subtraction rounds it as float(classical_failure_probability(q))
@@ -114,42 +120,28 @@ def gap(q: float, noise: NoiseModel) -> GapReport:
         # difference is the exact one there.
         if q < 2:
             raise DomainError(f"classical failure probability needs q >= 2, got {q}")
-        p_classical = 0.25 - math.ldexp(1.0, -((q + 3) // 2))
-        if q == 2:
-            gap_exact = p_classical - p_qm
-        else:
-            gap_exact = asymptotic - math.ldexp(1.0, -((q + 3) // 2))
-        return GapReport(
-            q=q,
-            epsilon=noise.epsilon,
-            p_qm=p_qm,
-            p_classical_exact=p_classical,
-            p_classical_limit=0.25,
-            gap_exact=gap_exact,
-            gap_asymptotic=asymptotic,
-        )
+        power = math.ldexp(1.0, -((q + 3) // 2))
+        p_classical = 0.25 - power
+        gap_exact = p_classical - p_qm if q == 2 else asymptotic - power
     return GapReport(
         q=q,
         epsilon=noise.epsilon,
         p_qm=p_qm,
-        p_classical_exact=None,
+        p_classical_exact=p_classical,
         p_classical_limit=0.25,
-        gap_exact=None,
+        gap_exact=gap_exact,
         gap_asymptotic=asymptotic,
     )
 
 
 def gap_exact_fraction(q: int, epsilon: Fraction) -> Fraction:
     """Exact rational gap: classical failure probability minus quantum."""
-    p_qm = Fraction(1, 4) - Fraction(1, 4) * (1 - 2 * epsilon) ** q
-    return classical_failure_probability(q) - p_qm
+    return classical_failure_probability(q) - failure_probability_exact(q, epsilon)
 
 
 def gap_asymptotic_fraction(q: int, epsilon: Fraction) -> Fraction:
     """Exact rational value of the asymptotic gap (1/4)(1 - 2*eps)^q."""
-    if q < 1:
-        raise DomainError(f"station count must be at least 1, got {q}")
-    return Fraction(1, 4) * (1 - 2 * epsilon) ** q
+    return Fraction(1, 4) - failure_probability_exact(q, epsilon)
 
 
 def epsilon_threshold(q: float, delta: float) -> float:
@@ -188,7 +180,6 @@ def macroscopic_report(
     mass_kg: float,
     delta: float,
     convention: str = "electrons-nucleons",
-    reference_epsilon: float = REFERENCE_EPSILON,
 ) -> MacroscopicReport:
     """Thresholds and gaps for a macroscopic mass treated as one entangled system.
 
@@ -203,7 +194,7 @@ def macroscopic_report(
         q=q,
         delta=delta,
         epsilon_derived=derived,
-        epsilon_reference=reference_epsilon,
+        epsilon_reference=REFERENCE_EPSILON,
         gap_at_derived=gap_asymptotic(q, NoiseModel(derived)),
-        gap_at_reference=gap_asymptotic(q, NoiseModel(reference_epsilon)),
+        gap_at_reference=gap_asymptotic(q, NoiseModel(REFERENCE_EPSILON)),
     )

@@ -25,6 +25,7 @@ from .experiment import (
 from .quantum import NoiseModel
 from .reporting import build_manifest, dumps_csv, dumps_json
 from .strategies import (
+    CanonicalStrategy,
     bad_word_count_naive,
     max_classical_mermin_sum,
     mermin_bound,
@@ -62,7 +63,15 @@ def _manifest(
     }
     return build_manifest(
         " ".join(name for name in names if name), parameters, seed, environment
-    ).to_payload()
+    )
+
+
+def _strategy_fields(strategy: CanonicalStrategy) -> dict[str, Any]:
+    return {
+        "a_sign": strategy.a_sign,
+        "t_mask": strategy.t_mask,
+        "flipped_stations": strategy.t_mask.bit_count(),
+    }
 
 
 def _classification_fields(config: Configuration) -> dict[str, Any]:
@@ -120,9 +129,7 @@ def _cmd_lhv_optimize(args: argparse.Namespace) -> str:
     payload: dict[str, Any] = {
         "manifest": _manifest(args),
         "q": args.q,
-        "a_sign": strategy.a_sign,
-        "t_mask": strategy.t_mask,
-        "flipped_stations": strategy.t_mask.bit_count(),
+        **_strategy_fields(strategy),
         "bad_count": report.bad_count,
         "failure_probability": report.probability,
         "failure_probability_float": float(report.probability),
@@ -160,14 +167,6 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         ci_level=args.ci_level,
     )
     report = run_experiment(cfg)
-    strategy_fields: Optional[dict[str, Any]] = None
-    strategy = report.strategy
-    if strategy is not None:
-        strategy_fields = {
-            "a_sign": strategy.a_sign,
-            "t_mask": strategy.t_mask,
-            "flipped_stations": strategy.t_mask.bit_count(),
-        }
     row: dict[str, Any] = {
         "q": args.q,
         "model": args.model,
@@ -194,7 +193,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         return dumps_csv(list(row), [row])
     manifest = _manifest(args, seed=args.seed, environment=stream_environment())
     payload: dict[str, Any] = {"manifest": manifest, **row}
-    payload["strategy"] = strategy_fields
+    payload["strategy"] = None if report.strategy is None else _strategy_fields(report.strategy)
     payload["station_r_counts"] = list(report.station_r_counts)
     return dumps_json(payload)
 
@@ -381,7 +380,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GhzGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

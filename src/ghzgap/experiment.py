@@ -26,7 +26,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 from typing import Any, Callable, Iterator, NamedTuple, Optional, TypeVar, Union
@@ -65,13 +65,17 @@ _EXACT_SETTLE_LIMIT = 1 << 12
 #: Environment variable selecting the worker count (results never depend on it).
 WORKERS_ENV_VAR = "GHZGAP_WORKERS"
 
+#: Largest accepted worker count. A run starts up to this many threads,
+#: each with its own 1.4 MB chunk workspace, and keeps 2x as many chunks in
+#: flight; beyond the core count more threads only cost memory.
+MAX_WORKERS = 64
+
 
 @dataclass(frozen=True)
 class QuantumModel:
     """Entangled-state model with independent per-station errors."""
 
     noise: NoiseModel = NoiseModel(0.0)
-    kind: str = field(default="qm", init=False)
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,6 @@ class LhvModel:
 
     strategy: Optional[CanonicalStrategy] = None
     noise: NoiseModel = NoiseModel(0.0)
-    kind: str = field(default="lhv", init=False)
 
 
 Model = Union[QuantumModel, LhvModel]
@@ -248,11 +251,13 @@ def _chunk_arrays(
        odd parity when u < 2 * failure_probability_closed(q, noise), the
        probability that an odd number of q independent flips occur.
 
-    On a word the noiseless quantum total is the eigenvalue, so the quantum
-    model fails exactly on odd error parity; its ``parity`` is meaningful on
-    words only (a string's total is a fair coin no tally reads). The
-    hidden-variable total is the strategy's prediction
-    a_bit ^ parity(mask & t_mask), inverted by odd error parity.
+    Both models share one failure rule: the observed total is the predicted
+    total inverted by odd error parity, and a word fails when it misses the
+    eigenvalue, ``failure = word & (predicted ^ odd ^ eigen)``. The quantum
+    model predicts the eigenvalue itself (so it fails exactly on odd error
+    parity, and its ``parity`` is meaningful on words only: a string's total
+    is a fair coin no tally reads); the hidden-variable model predicts
+    a_bit ^ parity(mask & t_mask).
     """
     q = cfg.q
     n = min(CHUNK_TRIALS, cfg.trials - chunk_index * CHUNK_TRIALS)
@@ -278,19 +283,18 @@ def _chunk_arrays(
     else:
         odd.fill(0)
 
-    if isinstance(cfg.model, QuantumModel):
-        np.bitwise_xor(eigen, odd, out=parity)
-        np.bitwise_and(word, odd, out=failure)
+    if strategy is None:
+        predicted = eigen
     else:
-        assert strategy is not None
+        predicted = parity
         np.bitwise_and(masks, np.uint64(strategy.t_mask), out=wide)
         np.bitwise_count(wide, out=parity)
         np.bitwise_and(parity, 1, out=parity)
         if strategy.a_sign != +1:
             np.bitwise_xor(parity, 1, out=parity)
-        np.bitwise_xor(parity, odd, out=parity)
-        np.bitwise_xor(parity, eigen, out=failure)
-        np.bitwise_and(failure, word, out=failure)
+    np.bitwise_xor(predicted, odd, out=parity)
+    np.bitwise_xor(parity, eigen, out=failure)
+    np.bitwise_and(failure, word, out=failure)
     return _Chunk(masks, word.view(bool), failure.view(bool), parity)
 
 
@@ -298,9 +302,7 @@ def _chunk_arrays(
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
 
-def _station_r_counts(
-    masks: np.ndarray, q: int, scratch: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _station_r_counts(masks: np.ndarray, q: int, scratch: np.ndarray) -> np.ndarray:
     """How many of the packed masks set each of the q station bits.
 
     Each byte position of the little-endian masks is histogrammed; its
@@ -309,8 +311,6 @@ def _station_r_counts(
     byte indices that np.bincount needs.
     """
     octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    if scratch is None:
-        scratch = np.empty(len(masks), dtype=np.intp)
     index = scratch[: len(masks)]
     counts = []
     for b in range((q + 7) // 8):
@@ -322,20 +322,18 @@ def _station_r_counts(
 def _theory_value(cfg: ExperimentConfig, strategy: Optional[CanonicalStrategy]) -> float:
     """Expected failure rate for the configured model.
 
-    Quantum: the closed-form odd-error probability. Hidden-variable: the
-    strategy misses its bad words outright and an error pattern of odd
-    parity inverts any total, giving
-    bad/2^q attenuated toward the quantum value as errors grow.
+    The model misses its bad words outright and an error pattern of odd
+    parity inverts any total, giving p_qm + (1 - 2*eps)^q * bad/2^q: the
+    closed-form odd-error probability plus the bad-word share, attenuated
+    as errors grow. The quantum model has no bad words.
     """
-    if isinstance(cfg.model, QuantumModel):
-        return failure_probability_closed(cfg.q, cfg.model.noise)
-    assert strategy is not None
-    bad = bad_word_count_analytic(cfg.q, strategy.a_sign, strategy.t_mask.bit_count())
-    base = bad / 2.0**cfg.q
+    bad = 0
+    if strategy is not None:
+        bad = bad_word_count_analytic(cfg.q, strategy.a_sign, strategy.t_mask.bit_count())
     noise = cfg.model.noise
-    if noise.epsilon == 0.0:
-        return base
-    return failure_probability_closed(cfg.q, noise) + parity_attenuation(cfg.q, noise) * base
+    return failure_probability_closed(cfg.q, noise) + parity_attenuation(cfg.q, noise) * (
+        bad / 2.0**cfg.q
+    )
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -345,8 +343,8 @@ def _worker_count(workers: Optional[int]) -> int:
             workers = int(raw)
         except ValueError as exc:
             raise DomainError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise DomainError(f"worker count must be at least 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise DomainError(f"worker count must lie in [1, {MAX_WORKERS}], got {workers}")
     return workers
 
 

@@ -142,14 +142,10 @@ def sample_parity_tuples(
     return bits
 
 
-def sample_result_bits(
-    config_bits: np.ndarray, noise: NoiseModel, rng: np.random.Generator
+def _sample_from_r_counts(
+    r: np.ndarray, q: int, noise: NoiseModel, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw result bits for a batch of configurations given as bit rows.
-
-    `config_bits` has shape (n, q) with entry 1 where the station applies
-    ``r``. The returned array has the same shape with entry 1 meaning the
-    station reported -1.
+    """(n, q) result bits for configurations given by their r counts.
 
     Independent station flips reach a row only through their parity: XOR
     with any flip mask maps the tuples of one parity onto those of the
@@ -159,13 +155,24 @@ def sample_result_bits(
     results stay uniform over all tuples. The odd-flip bits are drawn
     first, then the tuples.
     """
-    n, q = config_bits.shape
-    r = config_bits.sum(axis=1, dtype=np.int64)
     is_word = (r & 1).astype(np.uint8)
     target = ((r >> 1) & 1).astype(np.uint8)
     if noise.epsilon > 0.0:
-        target ^= rng.random(n) < 2.0 * failure_probability_closed(q, noise)
+        target ^= rng.random(len(r)) < 2.0 * failure_probability_closed(q, noise)
     return sample_parity_tuples(q, target, is_word, rng)
+
+
+def sample_result_bits(
+    config_bits: np.ndarray, noise: NoiseModel, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw result bits for a batch of configurations given as bit rows.
+
+    `config_bits` has shape (n, q) with entry 1 where the station applies
+    ``r``. The returned array has the same shape with entry 1 meaning the
+    station reported -1.
+    """
+    r = config_bits.sum(axis=1, dtype=np.int64)
+    return _sample_from_r_counts(r, config_bits.shape[1], noise, rng)
 
 
 def sample_outcome_batch(
@@ -174,11 +181,9 @@ def sample_outcome_batch(
     """`size` independent draws for one configuration, as a (size, q) sign matrix."""
     if size < 1:
         raise DomainError(f"sample size must be at least 1, got {size}")
-    row = np.array(
-        [config.r_mask >> k & 1 for k in range(config.q)], dtype=np.uint8
-    )
-    bits = sample_result_bits(np.tile(row, (size, 1)), noise, rng)
-    return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
+    r = np.full(size, config.r_count, dtype=np.int64)
+    bits = _sample_from_r_counts(r, config.q, noise, rng)
+    return 1 - 2 * bits.astype(np.int8)
 
 
 def sample_outcomes(

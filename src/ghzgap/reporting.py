@@ -15,7 +15,6 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
@@ -31,14 +30,14 @@ def _fraction_text(value: Any) -> str:
     raise DomainError(f"cannot serialize {type(value).__name__} to JSON")
 
 
-def dumps_json(payload: Any, indent: int = 2) -> str:
+def dumps_json(payload: Any) -> str:
     """JSON text, keys in insertion order; a Fraction becomes "n/d"."""
     # json.dump feeds the encoder's chunks to the buffer one at a time;
     # json.dumps would first collect them all in one list to join, which
     # for a 27 MB enumeration costs ~150 MB more peak memory.
     buf = io.StringIO()
     try:
-        json.dump(payload, buf, indent=indent, allow_nan=False, default=_fraction_text)
+        json.dump(payload, buf, indent=2, allow_nan=False, default=_fraction_text)
     except ValueError as exc:
         raise DomainError(f"cannot serialize to JSON: {exc}") from exc
     return buf.getvalue()
@@ -55,32 +54,6 @@ def dumps_csv(columns: Sequence[str], rows: Sequence[Mapping[str, Any]]) -> str:
     writer.writerow(columns)
     writer.writerows([row.get(col) for col in columns] for row in rows)
     return buf.getvalue()
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Invocation record embedded in every emitted report."""
-
-    schema_version: int
-    command: str
-    parameters: Mapping[str, Any]
-    seed: Optional[int]
-    version: str
-    timestamp: str
-    environment: Optional[Mapping[str, Any]] = None
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "parameters": dict(self.parameters),
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
-        if self.environment is not None:
-            payload["environment"] = dict(self.environment)
-        return payload
 
 
 def _timestamp() -> str:
@@ -107,17 +80,19 @@ def build_manifest(
     parameters: Mapping[str, Any],
     seed: Optional[int] = None,
     environment: Optional[Mapping[str, Any]] = None,
-) -> RunManifest:
-    """Manifest for one report; ``environment`` states how its numbers were
-    produced (e.g. the random stream) and is left out when None."""
+) -> dict[str, Any]:
+    """Manifest payload for one report; ``environment`` states how its
+    numbers were produced (e.g. the random stream) and is left out when None."""
     from . import __version__
 
-    return RunManifest(
-        schema_version=SCHEMA_VERSION,
-        command=command,
-        parameters=dict(parameters),
-        seed=seed,
-        version=__version__,
-        timestamp=_timestamp(),
-        environment=environment,
-    )
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "parameters": dict(parameters),
+        "seed": seed,
+        "version": __version__,
+        "timestamp": _timestamp(),
+    }
+    if environment is not None:
+        manifest["environment"] = dict(environment)
+    return manifest

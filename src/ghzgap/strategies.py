@@ -248,18 +248,14 @@ def minimize_bad_words_brute_force(q: int) -> BadWordReport:
 def mermin_bound(q: int) -> int:
     """Minimal bad-word count attainable by deterministic strategies.
 
-    Exact integer, with separate even/odd branches:
-    2^(q-2) - 2^((q-2)/2) for even q, 2^(q-2) - 2^((q-3)/2) for odd q.
-    Both branches vanish through q = 2; q = 1 returns 0 by the same
-    cancellation (the formal branch value 1/2 - 1/2).
+    Exact integer 2^(q-2) - 2^floor((q-2)/2), which vanishes at q = 2;
+    q = 1 returns 0 by the same cancellation (the formal value 1/2 - 1/2).
     """
     if q < 1:
         raise DomainError(f"station count must be at least 1, got {q}")
     if q == 1:
         return 0
-    if q % 2 == 0:
-        return (1 << (q - 2)) - (1 << ((q - 2) // 2))
-    return (1 << (q - 2)) - (1 << ((q - 3) // 2))
+    return (1 << (q - 2)) - (1 << ((q - 2) // 2))
 
 
 def mermin_sum(strategy: CanonicalStrategy) -> int:

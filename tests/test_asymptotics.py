@@ -71,6 +71,20 @@ class TestGap:
                 rhs = Fraction(mermin_bound(q), 2**q) - Fraction(1, 4)
                 assert lhs == rhs, (q, eps)
 
+    @pytest.mark.parametrize(
+        "helper, q, eps",
+        [
+            (gap_exact_fraction, 3, Fraction(3, 4)),
+            (gap_exact_fraction, 3, Fraction(-1, 10)),
+            (gap_asymptotic_fraction, 3, Fraction(-1)),
+            (gap_asymptotic_fraction, 3, Fraction(51, 100)),
+            (gap_asymptotic_fraction, 0, Fraction(1, 10)),
+        ],
+    )
+    def test_fraction_helpers_check_domain(self, helper, q, eps):
+        with pytest.raises(DomainError):
+            helper(q, eps)
+
     def test_gap_exact_relative_accuracy(self):
         # both probabilities sit near 1/4; their difference must not cancel
         for q, eps in ((2, 1e-12), (30, 0.1), (1000, 0.01), (3000, 0.01), (2000, 1e-12)):

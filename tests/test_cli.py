@@ -173,6 +173,16 @@ class TestSimulate:
                   "--seed", "1", "--json"])
         assert excinfo.value.code == 2
 
+    def test_worker_count_over_cap_exits_3(self, capsys, monkeypatch):
+        # one trial: the count is refused before any pool could start
+        monkeypatch.setenv("GHZGAP_WORKERS", "100000")
+        code, out, err = run_cli(
+            capsys, "simulate", "--q", "3", "--model", "qm", "--trials", "1", "--seed", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert "worker count" in err
+
     def test_identical_seeds_identical_output(self, capsys, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         args = ["simulate", "--q", "5", "--model", "qm", "--eps", "0.02",
@@ -329,6 +339,32 @@ class TestManifest:
         assert manifest["parameters"] == {
             "q_min": 2, "q_max": 3, "eps_list": [0.0, 0.01], "format": "json",
         }
+
+
+class FullDevice:
+    """A stdout whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+class TestWriteErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "--config", "rrr"], ["enumerate", "--q", "3", "--format", "csv"]],
+        ids=["classify", "enumerate-csv"],
+    )
+    def test_failed_write_exits_3(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", FullDevice())
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ")
+        assert "No space left on device" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestConsoleScript:

@@ -12,6 +12,7 @@ from ghzgap.configs import MAX_STATIONS, Word
 from ghzgap.errors import DomainError
 from ghzgap.experiment import (
     CHUNK_TRIALS,
+    MAX_WORKERS,
     ExperimentConfig,
     LhvModel,
     QuantumModel,
@@ -117,6 +118,15 @@ class TestReproducibility:
         # a chunk-sized temporary would take at least one byte per trial
         assert peak < CHUNK_TRIALS
 
+    def test_worker_count_above_cap_rejected(self, monkeypatch):
+        # one trial: the count is refused before any pool could start
+        cfg = qm_config(trials=1)
+        with pytest.raises(DomainError, match="worker count"):
+            run_experiment(cfg, workers=MAX_WORKERS + 1)
+        monkeypatch.setenv("GHZGAP_WORKERS", "100000")
+        with pytest.raises(DomainError, match="worker count"):
+            run_experiment(cfg)
+
     def test_bad_env_var_rejected(self, monkeypatch):
         monkeypatch.setenv("GHZGAP_WORKERS", "several")
         with pytest.raises(DomainError):
@@ -176,7 +186,7 @@ class TestTallies:
         for q in (1, 7, 8, 9, 63, 64):
             bits = gen.integers(0, 2, size=(5_000, q), dtype=np.uint64)
             masks = (bits << np.arange(q, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
-            counts = _station_r_counts(masks, q)
+            counts = _station_r_counts(masks, q, np.empty(len(masks), dtype=np.intp))
             assert counts.tolist() == bits.sum(axis=0).tolist(), q
 
     def test_report_carries_resolved_strategy(self):

@@ -24,6 +24,7 @@ from ghzgap.quantum import (
     sample_outcome_batch,
     sample_outcomes,
     sample_parity_tuples,
+    sample_result_bits,
     statevector_oracle,
 )
 
@@ -210,6 +211,20 @@ class TestSampler:
                 observed = np.bincount(index, minlength=1 << q)
                 p_value = stats.chisquare(observed, f_exp=law * draws).pvalue
                 assert p_value > 1e-3, (config.text(), p_value)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("text", ["l", "r", "lr", "rrr", "llr", "rlrl", "rrrrr", "lrrlrr"])
+    def test_batch_matches_tiled_rows(self, text, eps):
+        # oracle: the batch equals its configuration tiled into n bit rows
+        # and drawn through sample_result_bits from the same stream
+        config = parse_configuration(text)
+        row = np.array([config.r_mask >> k & 1 for k in range(config.q)], dtype=np.uint8)
+        n = 3000
+        noise = NoiseModel(eps)
+        tiled = sample_result_bits(np.tile(row, (n, 1)), noise, rng(17))
+        batch = sample_outcome_batch(config, noise, rng(17), n)
+        assert batch.shape == (n, config.q) and batch.dtype == np.int8
+        assert np.array_equal(batch, 1 - 2 * tiled.astype(np.int8))
 
     def test_parity_tuples(self):
         gen = rng(8)
