@@ -7,6 +7,8 @@ quantum setup fail, and at what station count does the difference between
 the two fall below any given experimental resolution.
 """
 
+from types import ModuleType as _ModuleType
+
 from .asymptotics import (
     AVOGADRO,
     CONSTITUENT_FACTORS,
@@ -14,12 +16,9 @@ from .asymptotics import (
     MacroscopicReport,
     REFERENCE_EPSILON,
     WATER_MOLAR_MASS_KG,
-    classical_failure_probability,
     epsilon_threshold,
     gap,
     gap_asymptotic,
-    gap_asymptotic_fraction,
-    gap_exact_fraction,
     macroscopic_report,
     particles_in_mass,
 )
@@ -45,7 +44,6 @@ from .experiment import (
     iter_trials,
     min_trials_to_disprove,
     run_experiment,
-    trials_to_distinguish,
     wilson_interval,
 )
 from .quantum import (
@@ -61,7 +59,6 @@ from .quantum import (
     parity_attenuation,
     product_observable_expectation,
     sample_outcome_batch,
-    sample_outcomes,
     statevector_oracle,
 )
 from .strategies import (
@@ -81,69 +78,9 @@ from .strategies import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AVOGADRO",
-    "BadWordReport",
-    "CanonicalStrategy",
-    "CapacityError",
-    "ConfigParseError",
-    "Configuration",
-    "ConfigurationClass",
-    "CONSTITUENT_FACTORS",
-    "DeterministicStrategy",
-    "DomainError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "GapReport",
-    "GhzGapError",
-    "LhvModel",
-    "MacroscopicReport",
-    "NoiseModel",
-    "OracleEntry",
-    "OracleReport",
-    "OutcomeTuple",
-    "QuantumModel",
-    "REFERENCE_EPSILON",
-    "String",
-    "TrialRecord",
-    "WATER_MOLAR_MASS_KG",
-    "Word",
-    "bad_word_count_analytic",
-    "bad_word_count_naive",
-    "canonicalize",
-    "classical_failure_probability",
-    "classify",
-    "entangled_state",
-    "enumerate_configurations",
-    "enumerate_words",
-    "epsilon_threshold",
-    "failure_probability_closed",
-    "failure_probability_exact",
-    "failure_probability_sum",
-    "gap",
-    "gap_asymptotic",
-    "gap_asymptotic_fraction",
-    "gap_exact_fraction",
-    "iter_trials",
-    "joint_outcome_probabilities",
-    "macroscopic_report",
-    "max_classical_mermin_sum",
-    "mermin_bound",
-    "mermin_sum",
-    "min_trials_to_disprove",
-    "minimize_bad_words",
-    "minimize_bad_words_brute_force",
-    "parity_attenuation",
-    "parse_configuration",
-    "particles_in_mass",
-    "predict_total",
-    "product_observable_expectation",
-    "run_experiment",
-    "sample_outcome_batch",
-    "sample_outcomes",
-    "statevector_oracle",
-    "trials_to_distinguish",
-    "wilson_interval",
-    "word_count",
-    "word_eigenvalue",
-]
+# Every public name above, and no submodule: the imports are the one list.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -13,17 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
-from .quantum import (
-    NoiseModel,
-    failure_probability_closed,
-    failure_probability_exact,
-    parity_attenuation,
-)
-from .strategies import mermin_bound
+from .quantum import NoiseModel, failure_probability_closed, parity_attenuation
+from .strategies import mermin_bound  # noqa: F401  (bench/spans.py traces it here)
 
 #: 2022 SI definition, exact.
 AVOGADRO = 6.02214076e23
@@ -76,17 +70,6 @@ class MacroscopicReport:
     gap_at_reference: float
 
 
-def classical_failure_probability(q: int) -> Fraction:
-    """Failure probability of the best deterministic strategy, exact.
-
-    Equals the minimal bad-word count over 2^q configurations; float() of
-    the result is the real value (exact for q ≤ 50 or so).
-    """
-    if q < 2:
-        raise DomainError(f"classical failure probability needs q >= 2, got {q}")
-    return Fraction(mermin_bound(q), 1 << q)
-
-
 def gap_asymptotic(q: float, noise: NoiseModel) -> float:
     """Leading-order gap (1/4)(1 - 2*eps)^q, stable for huge q."""
     if q < 1:
@@ -111,9 +94,9 @@ def gap(q: float, noise: NoiseModel) -> GapReport:
     p_qm = failure_probability_closed(q, noise)
     p_classical = gap_exact = None
     if isinstance(q, int) and not isinstance(q, bool):
-        # The classical probability is 1/4 - 2^-floor((q+3)/2) exactly. One
-        # float subtraction rounds it as float(classical_failure_probability(q))
-        # would, without that Fraction's 2^q-sized integers. The gap is the
+        # The classical probability mermin_bound(q) / 2^q is
+        # 1/4 - 2^-floor((q+3)/2) exactly. One float subtraction rounds it
+        # correctly, without that ratio's 2^q-sized integers. The gap is the
         # asymptotic term minus the same power of two; subtracting the two
         # probabilities, both near 1/4, would cancel. At q = 2 the power is
         # 1/4 itself and the classical probability is 0, so the plain
@@ -132,16 +115,6 @@ def gap(q: float, noise: NoiseModel) -> GapReport:
         gap_exact=gap_exact,
         gap_asymptotic=asymptotic,
     )
-
-
-def gap_exact_fraction(q: int, epsilon: Fraction) -> Fraction:
-    """Exact rational gap: classical failure probability minus quantum."""
-    return classical_failure_probability(q) - failure_probability_exact(q, epsilon)
-
-
-def gap_asymptotic_fraction(q: int, epsilon: Fraction) -> Fraction:
-    """Exact rational value of the asymptotic gap (1/4)(1 - 2*eps)^q."""
-    return Fraction(1, 4) - failure_probability_exact(q, epsilon)
 
 
 def epsilon_threshold(q: float, delta: float) -> float:
@@ -164,16 +137,20 @@ def particles_in_mass(mass_kg: float, convention: str = "electrons-nucleons") ->
     """Constituent count of a mass of water under the chosen convention.
 
     The default counts 10 electrons plus 18 nucleons per molecule (28), the
-    convention under which 4 kg lands on ~4e27.
+    convention under which 4 kg lands on ~4e27. The mass and the count
+    must both be finite.
     """
-    if mass_kg <= 0:
-        raise DomainError(f"mass must be positive, got {mass_kg}")
+    if not (math.isfinite(mass_kg) and mass_kg > 0):
+        raise DomainError(f"mass must be positive and finite, got {mass_kg} kg")
     try:
         factor = CONSTITUENT_FACTORS[convention]
     except KeyError:
         options = ", ".join(sorted(CONSTITUENT_FACTORS))
         raise DomainError(f"unknown convention {convention!r}; options: {options}")
-    return (mass_kg / WATER_MOLAR_MASS_KG) * AVOGADRO * factor
+    count = (mass_kg / WATER_MOLAR_MASS_KG) * AVOGADRO * factor
+    if not math.isfinite(count):
+        raise DomainError(f"mass {mass_kg} kg has a constituent count beyond the float range")
+    return count
 
 
 def macroscopic_report(

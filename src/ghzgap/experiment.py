@@ -5,8 +5,8 @@ chooses l or r), obtains the total result from the selected model, and
 counts a failure when a word's total result differs from its eigenvalue.
 Strings never fail. Trials are processed in fixed-size chunks, each with its
 own counter-based Philox stream derived from the master seed and the chunk
-index, so tallies are bit-for-bit reproducible regardless of how many
-workers process the chunks.
+index, so tallies are bit-for-bit reproducible however the chunks are
+split; a run draws them in order on the calling thread.
 
 A failure depends only on the configuration's r count and on the parity of
 the station errors, so a trial costs one bit-packed configuration (a masked
@@ -14,22 +14,19 @@ uint64) and, when errors are possible, one uniform for the odd-error parity;
 no per-station result is drawn. The order of those draws is random stream
 version STREAM_VERSION (see `_chunk_arrays`). `iter_trials` replays the
 same chunks and builds full quantum result tuples from a second per-chunk
-stream that the aggregate run never touches. Each thread draws its chunks
-into one reused set of chunk-sized buffers, so a run allocates nothing per
-chunk beyond a few small blocks.
+stream that the aggregate run never touches. Each calling thread draws
+its chunks into one reused set of chunk-sized buffers, so a run allocates
+nothing per chunk beyond a few small blocks.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Any, Callable, Iterator, NamedTuple, Optional, TypeVar, Union
+from typing import Any, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -61,14 +58,6 @@ STREAM_VERSION = 2
 #: between binary floats needs N <= 1074, so beyond the limit the float
 #: logs decide alone.
 _EXACT_SETTLE_LIMIT = 1 << 12
-
-#: Environment variable selecting the worker count (results never depend on it).
-WORKERS_ENV_VAR = "GHZGAP_WORKERS"
-
-#: Largest accepted worker count. A run starts up to this many threads,
-#: each with its own 1.4 MB chunk workspace, and keeps 2x as many chunks in
-#: flight; beyond the core count more threads only cost memory.
-MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -155,7 +144,7 @@ class ExperimentReport:
 
 
 def stream_environment() -> dict[str, Any]:
-    """How the draws of a run are produced; independent of the worker count."""
+    """How the draws of a run are produced; independent of how chunks are split."""
     return {
         "rng": "Philox",
         "stream_version": STREAM_VERSION,
@@ -219,8 +208,9 @@ _local = threading.local()
 def _workspace() -> _Workspace:
     """This thread's workspace, made on first use.
 
-    It holds scratch only: a chunk writes every element it reads, so the
-    runs that share a thread's workspace never see each other's draws.
+    One per thread, so runs called from different threads at once never
+    share buffers. It holds scratch only: a chunk writes every element it
+    reads, so successive runs on one thread never see each other's draws.
     """
     ws = getattr(_local, "workspace", None)
     if ws is None:
@@ -336,63 +326,23 @@ def _theory_value(cfg: ExperimentConfig, strategy: Optional[CanonicalStrategy]) 
     )
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "1")
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise DomainError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if not 1 <= workers <= MAX_WORKERS:
-        raise DomainError(f"worker count must lie in [1, {MAX_WORKERS}], got {workers}")
-    return workers
-
-
-_T = TypeVar("_T")
-
-
-def _map_in_order(fn: Callable[[int], _T], count: int, workers: int) -> Iterator[_T]:
-    """fn(0), ..., fn(count - 1) in order, at most 2 * workers calls in flight."""
-    if workers == 1:
-        yield from map(fn, range(count))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for i in range(count):
-            pending.append(pool.submit(fn, i))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> ExperimentReport:
     """Run all trials and return the aggregate report.
 
-    ``workers`` (default: the GHZGAP_WORKERS environment variable, else 1)
-    only sets how many threads process the chunks; the chunk tallies are
-    summed in chunk order as they complete, so the report is identical for
-    any worker count.
+    Chunks are drawn and tallied in chunk order on the calling thread, into
+    that thread's reused workspace, so concurrent callers never share
+    buffers. ``workers`` is accepted for existing callers and ignored: it is
+    neither read nor checked, and the report never depended on it.
     """
     strategy = _resolve_strategy(cfg)
-
-    def tally(chunk_index: int) -> tuple[int, int, np.ndarray]:
-        ws = _workspace()
-        chunk = _chunk_arrays(cfg, strategy, chunk_index, ws)
-        return (
-            int(np.count_nonzero(chunk.is_word)),
-            int(np.count_nonzero(chunk.failure)),
-            _station_r_counts(chunk.masks, cfg.q, ws.wide.view(np.intp)),
-        )
-
+    ws = _workspace()
     word_trials = failures = 0
     station_r = np.zeros(cfg.q, dtype=np.int64)
-    for words, fails, counts in _map_in_order(
-        tally, _chunk_count(cfg), _worker_count(workers)
-    ):
-        word_trials += words
-        failures += fails
-        station_r += counts
+    for chunk_index in range(_chunk_count(cfg)):
+        chunk = _chunk_arrays(cfg, strategy, chunk_index, ws)
+        word_trials += int(np.count_nonzero(chunk.is_word))
+        failures += int(np.count_nonzero(chunk.failure))
+        station_r += _station_r_counts(chunk.masks, cfg.q, ws.wide.view(np.intp))
     low, high = wilson_interval(failures, cfg.trials, cfg.ci_level)
     return ExperimentReport(
         config=cfg,
@@ -497,25 +447,3 @@ def min_trials_to_disprove(p_failure: float, confidence: float) -> int:
         while miss**n > target:
             n += 1
     return n
-
-
-def trials_to_distinguish(p1: float, p2: float, alpha: float, power: float) -> int:
-    """Two-proportion sample size: trials per arm to tell p1 from p2.
-
-    Standard normal-approximation formula
-    N = ((z_{1-alpha}·sqrt(2·pbar·(1-pbar)) + z_{power}·sqrt(p1(1-p1)+p2(1-p2)))
-        / (p1 - p2))^2, pbar = (p1+p2)/2, rounded up.
-    """
-    if not 0.0 <= p2 < p1 < 1.0:
-        raise DomainError(
-            f"need 0 <= p2 < p1 < 1 for a finite answer, got p1={p1}, p2={p2}"
-        )
-    if not 0.0 < alpha < 1.0 or not 0.0 < power < 1.0:
-        raise DomainError("alpha and power must lie in (0, 1)")
-    z_alpha = NormalDist().inv_cdf(1.0 - alpha)
-    z_power = NormalDist().inv_cdf(power)
-    pbar = (p1 + p2) / 2.0
-    numerator = z_alpha * math.sqrt(2.0 * pbar * (1.0 - pbar)) + z_power * math.sqrt(
-        p1 * (1.0 - p1) + p2 * (1.0 - p2)
-    )
-    return math.ceil((numerator / (p1 - p2)) ** 2)

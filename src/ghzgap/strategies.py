@@ -55,11 +55,6 @@ class DeterministicStrategy:
                 )
 
     @classmethod
-    def all_plus(cls, q: int) -> "DeterministicStrategy":
-        """The strategy answering +1 everywhere."""
-        return cls(q=q, answers=((+1, +1),) * q)
-
-    @classmethod
     def from_masks(cls, q: int, a_mask: int, b_mask: int) -> "DeterministicStrategy":
         """Build from sign bit masks (bit k set means station k+1 answers -1)."""
         return cls(

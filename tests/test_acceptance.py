@@ -16,14 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ghzgap.asymptotics import (
-    classical_failure_probability,
-    epsilon_threshold,
-    gap_asymptotic,
-    gap_asymptotic_fraction,
-    gap_exact_fraction,
-    macroscopic_report,
-)
+from ghzgap.asymptotics import epsilon_threshold, gap_asymptotic, macroscopic_report
 from ghzgap.cli import main
 from ghzgap.configs import enumerate_configurations
 from ghzgap.experiment import (
@@ -36,6 +29,7 @@ from ghzgap.experiment import (
 from ghzgap.quantum import (
     NoiseModel,
     failure_probability_closed,
+    failure_probability_exact,
     failure_probability_sum,
     joint_outcome_probabilities,
     sample_outcome_batch,
@@ -89,7 +83,7 @@ def test_02_three_station_model_exhaustive():
     assert optimum.bad_count == 1
     assert optimum.probability == Fraction(1, 8)
 
-    all_plus = bad_word_count_naive(canonicalize(DeterministicStrategy.all_plus(3)))
+    all_plus = bad_word_count_naive(canonicalize(DeterministicStrategy.from_masks(3, 0, 0)))
     assert all_plus.bad_count == 1
     assert [c.text() for c in all_plus.bad_words] == ["rrr"]
     elapsed = time.perf_counter() - start
@@ -183,7 +177,7 @@ def test_07_monte_carlo_matches_classical_theory():
             ci_level=0.99,
         )
         report = run_experiment(cfg)
-        expected = float(classical_failure_probability(q))
+        expected = float(minimize_bad_words(q).probability)
         assert report.theory == pytest.approx(expected)
         assert report.ci_low <= expected <= report.ci_high, (q, report.failure_rate)
         details.append(f"q={q}:{report.failure_rate:.5f}~{expected:.5f}")
@@ -205,7 +199,10 @@ def test_08_gap_decay_and_identity():
 
     eps = Fraction(1, 100)
     for q in range(2, 61):
-        discrepancy = gap_exact_fraction(q, eps) - gap_asymptotic_fraction(q, eps)
+        p_qm = failure_probability_exact(q, eps)
+        gap_exact = minimize_bad_words(q).probability - p_qm
+        gap_asymptotic_exact = Fraction(1, 4) - p_qm
+        discrepancy = gap_exact - gap_asymptotic_exact
         expected = Fraction(mermin_bound(q), 2**q) - Fraction(1, 4)
         assert discrepancy == expected, q
     print(

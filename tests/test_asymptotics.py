@@ -7,19 +7,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzgap.asymptotics import (
-    classical_failure_probability,
     epsilon_threshold,
     gap,
     gap_asymptotic,
-    gap_asymptotic_fraction,
-    gap_exact_fraction,
     macroscopic_report,
     particles_in_mass,
     REFERENCE_EPSILON,
 )
 from ghzgap.errors import DomainError
-from ghzgap.quantum import NoiseModel
+from ghzgap.quantum import NoiseModel, failure_probability_exact
 from ghzgap.strategies import mermin_bound
+
+
+# Exact rational oracles for the float gap fields.
+
+
+def classical_failure_probability(q):
+    """Failure probability of the best deterministic table, bound / 2^q."""
+    return Fraction(mermin_bound(q), 1 << q)
+
+
+def gap_exact_fraction(q, epsilon):
+    """Classical failure probability minus quantum, exact."""
+    return classical_failure_probability(q) - failure_probability_exact(q, epsilon)
+
+
+def gap_asymptotic_fraction(q, epsilon):
+    """The asymptotic gap (1/4)(1 - 2*eps)^q, exact."""
+    return Fraction(1, 4) - failure_probability_exact(q, epsilon)
 
 
 class TestClassicalProbability:
@@ -36,10 +51,6 @@ class TestClassicalProbability:
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert all(v < Fraction(1, 4) for v in values)
         assert values[-1] > Fraction(1, 4) - Fraction(1, 2**29)
-
-    def test_q_below_two_rejected(self):
-        with pytest.raises(DomainError):
-            classical_failure_probability(1)
 
 
 class TestGap:
@@ -70,20 +81,6 @@ class TestGap:
                 lhs = gap_exact_fraction(q, eps) - gap_asymptotic_fraction(q, eps)
                 rhs = Fraction(mermin_bound(q), 2**q) - Fraction(1, 4)
                 assert lhs == rhs, (q, eps)
-
-    @pytest.mark.parametrize(
-        "helper, q, eps",
-        [
-            (gap_exact_fraction, 3, Fraction(3, 4)),
-            (gap_exact_fraction, 3, Fraction(-1, 10)),
-            (gap_asymptotic_fraction, 3, Fraction(-1)),
-            (gap_asymptotic_fraction, 3, Fraction(51, 100)),
-            (gap_asymptotic_fraction, 0, Fraction(1, 10)),
-        ],
-    )
-    def test_fraction_helpers_check_domain(self, helper, q, eps):
-        with pytest.raises(DomainError):
-            helper(q, eps)
 
     def test_gap_exact_relative_accuracy(self):
         # both probabilities sit near 1/4; their difference must not cancel
@@ -201,6 +198,16 @@ class TestParticleCounting:
             particles_in_mass(0.0)
         with pytest.raises(DomainError):
             particles_in_mass(1.0, "quarks")
+
+    @pytest.mark.parametrize("mass", [math.inf, -math.inf, math.nan], ids=str)
+    def test_non_finite_mass_rejected(self, mass):
+        with pytest.raises(DomainError, match=f"got {mass} kg"):
+            particles_in_mass(mass)
+
+    @pytest.mark.parametrize("convention", ["electrons-nucleons", "atoms", "molecules"])
+    def test_count_beyond_float_range_rejected(self, convention):
+        with pytest.raises(DomainError, match="mass 1e\\+300 kg"):
+            particles_in_mass(1e300, convention)
 
 
 class TestMacroscopicReport:

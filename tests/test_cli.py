@@ -173,16 +173,6 @@ class TestSimulate:
                   "--seed", "1", "--json"])
         assert excinfo.value.code == 2
 
-    def test_worker_count_over_cap_exits_3(self, capsys, monkeypatch):
-        # one trial: the count is refused before any pool could start
-        monkeypatch.setenv("GHZGAP_WORKERS", "100000")
-        code, out, err = run_cli(
-            capsys, "simulate", "--q", "3", "--model", "qm", "--trials", "1", "--seed", "1"
-        )
-        assert code == 3
-        assert out == ""
-        assert "worker count" in err
-
     def test_identical_seeds_identical_output(self, capsys, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         args = ["simulate", "--q", "5", "--model", "qm", "--eps", "0.02",
@@ -298,6 +288,16 @@ class TestDisproveAndCat:
             "--convention", "molecules",
         )
         assert payload["q"] == pytest.approx(3.744e27 / 28, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "mass, named",
+        [("inf", "inf"), ("nan", "nan"), ("-inf", "-inf"), ("1e300", "1e+300")],
+    )
+    def test_cat_unrepresentable_mass_exits_3(self, capsys, mass, named):
+        code, out, err = run_cli(capsys, "cat", f"--mass-kg={mass}", "--delta", "0.01")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: mass") and f"{named} kg" in err
 
 
 class TestManifest:

@@ -1,6 +1,8 @@
-"""Monte Carlo engine: reproducibility, tallies, and the sample-size helpers."""
+"""Monte Carlo engine: reproducibility, tallies, and the sample-size helper."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -12,16 +14,13 @@ from ghzgap.configs import MAX_STATIONS, Word
 from ghzgap.errors import DomainError
 from ghzgap.experiment import (
     CHUNK_TRIALS,
-    MAX_WORKERS,
     ExperimentConfig,
     LhvModel,
     QuantumModel,
-    _map_in_order,
     _station_r_counts,
     iter_trials,
     min_trials_to_disprove,
     run_experiment,
-    trials_to_distinguish,
     wilson_interval,
 )
 from ghzgap.quantum import NoiseModel, OutcomeTuple
@@ -86,21 +85,6 @@ class TestReproducibility:
         monkeypatch.setenv("GHZGAP_WORKERS", "6")
         assert run_experiment(cfg) == baseline
 
-    def test_chunks_in_flight_are_bounded(self):
-        started = []
-
-        def work(i):
-            started.append(i)
-            return i
-
-        for workers in (1, 2, 3):
-            started.clear()
-            for i, result in enumerate(_map_in_order(work, 50, workers)):
-                assert result == i
-                # results come in order, with at most 2 * workers calls ahead
-                assert max(started) < i + 2 * workers
-            assert sorted(started) == list(range(50))
-
     @pytest.mark.parametrize(
         "model",
         [QuantumModel(), QuantumModel(NoiseModel(0.05)), LhvModel(noise=NoiseModel(0.05))],
@@ -118,19 +102,35 @@ class TestReproducibility:
         # a chunk-sized temporary would take at least one byte per trial
         assert peak < CHUNK_TRIALS
 
-    def test_worker_count_above_cap_rejected(self, monkeypatch):
-        # one trial: the count is refused before any pool could start
-        cfg = qm_config(trials=1)
-        with pytest.raises(DomainError, match="worker count"):
-            run_experiment(cfg, workers=MAX_WORKERS + 1)
-        monkeypatch.setenv("GHZGAP_WORKERS", "100000")
-        with pytest.raises(DomainError, match="worker count"):
-            run_experiment(cfg)
+    def test_concurrent_callers_get_their_sequential_reports(self):
+        # each caller thread draws into its own workspace; a shared one
+        # would mix the chunks of the two runs
+        trials = 3 * CHUNK_TRIALS + 11
+        configs = [
+            qm_config(q=10, model=QuantumModel(NoiseModel(0.05)), trials=trials),
+            qm_config(q=64, model=LhvModel(noise=NoiseModel(0.05)), trials=trials),
+        ]
+        expected = [run_experiment(cfg) for cfg in configs]
+        start = threading.Barrier(len(configs))
+        results = [[] for _ in configs]
 
-    def test_bad_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv("GHZGAP_WORKERS", "several")
-        with pytest.raises(DomainError):
-            run_experiment(qm_config())
+        def call(i):
+            start.wait(timeout=60)
+            for _ in range(4):
+                results[i].append(run_experiment(configs[i]))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the lock over often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[report] * 4 for report in expected]
 
 
 class TestTallies:
@@ -307,20 +307,3 @@ class TestSampleSizes:
     def test_monotone_in_confidence(self):
         ns = [min_trials_to_disprove(0.125, c) for c in (0.9, 0.99, 0.999)]
         assert ns[0] < ns[1] < ns[2]
-
-    def test_distinguish_known_values(self):
-        n = trials_to_distinguish(0.125, 0.0, alpha=0.01, power=0.99)
-        assert n == 157
-        assert n < 1000  # same order as the always-vs-never check
-        assert trials_to_distinguish(0.25, 0.24, alpha=0.05, power=0.9) == 31681
-
-    def test_distinguish_inverse_square_scaling(self):
-        wide = trials_to_distinguish(0.26, 0.24, alpha=0.05, power=0.9)
-        narrow = trials_to_distinguish(0.25, 0.24, alpha=0.05, power=0.9)
-        assert narrow / wide == pytest.approx(4.0, rel=0.05)
-
-    def test_distinguish_rejects_degenerate(self):
-        with pytest.raises(DomainError):
-            trials_to_distinguish(0.2, 0.2, alpha=0.05, power=0.9)
-        with pytest.raises(DomainError):
-            trials_to_distinguish(0.2, 0.3, alpha=0.05, power=0.9)

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy import stats
 
 from ghzgap.configs import classify, enumerate_configurations, parse_configuration, Word
@@ -22,7 +21,6 @@ from ghzgap.quantum import (
     parity_attenuation,
     product_observable_expectation,
     sample_outcome_batch,
-    sample_outcomes,
     sample_parity_tuples,
     sample_result_bits,
     statevector_oracle,
@@ -102,6 +100,20 @@ class TestFailureProbability:
         with pytest.raises(DomainError):
             failure_probability_sum(0, NoiseModel(0.1))
 
+    @pytest.mark.parametrize(
+        "q, eps",
+        [
+            (3, Fraction(3, 4)),
+            (3, Fraction(-1, 10)),
+            (3, Fraction(-1)),
+            (3, Fraction(51, 100)),
+            (0, Fraction(1, 10)),
+        ],
+    )
+    def test_exact_form_checks_domain(self, q, eps):
+        with pytest.raises(DomainError):
+            failure_probability_exact(q, eps)
+
     def test_relative_accuracy_at_tiny_eps(self):
         # 1/4 - (1/4)(1 - 2 eps)^q cancels almost every digit at eps = 1e-12;
         # the expm1/log1p form keeps them all
@@ -135,26 +147,6 @@ class TestOutcomeTuple:
         with pytest.raises(DomainError):
             OutcomeTuple((1, 0, -1))
 
-    def test_even_flips_preserve_total(self):
-        outcome = OutcomeTuple((1, -1, 1, 1, -1))
-        for mask in (0b00011, 0b11000, 0b10101 ^ 0b00001, 0b11110):
-            assert outcome.flipped(mask).total == outcome.total
-
-    def test_odd_flips_invert_total(self):
-        outcome = OutcomeTuple((1, 1, -1))
-        for mask in (0b001, 0b111, 0b110 ^ 0b010):
-            assert outcome.flipped(mask).total == -outcome.total
-
-    @given(
-        st.lists(st.sampled_from([1, -1]), min_size=1, max_size=16),
-        st.data(),
-    )
-    def test_flip_parity_rule(self, results, data):
-        outcome = OutcomeTuple(tuple(results))
-        mask = data.draw(st.integers(min_value=0, max_value=(1 << len(results)) - 1))
-        expected = outcome.total * (-1) ** bin(mask).count("1")
-        assert outcome.flipped(mask).total == expected
-
 
 class TestSampler:
     def test_word_total_is_eigenvalue_without_noise(self):
@@ -182,9 +174,9 @@ class TestSampler:
         assert abs(frac_minus - 0.5) < 3 * 0.5 / math.sqrt(100_000)
 
     def test_single_draw_shape(self):
-        outcome = sample_outcomes(parse_configuration("lrlr"), NoiseModel(0.0), rng(5))
-        assert outcome.q == 4
-        assert set(outcome.results) <= {1, -1}
+        signs = sample_outcome_batch(parse_configuration("lrlr"), NoiseModel(0.0), rng(5), 1)
+        assert signs.shape == (1, 4)
+        assert set(signs[0].tolist()) <= {1, -1}
 
     def test_word_failure_rate_matches_theory(self):
         config = parse_configuration("rrr")
@@ -236,6 +228,18 @@ class TestSampler:
         assert (row_parity[fixed] == parity[fixed]).all()
         free = row_parity[~fixed] != parity[~fixed]
         assert abs(free.mean() - 0.5) < 4 * 0.5 / math.sqrt(free.size)
+
+    @pytest.mark.parametrize("q", [1, 2, 12, 13, 64])
+    def test_parity_tuples_fix_only_the_last_station(self, q):
+        # oracle: the same stream's raw bits with the last column set by a
+        # row sum, on both sides of the column-XOR limit
+        n = 2000
+        parity = rng(9).integers(0, 2, size=n, dtype=np.uint8)
+        fixed = np.arange(n) % 3 != 0
+        expected = rng(10).integers(0, 2, size=(n, q), dtype=np.uint8)
+        mismatch = (expected.sum(axis=1) & 1) ^ parity
+        expected[:, -1] ^= (mismatch & fixed).astype(np.uint8)
+        assert np.array_equal(sample_parity_tuples(q, parity, fixed, rng(10)), expected)
 
 
 class TestOracle:

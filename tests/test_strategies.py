@@ -107,7 +107,7 @@ class TestCanonicalReduction:
 
 class TestBadWordCounts:
     def test_all_plus_q3_misses_only_rrr(self):
-        report = bad_word_count_naive(canonicalize(DeterministicStrategy.all_plus(3)))
+        report = bad_word_count_naive(canonicalize(DeterministicStrategy.from_masks(3, 0, 0)))
         assert report.bad_count == 1
         assert [c.text() for c in report.bad_words] == ["rrr"]
 
