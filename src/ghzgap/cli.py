@@ -1,15 +1,18 @@
 """Command-line surface: every library quantity as a JSON or CSV report.
 
+Each handler returns the report's fields and, for a command that can write
+CSV, its rows; ``main`` alone adds the manifest, picks the writer and writes.
 Payloads go to standard output only; diagnostics and optional ``--verbose``
 summaries go to standard error. Exit codes: 0 success, 2 usage error,
-3 domain or capacity error.
+3 domain or capacity error or a report that could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 from .asymptotics import CONSTITUENT_FACTORS, GapReport, gap, macroscopic_report
 from .configs import Configuration, classify, enumerate_configurations, parse_configuration, Word
@@ -43,27 +46,24 @@ _LHV_OPTIMIZE_LIMIT = 14_000
 #: Namespace entries that are not parameters of the command that ran: the
 #: subcommand names, the handler, and switches that only pick the output.
 _NOT_PARAMETERS = frozenset(
-    {"command", "lhv_command", "gap_command", "handler", "verbose", "csv"}
+    {"command", "lhv_command", "gap_command", "handler", "verbose", "format"}
 )
 
+#: What a handler returns: the JSON body without its manifest, and the CSV
+#: rows for a command that can write CSV (None for the others).
+_Report = tuple[dict[str, Any], Optional[list[dict[str, Any]]]]
 
-def _manifest(
-    args: argparse.Namespace,
-    drop: tuple[str, ...] = (),
-    seed: Optional[int] = None,
-    environment: Optional[Mapping[str, Any]] = None,
-) -> dict[str, Any]:
+
+def _manifest(args: argparse.Namespace) -> dict[str, Any]:
     """Manifest payload naming the command that ran and echoing its options
-    from the namespace, less the entries named in ``drop``."""
+    from the namespace; a seeded run also states its random stream."""
     names = (args.command, getattr(args, "lhv_command", None), getattr(args, "gap_command", None))
-    parameters = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in _NOT_PARAMETERS and key not in drop
-    }
-    return build_manifest(
-        " ".join(name for name in names if name), parameters, seed, environment
-    )
+    # argparse also copies the parent `gap` parser's --q and --eps into `gap sweep`.
+    skip = _NOT_PARAMETERS | ({"q", "eps"} if names[2] else set())
+    parameters = {key: value for key, value in vars(args).items() if key not in skip}
+    seed = getattr(args, "seed", None)
+    environment = None if seed is None else stream_environment()
+    return build_manifest(" ".join(name for name in names if name), parameters, seed, environment)
 
 
 def _strategy_fields(strategy: CanonicalStrategy) -> dict[str, Any]:
@@ -83,22 +83,16 @@ def _classification_fields(config: Configuration) -> dict[str, Any]:
     }
 
 
-def _cmd_classify(args: argparse.Namespace) -> str:
+def _cmd_classify(args: argparse.Namespace) -> _Report:
     config = parse_configuration(args.config)
-    payload: dict[str, Any] = {
-        "manifest": _manifest(args),
-        "q": config.q,
-        "r_count": config.r_count,
-        **_classification_fields(config),
-    }
     if args.verbose:
         cls = classify(config)
         tail = f" with eigenvalue {cls.eigenvalue:+d}" if isinstance(cls, Word) else ""
         print(f"{config.text()} is a {cls.kind}{tail}", file=sys.stderr)
-    return dumps_json(payload)
+    return {"q": config.q, "r_count": config.r_count, **_classification_fields(config)}, None
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> str:
+def _cmd_enumerate(args: argparse.Namespace) -> _Report:
     items = [
         _classification_fields(config)
         for config in enumerate_configurations(args.q)
@@ -106,28 +100,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> str:
     ]
     if args.verbose:
         print(f"{len(items)} configurations at q={args.q}", file=sys.stderr)
-    if args.format == "csv":
-        return dumps_csv(["configuration", "kind", "eigenvalue"], items)
-    return dumps_json(
-        {
-            "manifest": _manifest(args),
-            "q": args.q,
-            "words_only": args.words_only,
-            "count": len(items),
-            "items": items,
-        }
-    )
+    fields = {"q": args.q, "words_only": args.words_only, "count": len(items), "items": items}
+    return fields, items
 
 
-def _cmd_lhv_optimize(args: argparse.Namespace) -> str:
+def _cmd_lhv_optimize(args: argparse.Namespace) -> _Report:
     if args.q > _LHV_OPTIMIZE_LIMIT:
         raise CapacityError(
             f"lhv optimize supports q <= {_LHV_OPTIMIZE_LIMIT}, got {args.q}"
         )
     report = minimize_bad_words(args.q)
     strategy = report.strategy
-    payload: dict[str, Any] = {
-        "manifest": _manifest(args),
+    fields: dict[str, Any] = {
         "q": args.q,
         **_strategy_fields(strategy),
         "bad_count": report.bad_count,
@@ -138,12 +122,12 @@ def _cmd_lhv_optimize(args: argparse.Namespace) -> str:
     }
     if args.q <= _LIST_BAD_WORDS_LIMIT:
         listed = bad_word_count_naive(strategy, list_words=True)
-        payload["bad_words"] = [c.text() for c in listed.bad_words or ()]
+        fields["bad_words"] = [c.text() for c in listed.bad_words or ()]
     else:
-        payload["bad_words"] = None
+        fields["bad_words"] = None
     if args.verify_brute_force:
         brute = minimize_bad_words_brute_force(args.q)
-        payload["brute_force"] = {
+        fields["brute_force"] = {
             "bad_count": brute.bad_count,
             "matches": brute.bad_count == report.bad_count,
         }
@@ -153,10 +137,10 @@ def _cmd_lhv_optimize(args: argparse.Namespace) -> str:
             f"{1 << (args.q - 1)} words (probability {report.probability})",
             file=sys.stderr,
         )
-    return dumps_json(payload)
+    return fields, None
 
 
-def _cmd_simulate(args: argparse.Namespace) -> str:
+def _cmd_simulate(args: argparse.Namespace) -> _Report:
     noise = NoiseModel(args.eps)
     model = QuantumModel(noise) if args.model == "qm" else LhvModel(noise=noise)
     cfg = ExperimentConfig(
@@ -189,13 +173,9 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
             f"CI [{report.ci_low:.6f}, {report.ci_high:.6f}]",
             file=sys.stderr,
         )
-    if args.csv:
-        return dumps_csv(list(row), [row])
-    manifest = _manifest(args, seed=args.seed, environment=stream_environment())
-    payload: dict[str, Any] = {"manifest": manifest, **row}
-    payload["strategy"] = None if report.strategy is None else _strategy_fields(report.strategy)
-    payload["station_r_counts"] = list(report.station_r_counts)
-    return dumps_json(payload)
+    strategy = None if report.strategy is None else _strategy_fields(report.strategy)
+    fields = {**row, "strategy": strategy, "station_r_counts": list(report.station_r_counts)}
+    return fields, [row]
 
 
 def _gap_row(report: GapReport) -> dict[str, Any]:
@@ -221,22 +201,17 @@ def _parse_q(text: str) -> int | float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
 
 
-def _cmd_gap(args: argparse.Namespace) -> str:
+def _cmd_gap(args: argparse.Namespace) -> _Report:
     report = gap(args.q, NoiseModel(args.eps))
-    payload: dict[str, Any] = {
-        "manifest": _manifest(args),
-        **_gap_row(report),
-        "p_classical_limit": report.p_classical_limit,
-    }
     if args.verbose:
         print(
             f"q={args.q}, eps={args.eps}: asymptotic gap {report.gap_asymptotic:.6e}",
             file=sys.stderr,
         )
-    return dumps_json(payload)
+    return {**_gap_row(report), "p_classical_limit": report.p_classical_limit}, None
 
 
-def _cmd_gap_sweep(args: argparse.Namespace) -> str:
+def _cmd_gap_sweep(args: argparse.Namespace) -> _Report:
     if args.q_min > args.q_max:
         raise GhzGapError(f"--q-min {args.q_min} exceeds --q-max {args.q_max}")
     rows = [
@@ -246,31 +221,20 @@ def _cmd_gap_sweep(args: argparse.Namespace) -> str:
     ]
     if args.verbose:
         print(f"{len(rows)} gap rows", file=sys.stderr)
-    if args.format == "csv":
-        return dumps_csv(list(rows[0]), rows)
-    # argparse also fills the parent `gap` parser's --q and --eps in here.
-    manifest = _manifest(args, drop=("q", "eps"))
-    return dumps_json({"manifest": manifest, "rows": rows})
+    return {"rows": rows}, rows
 
 
-def _cmd_disprove(args: argparse.Namespace) -> str:
+def _cmd_disprove(args: argparse.Namespace) -> _Report:
     trials = min_trials_to_disprove(args.p_failure, args.confidence)
     if args.verbose:
         print(
             f"{trials} trials expose a failure with confidence {args.confidence}",
             file=sys.stderr,
         )
-    return dumps_json(
-        {
-            "manifest": _manifest(args),
-            "p_failure": args.p_failure,
-            "confidence": args.confidence,
-            "trials": trials,
-        }
-    )
+    return {"p_failure": args.p_failure, "confidence": args.confidence, "trials": trials}, None
 
 
-def _cmd_cat(args: argparse.Namespace) -> str:
+def _cmd_cat(args: argparse.Namespace) -> _Report:
     report = macroscopic_report(args.mass_kg, args.delta, args.convention)
     if args.verbose:
         print(
@@ -278,19 +242,7 @@ def _cmd_cat(args: argparse.Namespace) -> str:
             f"vs reference {report.epsilon_reference:.3e}",
             file=sys.stderr,
         )
-    return dumps_json(
-        {
-            "manifest": _manifest(args),
-            "mass_kg": report.mass_kg,
-            "convention": report.convention,
-            "q": report.q,
-            "delta": report.delta,
-            "epsilon_derived": report.epsilon_derived,
-            "epsilon_reference": report.epsilon_reference,
-            "gap_at_derived": report.gap_at_derived,
-            "gap_at_reference": report.gap_at_reference,
-        }
-    )
+    return dataclasses.asdict(report), None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--verbose", action="store_true", help="human-readable summary on stderr"
     )
+    common.set_defaults(format="json")
 
     parser = argparse.ArgumentParser(
         prog="ghzgap",
@@ -313,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common], help="list configurations")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--words-only", action="store_true")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--format", choices=["json", "csv"])
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("lhv", help="deterministic strategy tools")
@@ -336,7 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True, help="master seed (required)")
     p.add_argument("--ci-level", type=float, default=0.95)
-    p.add_argument("--csv", action="store_true", help="one CSV row instead of JSON")
+    p.add_argument(
+        "--csv", dest="format", action="store_const", const="csv",
+        help="one CSV row instead of JSON",
+    )
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("gap", parents=[common], help="quantum-classical failure gap")
@@ -376,13 +332,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.q is None:
             parser.error("gap requires --q (or the sweep subcommand)")
     try:
-        text = args.handler(args)
+        fields, rows = args.handler(args)
+        if args.format == "csv":
+            sys.stdout.write(dumps_csv(list(rows[0]), rows))
+        else:
+            sys.stdout.write(dumps_json({"manifest": _manifest(args), **fields}) + "\n")
+        sys.stdout.flush()
     except GhzGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    try:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 3

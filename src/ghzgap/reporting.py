@@ -72,7 +72,10 @@ def _timestamp() -> str:
             ) from exc
     else:
         epoch = int(time.time())
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError) as exc:
+        raise DomainError(f"SOURCE_DATE_EPOCH {epoch} is not a representable date: {exc}") from exc
 
 
 def build_manifest(

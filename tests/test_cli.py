@@ -75,6 +75,15 @@ class TestEnumerate:
         assert [r["configuration"] for r in rows] == ["rll", "lrl", "llr", "rrr"]
         assert [r["eigenvalue"] for r in rows] == ["1", "1", "1", "-1"]
 
+    def test_csv_rows_match_json_items(self, capsys):
+        items = run_json(capsys, "enumerate", "--q", "4")["items"]
+        code, out, _ = run_cli(capsys, "enumerate", "--q", "4", "--format", "csv")
+        assert code == 0
+        assert parse_csv(out) == [
+            {key: "" if value is None else str(value) for key, value in item.items()}
+            for item in items
+        ]
+
     def test_capacity_error_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--q", "30")
         assert code == 3
@@ -305,7 +314,7 @@ class TestManifest:
         "argv, command, parameters",
         [
             (["classify", "--config", "llr"], "classify", ["config"]),
-            (["enumerate", "--q", "3"], "enumerate", ["q", "words_only", "format"]),
+            (["enumerate", "--q", "3"], "enumerate", ["q", "words_only"]),
             (["lhv", "optimize", "--q", "4"], "lhv optimize", ["q", "verify_brute_force"]),
             (
                 ["simulate", "--q", "3", "--model", "qm", "--trials", "10", "--seed", "1"],
@@ -316,7 +325,7 @@ class TestManifest:
             (
                 ["gap", "sweep", "--q-min", "2", "--q-max", "3", "--format", "json"],
                 "gap sweep",
-                ["q_min", "q_max", "eps_list", "format"],
+                ["q_min", "q_max", "eps_list"],
             ),
             (
                 ["disprove", "--p-failure", "0.5", "--confidence", "0.9"],
@@ -330,6 +339,9 @@ class TestManifest:
         manifest = run_json(capsys, *argv)["manifest"]
         assert manifest["command"] == command
         assert list(manifest["parameters"]) == parameters
+        seeded = command == "simulate"
+        assert (manifest["seed"] is not None) == seeded
+        assert ("environment" in manifest) == seeded
 
     def test_parameters_echo_values(self, capsys):
         manifest = run_json(
@@ -337,8 +349,28 @@ class TestManifest:
             "--eps-list", "0", "0.01", "--format", "json",
         )["manifest"]
         assert manifest["parameters"] == {
-            "q_min": 2, "q_max": 3, "eps_list": [0.0, 0.01], "format": "json",
+            "q_min": 2, "q_max": 3, "eps_list": [0.0, 0.01],
         }
+
+    @pytest.mark.parametrize("epoch", ["253402300800", "-62135596801", "99999999999999999"])
+    def test_epoch_outside_dates_exits_3(self, capsys, monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        code, out, err = run_cli(capsys, "classify", "--config", "r")
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: SOURCE_DATE_EPOCH {epoch} ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "epoch, timestamp",
+        [
+            ("253402300799", "9999-12-31T23:59:59+00:00"),
+            ("-62135596800", "0001-01-01T00:00:00+00:00"),
+        ],
+    )
+    def test_epoch_at_date_limits_accepted(self, capsys, monkeypatch, epoch, timestamp):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert run_json(capsys, "classify", "--config", "r")["manifest"]["timestamp"] == timestamp
 
 
 class FullDevice:

@@ -79,12 +79,6 @@ class TestReproducibility:
         b = run_experiment(qm_config(model=noisy, master_seed=2, trials=100_000))
         assert a.failures != b.failures
 
-    def test_env_var_worker_override(self, monkeypatch):
-        cfg = qm_config(model=QuantumModel(NoiseModel(0.1)), trials=70_000)
-        baseline = run_experiment(cfg, workers=1)
-        monkeypatch.setenv("GHZGAP_WORKERS", "6")
-        assert run_experiment(cfg) == baseline
-
     @pytest.mark.parametrize(
         "model",
         [QuantumModel(), QuantumModel(NoiseModel(0.05)), LhvModel(noise=NoiseModel(0.05))],
