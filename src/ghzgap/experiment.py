@@ -4,9 +4,9 @@ Each trial draws a configuration uniformly (every station independently
 chooses l or r), obtains the total result from the selected model, and
 counts a failure when a word's total result differs from its eigenvalue.
 Strings never fail. Trials are processed in fixed-size chunks, each with its
-own counter-based Philox stream derived from the master seed and the chunk
-index, so tallies are bit-for-bit reproducible however the chunks are
-split; a run draws them in order on the calling thread.
+own PCG64DXSM stream seeded from the master seed and the chunk index, so
+tallies are bit-for-bit reproducible however the chunks are split; a run
+draws them in order on the calling thread.
 
 A failure depends only on the configuration's r count and on the parity of
 the station errors, so a trial costs one bit-packed configuration (a masked
@@ -16,7 +16,9 @@ version STREAM_VERSION (see `_chunk_arrays`). `iter_trials` replays the
 same chunks and builds full quantum result tuples from a second per-chunk
 stream that the aggregate run never touches. Each calling thread draws
 its chunks into one reused set of chunk-sized buffers, so a run allocates
-nothing per chunk beyond a few small blocks.
+nothing per chunk beyond a few small blocks. Station counts come from
+histograms of 12-station lanes of the masks, summed over the whole run and
+turned into per-station counts once at its end.
 """
 
 from __future__ import annotations
@@ -51,7 +53,11 @@ CHUNK_TRIALS = 1 << 16
 
 #: Version of the seed -> draws contract: bumped whenever the draw order or
 #: the per-chunk streams change, so every such change is deliberate.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
+
+#: Largest trial count a run accepts: 2^24 chunks, a few hours of draws on
+#: one core, so no run is unbounded in time.
+MAX_TRIALS = 1 << 40
 
 #: min_trials_to_disprove settles its answer with exact rational powers up to
 #: this many trials (at most ~10 ms). An exact boundary (1 - p)^N = 1 - c
@@ -97,8 +103,10 @@ class ExperimentConfig:
             raise DomainError(
                 f"station count must lie in [1, {MAX_STATIONS}], got {self.q}"
             )
-        if self.trials < 1:
-            raise DomainError(f"trial count must be at least 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise DomainError(
+                f"trial count must lie in [1, {MAX_TRIALS}], got {self.trials}"
+            )
         if not 0 <= self.master_seed < (1 << 64):
             raise DomainError("master seed must be a 64-bit nonnegative integer")
         if not 0.0 < self.ci_level < 1.0:
@@ -146,7 +154,7 @@ class ExperimentReport:
 def stream_environment() -> dict[str, Any]:
     """How the draws of a run are produced; independent of how chunks are split."""
     return {
-        "rng": "Philox",
+        "rng": "PCG64DXSM",
         "stream_version": STREAM_VERSION,
         "chunk_trials": CHUNK_TRIALS,
     }
@@ -162,7 +170,7 @@ def _resolve_strategy(cfg: ExperimentConfig) -> Optional[CanonicalStrategy]:
 
 def _chunk_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=spawn_key)
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
 def _chunk_count(cfg: ExperimentConfig) -> int:
@@ -178,20 +186,27 @@ class _Chunk(NamedTuple):
     parity: np.ndarray  # uint8; 1 where the observed total is -1
 
 
+#: Stations per tally lane: a lane's histogram has 2^12 bins (32 KB of int64).
+_LANE_BITS = 12
+
+
 class _Workspace:
     """Chunk-sized buffers that every draw of one thread writes into.
 
     A chunk is drawn into these arrays in place, so drawing it allocates
-    nothing of chunk size: each run reuses the same 1.4 MB instead of
-    faulting fresh pages in for every chunk. The arrays are written once
-    when made, so even the first full chunk finds its pages resident.
+    nothing of chunk size: each run reuses the same 1.6 MB (1.4 MB of chunk
+    buffers and 192 KB of lane histograms) instead of faulting fresh pages
+    in for every chunk. The arrays are written once when made, so even the
+    first full chunk finds its pages resident.
     """
 
     def __init__(self) -> None:
         n = CHUNK_TRIALS
         self.masks = np.empty(n, dtype=np.uint64)
-        # scratch: uniforms, masked answer tables, then station-count indices
+        # scratch: uniforms, masked answer tables, then lane indices
         self.wide = np.empty(n, dtype=np.uint64)
+        # lane histograms, shaped per run by _lane_histogram
+        self.lanes = np.empty(-(-MAX_STATIONS // _LANE_BITS) << _LANE_BITS, dtype=np.int64)
         self.r = np.empty(n, dtype=np.uint8)
         self.word = np.empty(n, dtype=np.uint8)
         self.eigen = np.empty(n, dtype=np.uint8)
@@ -232,7 +247,8 @@ def _chunk_arrays(
     """Draw one chunk into ``ws``: one masked uint64 and at most one uniform
     per trial. The returned arrays are views of ``ws``.
 
-    Draw order of random stream version 2, from the chunk's Philox stream:
+    Draw order of random stream version 3, from the chunk's PCG64DXSM
+    stream:
 
     1. n raw 64-bit words, ANDed with the low-q mask (skipped at q = 64),
        are the configuration masks. Their popcount r gives the word flag
@@ -288,25 +304,58 @@ def _chunk_arrays(
     return _Chunk(masks, word.view(bool), failure.view(bool), parity)
 
 
-#: Row v, column k: bit k of the byte value v.
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+def _lane_histogram(ws: _Workspace, q: int) -> np.ndarray:
+    """Zeroed lane histograms in ``ws`` for q-station masks.
 
-
-def _station_r_counts(masks: np.ndarray, q: int, scratch: np.ndarray) -> np.ndarray:
-    """How many of the packed masks set each of the q station bits.
-
-    Each byte position of the little-endian masks is histogrammed; its
-    256-bin histogram times the 256x8 bit table counts its eight stations.
-    ``scratch`` (an intp array at least as long as ``masks``) takes the
-    byte indices that np.bincount needs.
+    Column l has one bin per value of the mask bits 12l .. 12l + 11
+    (stations 12l + 1 ..), 2^min(q, 12) bins in all. The array is
+    contiguous with bins as rows, so a range of bins of every lane is one
+    block of memory.
     """
-    octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    shape = (1 << min(q, _LANE_BITS), -(-q // _LANE_BITS))
+    hist = ws.lanes[: shape[0] * shape[1]].reshape(shape)
+    hist.fill(0)
+    return hist
+
+
+def _tally_lanes(hist: np.ndarray, masks: np.ndarray, scratch: np.ndarray) -> None:
+    """Add each mask's lane values to the lane histograms ``hist``.
+
+    Masks below 2^12 (one lane) are their own bin indices. Wider masks have
+    each lane shifted down and masked into ``scratch`` (a uint64 array at
+    least as long as ``masks``), so only 4096-bin histograms are allocated.
+    """
+    bins, lanes = hist.shape
+    if lanes == 1:
+        hist[:, 0] += np.bincount(masks.view(np.intp), minlength=bins)
+        return
     index = scratch[: len(masks)]
-    counts = []
-    for b in range((q + 7) // 8):
-        np.copyto(index, octets[:, b])
-        counts.append(np.bincount(index, minlength=256) @ _BYTE_BITS)
-    return np.concatenate(counts)[:q]
+    for lane in range(lanes):
+        shifted = masks
+        if lane:
+            shifted = np.right_shift(masks, np.uint64(lane * _LANE_BITS), out=index)
+        if lane < lanes - 1:  # the top lane has no bits above it
+            np.bitwise_and(shifted, np.uint64(bins - 1), out=index)
+        hist[:, lane] += np.bincount(index.view(np.intp), minlength=bins)
+
+
+def _lane_station_counts(hist: np.ndarray, q: int) -> np.ndarray:
+    """How many masks set each of the q station bits, from lane histograms.
+
+    Folds ``hist`` in place, all lanes at once: the upper half of the bins
+    sums to the count of the top bit, and adding it onto the lower half
+    leaves the histogram of the bits below. The halves never share memory,
+    so the fold copies nothing.
+    """
+    bins, lanes = hist.shape
+    width = bins.bit_length() - 1
+    counts = np.empty((lanes, width), dtype=np.int64)
+    for bit in reversed(range(width)):
+        half = 1 << bit
+        upper = hist[half : 2 * half]
+        upper.sum(axis=0, out=counts[:, bit])
+        hist[:half] += upper
+    return counts.ravel()[:q]
 
 
 def _theory_value(cfg: ExperimentConfig, strategy: Optional[CanonicalStrategy]) -> float:
@@ -337,12 +386,13 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Expe
     strategy = _resolve_strategy(cfg)
     ws = _workspace()
     word_trials = failures = 0
-    station_r = np.zeros(cfg.q, dtype=np.int64)
+    hist = _lane_histogram(ws, cfg.q)
     for chunk_index in range(_chunk_count(cfg)):
         chunk = _chunk_arrays(cfg, strategy, chunk_index, ws)
         word_trials += int(np.count_nonzero(chunk.is_word))
         failures += int(np.count_nonzero(chunk.failure))
-        station_r += _station_r_counts(chunk.masks, cfg.q, ws.wide.view(np.intp))
+        _tally_lanes(hist, chunk.masks, ws.wide)
+    station_r = _lane_station_counts(hist, cfg.q)
     low, high = wilson_interval(failures, cfg.trials, cfg.ci_level)
     return ExperimentReport(
         config=cfg,

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -169,12 +170,24 @@ class TestSimulate:
             "--q", "3", "--model", "qm", "--trials", "100", "--seed", "5",
         )
         assert payload["manifest"]["environment"] == {
-            "rng": "Philox",
-            "stream_version": 2,
+            "rng": "PCG64DXSM",
+            "stream_version": 3,
             "chunk_trials": 65536,
         }
         unseeded = run_json(capsys, "classify", "--config", "lrr")
         assert "environment" not in unseeded["manifest"]
+
+    def test_trials_over_cap_exits_3(self, capsys):
+        # refused before any chunk is drawn; this run would take days
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "simulate", "--q", "3", "--model", "qm",
+            "--trials", "100000000000000", "--seed", "1",
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out == ""
+        assert err.count("error:") == 1 and str(1 << 40) in err
 
     def test_json_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

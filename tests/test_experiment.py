@@ -14,10 +14,14 @@ from ghzgap.configs import MAX_STATIONS, Word
 from ghzgap.errors import DomainError
 from ghzgap.experiment import (
     CHUNK_TRIALS,
+    MAX_TRIALS,
     ExperimentConfig,
     LhvModel,
     QuantumModel,
-    _station_r_counts,
+    _lane_histogram,
+    _lane_station_counts,
+    _tally_lanes,
+    _Workspace,
     iter_trials,
     min_trials_to_disprove,
     run_experiment,
@@ -46,6 +50,12 @@ class TestValidation:
     def test_trials_positive(self):
         with pytest.raises(DomainError):
             qm_config(trials=0)
+
+    def test_trials_capped(self):
+        # constructed only: a run this long would take hours
+        assert qm_config(trials=MAX_TRIALS).trials == 1 << 40
+        with pytest.raises(DomainError):
+            qm_config(trials=MAX_TRIALS + 1)
 
     def test_seed_is_64_bit(self):
         with pytest.raises(DomainError):
@@ -79,13 +89,15 @@ class TestReproducibility:
         b = run_experiment(qm_config(model=noisy, master_seed=2, trials=100_000))
         assert a.failures != b.failures
 
+    @pytest.mark.parametrize("q", [3, 12, 13, 64])
     @pytest.mark.parametrize(
         "model",
         [QuantumModel(), QuantumModel(NoiseModel(0.05)), LhvModel(noise=NoiseModel(0.05))],
         ids=["qm", "qm-noisy", "lhv-noisy"],
     )
-    def test_chunks_reuse_thread_buffers(self, model):
-        cfg = qm_config(q=64, model=model, trials=4 * CHUNK_TRIALS + 5)
+    def test_chunks_reuse_thread_buffers(self, model, q):
+        # q <= 12 tallies the masks directly, wider q lane by lane
+        cfg = qm_config(q=q, model=model, trials=4 * CHUNK_TRIALS + 5)
         run_experiment(cfg, workers=1)  # makes this thread's chunk buffers
         tracemalloc.start()
         try:
@@ -176,12 +188,20 @@ class TestTallies:
         assert noisy.ci_low <= noisy.theory <= noisy.ci_high
 
     def test_station_r_counts_match_column_sums(self):
-        gen = np.random.Generator(np.random.Philox(31))
-        for q in (1, 7, 8, 9, 63, 64):
-            bits = gen.integers(0, 2, size=(5_000, q), dtype=np.uint64)
-            masks = (bits << np.arange(q, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
-            counts = _station_r_counts(masks, q, np.empty(len(masks), dtype=np.intp))
-            assert counts.tolist() == bits.sum(axis=0).tolist(), q
+        # one lane up to q = 12, then lanes of 12 stations; two batches go
+        # into one histogram, as two chunks of a run do
+        gen = np.random.Generator(np.random.PCG64DXSM(31))
+        ws = _Workspace()
+        for q in (1, 7, 11, 12, 13, 24, 25, 63, 64):
+            hist = _lane_histogram(ws, q)
+            column_sums = np.zeros(q, dtype=np.int64)
+            for size in (5_000, 3_001):
+                bits = gen.integers(0, 2, size=(size, q), dtype=np.uint64)
+                masks = (bits << np.arange(q, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+                _tally_lanes(hist, masks, ws.wide)
+                column_sums += bits.sum(axis=0, dtype=np.int64)
+            counts = _lane_station_counts(hist, q)
+            assert counts.tolist() == column_sums.tolist(), q
 
     def test_report_carries_resolved_strategy(self):
         assert run_experiment(qm_config()).strategy is None
@@ -197,6 +217,8 @@ class TestTrialIteration:
             qm_config(model=QuantumModel(NoiseModel(0.15)), trials=2_000),
             qm_config(q=9, model=QuantumModel(NoiseModel(0.05)), trials=CHUNK_TRIALS + 300),
             qm_config(q=5, model=LhvModel(noise=NoiseModel(0.1)), trials=CHUNK_TRIALS + 300),
+            # two tally lanes
+            qm_config(q=25, model=LhvModel(noise=NoiseModel(0.05)), trials=CHUNK_TRIALS + 300),
         ]
         for cfg in cases:
             report = run_experiment(cfg)

@@ -3,6 +3,7 @@
 The file pins the random stream: any change to the draws of a run makes
 these tests fail, so a new stream must come with a new STREAM_VERSION and
 regenerated goldens (`PYTHONPATH=src python tests/test_golden_tallies.py`).
+Its header is the stream_environment() block of the stream it pins.
 """
 
 import json
@@ -12,11 +13,12 @@ import pytest
 
 from ghzgap.experiment import (
     CHUNK_TRIALS,
-    STREAM_VERSION,
     ExperimentConfig,
     LhvModel,
     QuantumModel,
+    _chunk_rng,
     run_experiment,
+    stream_environment,
 )
 from ghzgap.quantum import NoiseModel
 
@@ -61,9 +63,14 @@ def _key(case):
 
 def test_golden_file_matches_stream():
     golden = _golden()
-    assert golden["stream_version"] == STREAM_VERSION
-    assert golden["chunk_trials"] == CHUNK_TRIALS
+    assert golden["environment"] == stream_environment()
     assert [_key(c) for c in golden["cases"]] == [_key(c) for c in _cases()]
+
+
+def test_environment_names_the_generator():
+    # a new bit generator needs a new name (and version) in the manifest
+    rng = _chunk_rng(0, 0)
+    assert stream_environment()["rng"] == type(rng.bit_generator).__name__
 
 
 @pytest.mark.parametrize(
@@ -78,8 +85,6 @@ def test_seed_pins_tallies(case):
 if __name__ == "__main__":
     cases = [{**case, **_tallies(_report(case))} for case in _cases()]
     body = ",\n".join(json.dumps(c) for c in cases)  # one case per line
-    GOLDEN_PATH.write_text(
-        f'{{"stream_version": {STREAM_VERSION}, "chunk_trials": {CHUNK_TRIALS}, '
-        f'"cases": [\n{body}\n]}}\n'
-    )
+    environment = json.dumps(stream_environment())
+    GOLDEN_PATH.write_text(f'{{"environment": {environment}, "cases": [\n{body}\n]}}\n')
     print(f"wrote {len(cases)} cases to {GOLDEN_PATH}")
