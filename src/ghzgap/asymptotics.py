@@ -138,7 +138,7 @@ def particles_in_mass(mass_kg: float, convention: str = "electrons-nucleons") ->
 
     The default counts 10 electrons plus 18 nucleons per molecule (28), the
     convention under which 4 kg lands on ~4e27. The mass and the count
-    must both be finite.
+    must both be finite, and the count at least 1.
     """
     if not (math.isfinite(mass_kg) and mass_kg > 0):
         raise DomainError(f"mass must be positive and finite, got {mass_kg} kg")
@@ -150,6 +150,8 @@ def particles_in_mass(mass_kg: float, convention: str = "electrons-nucleons") ->
     count = (mass_kg / WATER_MOLAR_MASS_KG) * AVOGADRO * factor
     if not math.isfinite(count):
         raise DomainError(f"mass {mass_kg} kg has a constituent count beyond the float range")
+    if count < 1.0:
+        raise DomainError(f"mass {mass_kg} kg holds fewer than one constituent")
     return count
 
 

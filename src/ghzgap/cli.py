@@ -4,7 +4,10 @@ Each handler returns the report's fields and, for a command that can write
 CSV, its rows; ``main`` alone adds the manifest, picks the writer and writes.
 Payloads go to standard output only; diagnostics and optional ``--verbose``
 summaries go to standard error. Exit codes: 0 success, 2 usage error,
-3 domain or capacity error or a report that could not be written.
+3 domain or capacity error, a report that could not be written, or any
+other error a command raised (one ``error:`` line naming its type, never a
+traceback). Only ``simulate`` and ``lhv optimize --verify-brute-force``
+load numpy; every other command runs without it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ _LIST_BAD_WORDS_LIMIT = 12
 #: `lhv optimize` answers up to this q: its exact counts near 2^q must stay
 #: within the 4300 digits Python converts an int to text by default.
 _LHV_OPTIMIZE_LIMIT = 14_000
+
+#: `gap sweep` builds at most this many rows, (q range) x (eps count), at
+#: about 0.5 KB each, so a sweep stays within a few hundred MB.
+_GAP_SWEEP_LIMIT = 1 << 20
 
 #: Namespace entries that are not parameters of the command that ran: the
 #: subcommand names, the handler, and switches that only pick the output.
@@ -214,6 +221,11 @@ def _cmd_gap(args: argparse.Namespace) -> _Report:
 def _cmd_gap_sweep(args: argparse.Namespace) -> _Report:
     if args.q_min > args.q_max:
         raise GhzGapError(f"--q-min {args.q_min} exceeds --q-max {args.q_max}")
+    row_count = (args.q_max - args.q_min + 1) * len(args.eps_list)
+    if row_count > _GAP_SWEEP_LIMIT:
+        raise CapacityError(
+            f"gap sweep supports at most {_GAP_SWEEP_LIMIT} rows, got {row_count}"
+        )
     rows = [
         _gap_row(gap(q, NoiseModel(eps)))
         for q in range(args.q_min, args.q_max + 1)
@@ -343,6 +355,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # KeyboardInterrupt and SystemExit still propagate
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -19,6 +19,11 @@ its chunks into one reused set of chunk-sized buffers, so a run allocates
 nothing per chunk beyond a few small blocks. Station counts come from
 histograms of 12-station lanes of the masks, summed over the whole run and
 turned into per-station counts once at its end.
+
+Only the Monte Carlo functions build arrays, and each imports numpy on its
+first call: `wilson_interval`, `min_trials_to_disprove` and the model and
+config types are pure Python, so a process that runs no trials never loads
+it.
 """
 
 from __future__ import annotations
@@ -28,9 +33,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Any, Iterator, NamedTuple, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Optional, Union
 
 from .configs import MAX_STATIONS, Configuration, ConfigurationClass, classify
 from .errors import DomainError
@@ -47,6 +50,9 @@ from .strategies import (
     bad_word_count_analytic,
     minimize_bad_words,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Trials per random-stream chunk. Fixed: changing it would change the draws.
 CHUNK_TRIALS = 1 << 16
@@ -169,6 +175,8 @@ def _resolve_strategy(cfg: ExperimentConfig) -> Optional[CanonicalStrategy]:
 
 
 def _chunk_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
+    import numpy as np
+
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.PCG64DXSM(seq))
 
@@ -201,6 +209,8 @@ class _Workspace:
     """
 
     def __init__(self) -> None:
+        import numpy as np
+
         n = CHUNK_TRIALS
         self.masks = np.empty(n, dtype=np.uint64)
         # scratch: uniforms, masked answer tables, then lane indices
@@ -265,6 +275,8 @@ def _chunk_arrays(
     is a fair coin no tally reads); the hidden-variable model predicts
     a_bit ^ parity(mask & t_mask).
     """
+    import numpy as np
+
     q = cfg.q
     n = min(CHUNK_TRIALS, cfg.trials - chunk_index * CHUNK_TRIALS)
     rng = _chunk_rng(cfg.master_seed, chunk_index)
@@ -325,6 +337,8 @@ def _tally_lanes(hist: np.ndarray, masks: np.ndarray, scratch: np.ndarray) -> No
     each lane shifted down and masked into ``scratch`` (a uint64 array at
     least as long as ``masks``), so only 4096-bin histograms are allocated.
     """
+    import numpy as np
+
     bins, lanes = hist.shape
     if lanes == 1:
         hist[:, 0] += np.bincount(masks.view(np.intp), minlength=bins)
@@ -347,6 +361,8 @@ def _lane_station_counts(hist: np.ndarray, q: int) -> np.ndarray:
     leaves the histogram of the bits below. The halves never share memory,
     so the fold copies nothing.
     """
+    import numpy as np
+
     bins, lanes = hist.shape
     width = bins.bit_length() - 1
     counts = np.empty((lanes, width), dtype=np.int64)
@@ -383,6 +399,8 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Expe
     buffers. ``workers`` is accepted for existing callers and ignored: it is
     neither read nor checked, and the report never depended on it.
     """
+    import numpy as np
+
     strategy = _resolve_strategy(cfg)
     ws = _workspace()
     word_trials = failures = 0
@@ -418,6 +436,8 @@ def iter_trials(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
     parity (over all tuples for a string), drawn from the chunk's second
     stream, spawn key (chunk_index, 1).
     """
+    import numpy as np
+
     strategy = _resolve_strategy(cfg)
     quantum = isinstance(cfg.model, QuantumModel)
     ws = _Workspace()

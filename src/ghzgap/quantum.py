@@ -8,6 +8,10 @@ probability. Since a flip mask acts on a word only through its parity, the
 sampler draws one odd-flip bit per row instead of q flips. A 2^q
 state-vector oracle (small q only) cross-checks both the eigenvalue
 taxonomy and this sampling law from first principles.
+
+The closed forms are pure Python. Only the samplers and the state-vector
+oracle build arrays, and each imports numpy on its first call, so a
+process that never samples never loads it.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .configs import Configuration, classify, Word
 from .errors import CapacityError, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: State-vector construction stays affordable up to this q.
 ORACLE_LIMIT = 8
@@ -132,6 +138,8 @@ def sample_parity_tuples(
     ``fixed[i]`` is set, and uniform over all tuples elsewhere: q fair bits
     are drawn, then the last station absorbs any parity mismatch.
     """
+    import numpy as np
+
     bits = rng.integers(0, 2, size=(len(parity), q), dtype=np.uint8)
     if q <= _COLUMN_XOR_LIMIT:
         mismatch = parity ^ bits[:, 0]
@@ -156,6 +164,8 @@ def _sample_from_r_counts(
     results stay uniform over all tuples. The odd-flip bits are drawn
     first, then the tuples.
     """
+    import numpy as np
+
     is_word = (r & 1).astype(np.uint8)
     target = ((r >> 1) & 1).astype(np.uint8)
     if noise.epsilon > 0.0:
@@ -172,6 +182,8 @@ def sample_result_bits(
     ``r``. The returned array has the same shape with entry 1 meaning the
     station reported -1.
     """
+    import numpy as np
+
     r = config_bits.sum(axis=1, dtype=np.int64)
     return _sample_from_r_counts(r, config_bits.shape[1], noise, rng)
 
@@ -180,6 +192,8 @@ def sample_outcome_batch(
     config: Configuration, noise: NoiseModel, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """`size` independent draws for one configuration, as a (size, q) sign matrix."""
+    import numpy as np
+
     if size < 1:
         raise DomainError(f"sample size must be at least 1, got {size}")
     r = np.full(size, config.r_count, dtype=np.int64)
@@ -190,13 +204,6 @@ def sample_outcome_batch(
 # ---------------------------------------------------------------------------
 # State-vector oracle
 # ---------------------------------------------------------------------------
-
-_SIGMA_L = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA_R = np.array([[0, -1j], [1j, 0]], dtype=complex)
-
-# Rows are the measurement-basis bras for outcome +1 and -1.
-_BASIS_L = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_BASIS_R = np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -223,6 +230,8 @@ class OracleReport:
 
 def entangled_state(q: int) -> np.ndarray:
     """Amplitude tensor of the q-station entangled state, shape (2,)*q."""
+    import numpy as np
+
     if not 1 <= q <= ORACLE_LIMIT:
         raise CapacityError(f"state vector supports 1 <= q <= {ORACLE_LIMIT}, got {q}")
     psi = np.zeros((2,) * q, dtype=complex)
@@ -232,6 +241,8 @@ def entangled_state(q: int) -> np.ndarray:
 
 
 def _apply_per_station(state: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+    import numpy as np
+
     out = state
     for axis, mat in enumerate(mats):
         out = np.moveaxis(np.tensordot(mat, out, axes=(1, axis)), 0, axis)
@@ -240,10 +251,12 @@ def _apply_per_station(state: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
 
 def product_observable_expectation(config: Configuration) -> float:
     """Exact expectation of the product observable on the entangled state."""
+    import numpy as np
+
+    sigma_l = np.array([[0, 1], [1, 0]], dtype=complex)
+    sigma_r = np.array([[0, -1j], [1j, 0]], dtype=complex)
     psi = entangled_state(config.q)
-    mats = [
-        _SIGMA_R if config.r_mask >> k & 1 else _SIGMA_L for k in range(config.q)
-    ]
+    mats = [sigma_r if config.r_mask >> k & 1 else sigma_l for k in range(config.q)]
     value = np.vdot(psi, _apply_per_station(psi, mats))
     if abs(value.imag) > 1e-12:
         raise AssertionError(f"expectation unexpectedly complex: {value}")
@@ -256,16 +269,21 @@ def joint_outcome_probabilities(config: Configuration) -> np.ndarray:
     Axis k is station k+1; index 0 along an axis is the +1 outcome. Computed
     by rotating the state into the per-station measurement eigenbases.
     """
+    import numpy as np
+
+    # Rows are the measurement-basis bras for outcome +1 and -1.
+    basis_l = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    basis_r = np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2)
     psi = entangled_state(config.q)
-    mats = [
-        _BASIS_R if config.r_mask >> k & 1 else _BASIS_L for k in range(config.q)
-    ]
+    mats = [basis_r if config.r_mask >> k & 1 else basis_l for k in range(config.q)]
     amplitudes = _apply_per_station(psi, mats)
     return np.abs(amplitudes) ** 2
 
 
 def _parity_law(config: Configuration) -> np.ndarray:
     """The sampling law the analytic sampler implements, shape (2,)*q."""
+    import numpy as np
+
     q = config.q
     cls = classify(config)
     index_parity = np.zeros((2,) * q, dtype=np.uint8)
@@ -286,6 +304,8 @@ def statevector_oracle(q: int) -> OracleReport:
     expectation with the word eigenvalue (or 0 for strings) and (b) the
     exact joint outcome law with the parity law used by the sampler.
     """
+    import numpy as np
+
     if not 1 <= q <= ORACLE_LIMIT:
         raise CapacityError(f"oracle supports 1 <= q <= {ORACLE_LIMIT}, got {q}")
     entries = []

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .configs import (
     ENUMERATION_LIMIT,
     Configuration,
@@ -210,8 +208,11 @@ def minimize_bad_words_brute_force(q: int) -> BadWordReport:
 
     Every (a, b) answer table is scored against every word without going
     through the canonical reduction, so this is an independent check of the
-    closed-form minimizer. Vectorized; q <= 8.
+    closed-form minimizer. Vectorized; q <= 8. It is the one function here
+    that uses numpy, imported on its first call.
     """
+    import numpy as np
+
     if not 1 <= q <= BRUTE_FORCE_LIMIT:
         raise CapacityError(
             f"brute force supports 1 <= q <= {BRUTE_FORCE_LIMIT}, got {q}"

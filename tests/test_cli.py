@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from ghzgap import cli
 from ghzgap.cli import main
 
 
@@ -269,6 +270,33 @@ class TestGap:
         assert out == ""
         assert "float range" in err
 
+    @pytest.mark.parametrize(
+        "q_max, eps_list, rows",
+        [
+            (1 + (1 << 20), ["0.01"], 1 << 20),
+            (2 + (1 << 20), ["0.01"], (1 << 20) + 1),
+            (1 + (1 << 19), ["0.01", "0.02"], 1 << 20),
+            (2 + (1 << 19), ["0.01", "0.02"], (1 << 20) + 2),
+        ],
+    )
+    def test_sweep_row_cap(self, capsys, monkeypatch, q_max, eps_list, rows):
+        # The first gap() call fails, so neither sweep builds a row: one at
+        # the cap gets as far as its first row, one over it never does.
+        def first_row(q, noise):
+            raise LookupError("first row reached")
+
+        monkeypatch.setattr(cli, "gap", first_row)
+        code, out, err = run_cli(
+            capsys, "gap", "sweep", "--q-min", "2", "--q-max", str(q_max),
+            "--eps-list", *eps_list,
+        )
+        assert code == 3
+        assert out == ""
+        if rows > 1 << 20:
+            assert err == f"error: gap sweep supports at most {1 << 20} rows, got {rows}\n"
+        else:
+            assert err == "error: LookupError: first row reached\n"
+
     def test_underflowed_gap_stays_float(self, capsys):
         point = run_json(capsys, "gap", "--q", "1000000", "--eps", "0.01")
         sweep = run_json(
@@ -313,7 +341,10 @@ class TestDisproveAndCat:
 
     @pytest.mark.parametrize(
         "mass, named",
-        [("inf", "inf"), ("nan", "nan"), ("-inf", "-inf"), ("1e300", "1e+300")],
+        [
+            ("inf", "inf"), ("nan", "nan"), ("-inf", "-inf"), ("1e300", "1e+300"),
+            ("1e-30", "1e-30"),
+        ],
     )
     def test_cat_unrepresentable_mass_exits_3(self, capsys, mass, named):
         code, out, err = run_cli(capsys, "cat", f"--mass-kg={mass}", "--delta", "0.01")
@@ -410,6 +441,81 @@ class TestWriteErrors:
         assert err.startswith("error: ")
         assert "No space left on device" in err
         assert len(err.splitlines()) == 1
+
+
+class TestUnexpectedErrors:
+    def test_handler_exception_exits_3(self, capsys, monkeypatch):
+        def broken(p_failure, confidence):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "min_trials_to_disprove", broken)
+        code, out, err = run_cli(capsys, "disprove", "--p-failure", "0.5", "--confidence", "0.9")
+        assert code == 3
+        assert out == ""
+        assert err == "error: ZeroDivisionError: float division by zero\n"
+
+    @pytest.mark.parametrize("raised", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_propagate(self, monkeypatch, raised):
+        def interrupted(p_failure, confidence):
+            raise raised()
+
+        monkeypatch.setattr(cli, "min_trials_to_disprove", interrupted)
+        with pytest.raises(raised):
+            main(["disprove", "--p-failure", "0.5", "--confidence", "0.9"])
+
+
+#: Runs cli.main on each argv of argv[1] (a JSON list) in one fresh process,
+#: stdout discarded, and prints a JSON object: after `import ghzgap` and after
+#: each command, whether numpy is loaded, with the command's exit code.
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+import ghzgap
+report = {"import ghzgap": [0, "numpy" in sys.modules]}
+from ghzgap import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report[" ".join(argv)] = [code, "numpy" in sys.modules]
+print(json.dumps(report))
+"""
+
+
+def _startup_report(commands):
+    result = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(result.stdout)
+
+
+class TestStartupPath:
+    def test_closed_form_commands_never_load_numpy(self):
+        commands = [
+            ["classify", "--config", "rrl"],
+            ["enumerate", "--q", "4"],
+            ["gap", "--q", "10", "--eps", "0.01"],
+            ["gap", "sweep", "--q-min", "2", "--q-max", "5"],
+            ["disprove", "--p-failure", "0.125", "--confidence", "0.99"],
+            ["cat", "--mass-kg", "4"],
+            ["lhv", "optimize", "--q", "8"],
+        ]
+        expected = {"import ghzgap": [0, False]}
+        expected.update({" ".join(argv): [0, False] for argv in commands})
+        assert _startup_report(commands) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--q", "3", "--model", "qm", "--trials", "10", "--seed", "1"],
+            ["lhv", "optimize", "--q", "4", "--verify-brute-force"],
+        ],
+        ids=["simulate", "lhv-brute-force"],
+    )
+    def test_array_commands_load_numpy(self, argv):
+        assert _startup_report([argv]) == {
+            "import ghzgap": [0, False],
+            " ".join(argv): [0, True],
+        }
 
 
 class TestConsoleScript:
