@@ -12,13 +12,19 @@ A failure depends only on the configuration's r count and on the parity of
 the station errors, so a trial costs one bit-packed configuration (a masked
 uint64) and, when errors are possible, one uniform for the odd-error parity;
 no per-station result is drawn. The order of those draws is random stream
-version STREAM_VERSION (see `_chunk_arrays`). `iter_trials` replays the
+version STREAM_VERSION (see `_draw_chunk`). `iter_trials` replays the
 same chunks and builds full quantum result tuples from a second per-chunk
 stream that the aggregate run never touches. Each calling thread draws
 its chunks into one reused set of chunk-sized buffers, so a run allocates
 nothing per chunk beyond a few small blocks. Station counts come from
 histograms of 12-station lanes of the masks, summed over the whole run and
 turned into per-station counts once at its end.
+
+Up to q = 11 a run tallies nothing per trial: each chunk bincounts
+``mask | odd << q`` (at most 2^12 values) into the run's one-lane
+histogram, and at the end the failure rule runs once per bin, its flags
+weighted by the bin counts. Wider runs, and `iter_trials`, apply the same
+rule (`_failure_rule`) to every trial.
 
 Only the Monte Carlo functions build arrays, and each imports numpy on its
 first call: `wilson_interval`, `min_trials_to_disprove` and the model and
@@ -197,15 +203,20 @@ class _Chunk(NamedTuple):
 #: Stations per tally lane: a lane's histogram has 2^12 bins (32 KB of int64).
 _LANE_BITS = 12
 
+#: Largest q whose runs are tallied from one histogram of (odd parity, mask)
+#: bin indices: q mask bits and the odd bit fit one lane.
+_BIN_TALLY_MAX_Q = _LANE_BITS - 1
+
 
 class _Workspace:
     """Chunk-sized buffers that every draw of one thread writes into.
 
     A chunk is drawn into these arrays in place, so drawing it allocates
     nothing of chunk size: each run reuses the same 1.6 MB (1.4 MB of chunk
-    buffers and 192 KB of lane histograms) instead of faulting fresh pages
-    in for every chunk. The arrays are written once when made, so even the
-    first full chunk finds its pages resident.
+    buffers, 192 KB of lane histograms and the 32 KB of one lane's bin
+    labels) instead of faulting fresh pages in for every chunk. The arrays
+    are written once when made, so even the first full chunk finds its
+    pages resident.
     """
 
     def __init__(self) -> None:
@@ -225,6 +236,8 @@ class _Workspace:
         self.failure = np.empty(n, dtype=np.uint8)
         for array in vars(self).values():
             array.fill(0)  # np.empty only reserves pages; touch them now
+        # the index of each bin of a one-lane histogram
+        self.bins = np.arange(1 << _LANE_BITS, dtype=np.uint64)
 
 
 _local = threading.local()
@@ -248,76 +261,101 @@ def _workspace() -> _Workspace:
 _RAW_BLOCK = 1 << 12
 
 
-def _chunk_arrays(
-    cfg: ExperimentConfig,
-    strategy: Optional[CanonicalStrategy],
-    chunk_index: int,
-    ws: _Workspace,
-) -> _Chunk:
-    """Draw one chunk into ``ws``: one masked uint64 and at most one uniform
-    per trial. The returned arrays are views of ``ws``.
+def _draw_chunk(
+    cfg: ExperimentConfig, chunk_index: int, ws: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one chunk into ``ws``: its configuration masks (uint64) and odd
+    error parities (uint8), views of ``ws``.
 
     Draw order of random stream version 3, from the chunk's PCG64DXSM
     stream:
 
     1. n raw 64-bit words, ANDed with the low-q mask (skipped at q = 64),
-       are the configuration masks. Their popcount r gives the word flag
-       r & 1 and the eigenvalue bit (r >> 1) & 1.
+       are the configuration masks.
     2. Only when eps > 0: n uniforms u; the station errors of a trial have
        odd parity when u < 2 * failure_probability_closed(q, noise), the
        probability that an odd number of q independent flips occur.
-
-    Both models share one failure rule: the observed total is the predicted
-    total inverted by odd error parity, and a word fails when it misses the
-    eigenvalue, ``failure = word & (predicted ^ odd ^ eigen)``. The quantum
-    model predicts the eigenvalue itself (so it fails exactly on odd error
-    parity, and its ``parity`` is meaningful on words only: a string's total
-    is a fair coin no tally reads); the hidden-variable model predicts
-    a_bit ^ parity(mask & t_mask).
+       Without errors every parity is even.
     """
     import numpy as np
 
     q = cfg.q
     n = min(CHUNK_TRIALS, cfg.trials - chunk_index * CHUNK_TRIALS)
     rng = _chunk_rng(cfg.master_seed, chunk_index)
-
-    masks, wide = ws.masks[:n], ws.wide[:n]
-    r, word, eigen = ws.r[:n], ws.word[:n], ws.eigen[:n]
-    odd, parity, failure = ws.odd[:n], ws.parity[:n], ws.failure[:n]
+    masks, odd = ws.masks[:n], ws.odd[:n]
     for start in range(0, n, _RAW_BLOCK):
         stop = min(n, start + _RAW_BLOCK)
         masks[start:stop] = rng.bit_generator.random_raw(stop - start)
     if q < 64:
         np.bitwise_and(masks, np.uint64((1 << q) - 1), out=masks)
-    np.bitwise_count(masks, out=r)
-    np.bitwise_and(r, 1, out=word)
-    np.right_shift(r, 1, out=eigen)
-    np.bitwise_and(eigen, 1, out=eigen)
     noise = cfg.model.noise
     if noise.epsilon > 0.0:
-        uniforms = wide.view(np.float64)
+        uniforms = ws.wide[:n].view(np.float64)
         rng.random(n, out=uniforms)
         np.less(uniforms, 2.0 * failure_probability_closed(q, noise), out=odd.view(bool))
     else:
         odd.fill(0)
+    return masks, odd
 
+
+def _failure_rule(
+    masks: np.ndarray,
+    odd: np.ndarray,
+    strategy: Optional[CanonicalStrategy],
+    ws: _Workspace,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Word flags, failure flags and observed total parities (uint8 views of
+    ``ws``) of the trials with these masks and odd error parities.
+
+    Both models share one rule: the observed total is the predicted total
+    inverted by odd error parity, and a word fails when it misses the
+    eigenvalue, ``failure = word & (predicted ^ odd ^ eigen)``. The popcount
+    r of a mask gives the word flag r & 1 and the eigenvalue bit
+    (r >> 1) & 1. The quantum model predicts the eigenvalue itself (so it
+    fails exactly on odd error parity, and its parity is meaningful on words
+    only: a string's total is a fair coin no tally reads); the
+    hidden-variable model predicts a_bit ^ parity(mask & t_mask).
+    """
+    import numpy as np
+
+    n = len(masks)
+    r, word, eigen = ws.r[:n], ws.word[:n], ws.eigen[:n]
+    parity, failure = ws.parity[:n], ws.failure[:n]
+    np.bitwise_count(masks, out=r)
+    np.bitwise_and(r, 1, out=word)
+    np.right_shift(r, 1, out=eigen)
+    np.bitwise_and(eigen, 1, out=eigen)
     if strategy is None:
         predicted = eigen
     else:
         predicted = parity
-        np.bitwise_and(masks, np.uint64(strategy.t_mask), out=wide)
-        np.bitwise_count(wide, out=parity)
+        np.bitwise_and(masks, np.uint64(strategy.t_mask), out=ws.wide[:n])
+        np.bitwise_count(ws.wide[:n], out=parity)
         np.bitwise_and(parity, 1, out=parity)
         if strategy.a_sign != +1:
             np.bitwise_xor(parity, 1, out=parity)
     np.bitwise_xor(predicted, odd, out=parity)
     np.bitwise_xor(parity, eigen, out=failure)
     np.bitwise_and(failure, word, out=failure)
+    return word, failure, parity
+
+
+def _chunk_arrays(
+    cfg: ExperimentConfig,
+    strategy: Optional[CanonicalStrategy],
+    chunk_index: int,
+    ws: _Workspace,
+) -> _Chunk:
+    """Draw one chunk into ``ws`` and apply the failure rule to each trial.
+    The returned arrays are views of ``ws``."""
+    masks, odd = _draw_chunk(cfg, chunk_index, ws)
+    word, failure, parity = _failure_rule(masks, odd, strategy, ws)
     return _Chunk(masks, word.view(bool), failure.view(bool), parity)
 
 
 def _lane_histogram(ws: _Workspace, q: int) -> np.ndarray:
-    """Zeroed lane histograms in ``ws`` for q-station masks.
+    """Zeroed lane histograms in ``ws`` for q-bit bin indices: a run's
+    masks, or up to q = _BIN_TALLY_MAX_Q its masks with the odd bit above.
 
     Column l has one bin per value of the mask bits 12l .. 12l + 11
     (stations 12l + 1 ..), 2^min(q, 12) bins in all. The array is
@@ -374,6 +412,31 @@ def _lane_station_counts(hist: np.ndarray, q: int) -> np.ndarray:
     return counts.ravel()[:q]
 
 
+def _bin_tallies(
+    hist: np.ndarray, q: int, strategy: Optional[CanonicalStrategy], ws: _Workspace
+) -> tuple[int, int]:
+    """Word trials and failures of a run, from its one-lane histogram of
+    ``mask | odd << q`` bin indices (q <= _BIN_TALLY_MAX_Q).
+
+    The failure rule runs once per bin, on the bin's mask and odd bit, and
+    each flag is weighted by the bin's trial count. Read before
+    _lane_station_counts folds ``hist``; allocates nothing of bin size.
+    """
+    import numpy as np
+
+    bins = len(hist)
+    masks = np.bitwise_and(ws.bins[:bins], np.uint64((1 << q) - 1), out=ws.masks[:bins])
+    odd = ws.odd[:bins]
+    odd[: bins >> 1] = 0
+    odd[bins >> 1 :] = 1
+    word, failure, _ = _failure_rule(masks, odd, strategy, ws)
+    counts, weights = hist[:, 0], ws.wide[:bins].view(np.int64)
+    np.copyto(weights, word)
+    word_trials = int(counts @ weights)
+    np.copyto(weights, failure)
+    return word_trials, int(counts @ weights)
+
+
 def _theory_value(cfg: ExperimentConfig, strategy: Optional[CanonicalStrategy]) -> float:
     """Expected failure rate for the configured model.
 
@@ -398,19 +461,37 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Expe
     that thread's reused workspace, so concurrent callers never share
     buffers. ``workers`` is accepted for existing callers and ignored: it is
     neither read nor checked, and the report never depended on it.
+
+    Up to q = _BIN_TALLY_MAX_Q the failure rule runs once per histogram
+    bin at the end of the run (_bin_tallies), wider runs apply it per trial.
     """
     import numpy as np
 
     strategy = _resolve_strategy(cfg)
     ws = _workspace()
+    q = cfg.q
+    binned = q <= _BIN_TALLY_MAX_Q
+    noisy = cfg.model.noise.epsilon > 0.0
     word_trials = failures = 0
-    hist = _lane_histogram(ws, cfg.q)
+    hist = _lane_histogram(ws, q + 1 if binned else q)
     for chunk_index in range(_chunk_count(cfg)):
-        chunk = _chunk_arrays(cfg, strategy, chunk_index, ws)
-        word_trials += int(np.count_nonzero(chunk.is_word))
-        failures += int(np.count_nonzero(chunk.failure))
-        _tally_lanes(hist, chunk.masks, ws.wide)
-    station_r = _lane_station_counts(hist, cfg.q)
+        if binned:
+            masks, odd = _draw_chunk(cfg, chunk_index, ws)
+            if noisy:  # odd is all zero otherwise
+                odd_bit = ws.wide[: len(masks)]
+                np.copyto(odd_bit, odd)
+                np.left_shift(odd_bit, np.uint64(q), out=odd_bit)
+                np.bitwise_or(masks, odd_bit, out=masks)
+        else:
+            chunk = _chunk_arrays(cfg, strategy, chunk_index, ws)
+            word_trials += int(np.count_nonzero(chunk.is_word))
+            failures += int(np.count_nonzero(chunk.failure))
+            masks = chunk.masks
+        _tally_lanes(hist, masks, ws.wide)
+    if binned:
+        word_trials, failures = _bin_tallies(hist, q, strategy, ws)
+    # the fold drops a binned run's odd bit, bit q
+    station_r = _lane_station_counts(hist, q)
     low, high = wilson_interval(failures, cfg.trials, cfg.ci_level)
     return ExperimentReport(
         config=cfg,

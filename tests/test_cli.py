@@ -257,6 +257,22 @@ class TestGap:
         code, _, err = run_cli(capsys, "gap", "sweep", "--q-min", "5", "--q-max", "2")
         assert code == 3
 
+    def test_sweep_checks_every_eps_before_any_row(self, capsys):
+        # the q = 1 row would fail too, but the eps list is checked first
+        code, out, err = run_cli(
+            capsys, "gap", "sweep", "--q-min", "1", "--q-max", "3", "--eps-list", "0.01", "0.7"
+        )
+        assert (code, out) == (3, "")
+        assert "error probability" in err
+
+    def test_options_do_not_carry_over_between_calls(self, capsys):
+        # main reuses one parser, so a call sees only its own options
+        args = ["gap", "sweep", "--q-min", "2", "--q-max", "3", "--format", "json"]
+        first = run_json(capsys, *args, "--eps-list", "0.1", "0.2")
+        second = run_json(capsys, *args)
+        assert [r["eps"] for r in first["rows"]] == [0.1, 0.2, 0.1, 0.2]
+        assert [r["eps"] for r in second["rows"]] == [0.01, 0.01]
+
     @pytest.mark.parametrize("q", ["nan", "inf", "1e400"])
     def test_non_finite_q_exits_3(self, capsys, q):
         code, out, err = run_cli(capsys, "gap", "--q", q, "--eps", "0.01")

@@ -89,14 +89,15 @@ class TestReproducibility:
         b = run_experiment(qm_config(model=noisy, master_seed=2, trials=100_000))
         assert a.failures != b.failures
 
-    @pytest.mark.parametrize("q", [3, 12, 13, 64])
+    @pytest.mark.parametrize("q", [1, 3, 11, 12, 13, 64])
     @pytest.mark.parametrize(
         "model",
         [QuantumModel(), QuantumModel(NoiseModel(0.05)), LhvModel(noise=NoiseModel(0.05))],
         ids=["qm", "qm-noisy", "lhv-noisy"],
     )
     def test_chunks_reuse_thread_buffers(self, model, q):
-        # q <= 12 tallies the masks directly, wider q lane by lane
+        # q <= 11 tallies (odd, mask) bins, q = 12 the masks directly and
+        # wider q lane by lane
         cfg = qm_config(q=q, model=model, trials=4 * CHUNK_TRIALS + 5)
         run_experiment(cfg, workers=1)  # makes this thread's chunk buffers
         tracemalloc.start()
@@ -219,6 +220,13 @@ class TestTrialIteration:
             qm_config(q=5, model=LhvModel(noise=NoiseModel(0.1)), trials=CHUNK_TRIALS + 300),
             # two tally lanes
             qm_config(q=25, model=LhvModel(noise=NoiseModel(0.05)), trials=CHUNK_TRIALS + 300),
+            # the bin tally up to q = 11, the per-trial rule from q = 12
+            qm_config(q=1, model=QuantumModel(NoiseModel(0.1)), trials=CHUNK_TRIALS + 300),
+            qm_config(q=1, model=LhvModel(noise=NoiseModel(0.1)), trials=CHUNK_TRIALS + 300),
+            qm_config(q=11, model=QuantumModel(NoiseModel(0.05)), trials=CHUNK_TRIALS + 300),
+            qm_config(q=11, model=LhvModel(noise=NoiseModel(0.05)), trials=CHUNK_TRIALS + 300),
+            qm_config(q=11, model=LhvModel(), trials=CHUNK_TRIALS + 300),
+            qm_config(q=12, model=LhvModel(noise=NoiseModel(0.05)), trials=CHUNK_TRIALS + 300),
         ]
         for cfg in cases:
             report = run_experiment(cfg)

@@ -29,11 +29,15 @@ TRIALS = CHUNK_TRIALS + 4321
 
 def _cases():
     index = 0
-    for model in ("qm", "lhv"):
-        for q in (3, 10, 64):
-            for eps in (0.0, 0.01):
-                yield {"model": model, "q": q, "eps": eps, "trials": TRIALS, "seed": 9_100 + index}
-                index += 1
+    # the benchmark's q, then both sides of the bin-tally boundary (q <= 11)
+    for qs in ((3, 10, 64), (1, 11, 12)):
+        for model in ("qm", "lhv"):
+            for q in qs:
+                for eps in (0.0, 0.01):
+                    yield {
+                        "model": model, "q": q, "eps": eps, "trials": TRIALS, "seed": 9_100 + index
+                    }
+                    index += 1
 
 
 def _report(case):
