@@ -3,28 +3,23 @@
 Each trial draws a configuration uniformly (every station independently
 chooses l or r), obtains the total result from the selected model, and
 counts a failure when a word's total result differs from its eigenvalue.
-Strings never fail. Trials are processed in fixed-size chunks, each with its
-own PCG64DXSM stream seeded from the master seed and the chunk index, so
-tallies are bit-for-bit reproducible however the chunks are split; a run
-draws them in order on the calling thread.
+Strings never fail.
 
-A failure depends only on the configuration's r count and on the parity of
-the station errors, so a trial costs one bit-packed configuration (a masked
-uint64) and, when errors are possible, one uniform for the odd-error parity;
-no per-station result is drawn. The order of those draws is random stream
-version STREAM_VERSION (see `_draw_chunk`). `iter_trials` replays the
-same chunks and builds full quantum result tuples from a second per-chunk
-stream that the aggregate run never touches. Each calling thread draws
-its chunks into one reused set of chunk-sized buffers, so a run allocates
-nothing per chunk beyond a few small blocks. Station counts come from
-histograms of 12-station lanes of the masks, summed over the whole run and
-turned into per-station counts once at its end.
+A trial's failure depends only on its class: its r count mod 4, which gives
+the word flag and the eigenvalue, and the parity of its r choices inside
+the strategy's t_mask, which gives the hidden-variable prediction. So a run
+draws no trial: it follows how many of its trials sit in each of the 8
+classes through the q stations. At each station a Bin(n_c, 1/2) share of
+class c picks r and moves on to the class one r further (a fixed
+permutation of the classes); after the last station a Bin(n_c, 2 p_qm)
+share of each class has odd error parity. These q + 1 draws of an 8-vector
+give a run's failures, word trials and station r counts exactly in law, at
+a cost that does not depend on the trial count. Their order is random
+stream version STREAM_VERSION (see `_class_chain`).
 
-Up to q = 11 a run tallies nothing per trial: each chunk bincounts
-``mask | odd << q`` (at most 2^12 values) into the run's one-lane
-histogram, and at the end the failure rule runs once per bin, its flags
-weighted by the bin counts. Wider runs, and `iter_trials`, apply the same
-rule (`_failure_rule`) to every trial.
+`iter_trials` replays the same chain trial by trial: a second stream picks
+which trials of each class pick r at each station and which have odd
+error parity, each a uniform subset, so its records tally to the report.
 
 Only the Monte Carlo functions build arrays, and each imports numpy on its
 first call: `wilson_interval`, `min_trials_to_disprove` and the model and
@@ -35,14 +30,13 @@ it.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Optional, Union
 
 from .configs import MAX_STATIONS, Configuration, ConfigurationClass, classify
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .quantum import (
     NoiseModel,
     OutcomeTuple,
@@ -60,16 +54,19 @@ from .strategies import (
 if TYPE_CHECKING:
     import numpy as np
 
-#: Trials per random-stream chunk. Fixed: changing it would change the draws.
-CHUNK_TRIALS = 1 << 16
-
 #: Version of the seed -> draws contract: bumped whenever the draw order or
-#: the per-chunk streams change, so every such change is deliberate.
-STREAM_VERSION = 3
+#: the streams change, so every such change is deliberate.
+STREAM_VERSION = 4
 
-#: Largest trial count a run accepts: 2^24 chunks, a few hours of draws on
-#: one core, so no run is unbounded in time.
-MAX_TRIALS = 1 << 40
+#: Largest trial count a run accepts. Class counts are int64, and
+#: Generator.binomial draws from any int64 count in the same time, so a
+#: run's cost does not grow with its trials; 2^62 keeps every count and
+#: sum a factor 2 inside int64.
+MAX_TRIALS = 1 << 62
+
+#: Largest run iter_trials replays: the replay holds arrays of one entry per
+#: trial, and q result bits per trial for the quantum model (64 MB at q = 64).
+REPLAY_LIMIT = 1 << 20
 
 #: min_trials_to_disprove settles its answer with exact rational powers up to
 #: this many trials (at most ~10 ms). An exact boundary (1 - p)^N = 1 - c
@@ -164,11 +161,11 @@ class ExperimentReport:
 
 
 def stream_environment() -> dict[str, Any]:
-    """How the draws of a run are produced; independent of how chunks are split."""
+    """How the draws of a run are produced."""
     return {
         "rng": "PCG64DXSM",
         "stream_version": STREAM_VERSION,
-        "chunk_trials": CHUNK_TRIALS,
+        "sampler": "class-chain",
     }
 
 
@@ -180,261 +177,79 @@ def _resolve_strategy(cfg: ExperimentConfig) -> Optional[CanonicalStrategy]:
     return minimize_bad_words(cfg.q).strategy
 
 
-def _chunk_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
+#: A trial's class is (r count mod 4) | tpar << 2, where tpar is the parity
+#: of its r choices inside the strategy's t_mask. _NEXT[b][c] is the class
+#: a trial of class c moves to when it picks r at a station whose t_mask
+#: bit is b.
+_NEXT = ([1, 2, 3, 0, 5, 6, 7, 4], [5, 6, 7, 4, 1, 2, 3, 0])
+
+
+class _Chain(NamedTuple):
+    """Class counts of one run (int64 arrays)."""
+
+    picks: np.ndarray  # (q, 8): trials of each class that pick r at station k
+    counts: np.ndarray  # (8,): trials of each class after the last station
+    odd: np.ndarray  # (8,): of those, the trials with odd error parity
+
+
+def _stream(master_seed: int, key: int) -> np.random.Generator:
+    """The run's stream ``key``: 0 draws the class chain, 1 the replay."""
     import numpy as np
 
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=spawn_key)
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(key,))
     return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
-def _chunk_count(cfg: ExperimentConfig) -> int:
-    return (cfg.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+def _class_chain(cfg: ExperimentConfig, t_mask: int) -> _Chain:
+    """Draw how a run's trials spread over the 8 classes.
 
+    Draw order of random stream version 4, from stream 0, starting with
+    every trial in class 0:
 
-class _Chunk(NamedTuple):
-    """Per-trial arrays of one chunk, each of length n."""
-
-    masks: np.ndarray  # uint64; bit k set: station k+1 applies r
-    is_word: np.ndarray  # bool
-    failure: np.ndarray  # bool
-    parity: np.ndarray  # uint8; 1 where the observed total is -1
-
-
-#: Stations per tally lane: a lane's histogram has 2^12 bins (32 KB of int64).
-_LANE_BITS = 12
-
-#: Largest q whose runs are tallied from one histogram of (odd parity, mask)
-#: bin indices: q mask bits and the odd bit fit one lane.
-_BIN_TALLY_MAX_Q = _LANE_BITS - 1
-
-
-class _Workspace:
-    """Chunk-sized buffers that every draw of one thread writes into.
-
-    A chunk is drawn into these arrays in place, so drawing it allocates
-    nothing of chunk size: each run reuses the same 1.6 MB (1.4 MB of chunk
-    buffers, 192 KB of lane histograms and the 32 KB of one lane's bin
-    labels) instead of faulting fresh pages in for every chunk. The arrays
-    are written once when made, so even the first full chunk finds its
-    pages resident.
-    """
-
-    def __init__(self) -> None:
-        import numpy as np
-
-        n = CHUNK_TRIALS
-        self.masks = np.empty(n, dtype=np.uint64)
-        # scratch: uniforms, masked answer tables, then lane indices
-        self.wide = np.empty(n, dtype=np.uint64)
-        # lane histograms, shaped per run by _lane_histogram
-        self.lanes = np.empty(-(-MAX_STATIONS // _LANE_BITS) << _LANE_BITS, dtype=np.int64)
-        self.r = np.empty(n, dtype=np.uint8)
-        self.word = np.empty(n, dtype=np.uint8)
-        self.eigen = np.empty(n, dtype=np.uint8)
-        self.odd = np.empty(n, dtype=np.uint8)
-        self.parity = np.empty(n, dtype=np.uint8)
-        self.failure = np.empty(n, dtype=np.uint8)
-        for array in vars(self).values():
-            array.fill(0)  # np.empty only reserves pages; touch them now
-        # the index of each bin of a one-lane histogram
-        self.bins = np.arange(1 << _LANE_BITS, dtype=np.uint64)
-
-
-_local = threading.local()
-
-
-def _workspace() -> _Workspace:
-    """This thread's workspace, made on first use.
-
-    One per thread, so runs called from different threads at once never
-    share buffers. It holds scratch only: a chunk writes every element it
-    reads, so successive runs on one thread never see each other's draws.
-    """
-    ws = getattr(_local, "workspace", None)
-    if ws is None:
-        ws = _local.workspace = _Workspace()
-    return ws
-
-
-#: Raw words drawn per random_raw call: successive calls continue the same
-#: stream, and a block this size stays a small, reused allocation.
-_RAW_BLOCK = 1 << 12
-
-
-def _draw_chunk(
-    cfg: ExperimentConfig, chunk_index: int, ws: _Workspace
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one chunk into ``ws``: its configuration masks (uint64) and odd
-    error parities (uint8), views of ``ws``.
-
-    Draw order of random stream version 3, from the chunk's PCG64DXSM
-    stream:
-
-    1. n raw 64-bit words, ANDed with the low-q mask (skipped at q = 64),
-       are the configuration masks.
-    2. Only when eps > 0: n uniforms u; the station errors of a trial have
-       odd parity when u < 2 * failure_probability_closed(q, noise), the
-       probability that an odd number of q independent flips occur.
-       Without errors every parity is even.
+    1. For each station k = 0 .. q-1: picked = binomial(counts, 1/2) over
+       all 8 classes, empty ones included. Those trials pick r and move
+       from class c to _NEXT[t_mask >> k & 1][c].
+    2. Only when eps > 0: odd = binomial(counts, 2 * p) with
+       p = failure_probability_closed(q, noise), the trials of each class
+       whose q independent flips are odd in number. Without errors every
+       parity is even.
     """
     import numpy as np
 
-    q = cfg.q
-    n = min(CHUNK_TRIALS, cfg.trials - chunk_index * CHUNK_TRIALS)
-    rng = _chunk_rng(cfg.master_seed, chunk_index)
-    masks, odd = ws.masks[:n], ws.odd[:n]
-    for start in range(0, n, _RAW_BLOCK):
-        stop = min(n, start + _RAW_BLOCK)
-        masks[start:stop] = rng.bit_generator.random_raw(stop - start)
-    if q < 64:
-        np.bitwise_and(masks, np.uint64((1 << q) - 1), out=masks)
+    rng = _stream(cfg.master_seed, 0)
+    nexts = np.array(_NEXT)
+    counts = np.zeros(8, dtype=np.int64)
+    counts[0] = cfg.trials
+    picks = np.empty((cfg.q, 8), dtype=np.int64)
+    for k in range(cfg.q):
+        picked = picks[k] = rng.binomial(counts, 0.5)
+        counts -= picked
+        counts[nexts[t_mask >> k & 1]] += picked
     noise = cfg.model.noise
     if noise.epsilon > 0.0:
-        uniforms = ws.wide[:n].view(np.float64)
-        rng.random(n, out=uniforms)
-        np.less(uniforms, 2.0 * failure_probability_closed(q, noise), out=odd.view(bool))
+        odd = rng.binomial(counts, 2.0 * failure_probability_closed(cfg.q, noise))
     else:
-        odd.fill(0)
-    return masks, odd
+        odd = np.zeros(8, dtype=np.int64)
+    return _Chain(picks, counts, odd)
 
 
-def _failure_rule(
-    masks: np.ndarray,
-    odd: np.ndarray,
-    strategy: Optional[CanonicalStrategy],
-    ws: _Workspace,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Word flags, failure flags and observed total parities (uint8 views of
-    ``ws``) of the trials with these masks and odd error parities.
+def _class_rule(strategy: Optional[CanonicalStrategy]) -> tuple[list[int], list[int]]:
+    """Per class c: the predicted total as a bit (1 for -1), and the error
+    parity at which a trial of the class fails (-1 for never: a string).
 
     Both models share one rule: the observed total is the predicted total
-    inverted by odd error parity, and a word fails when it misses the
-    eigenvalue, ``failure = word & (predicted ^ odd ^ eigen)``. The popcount
-    r of a mask gives the word flag r & 1 and the eigenvalue bit
-    (r >> 1) & 1. The quantum model predicts the eigenvalue itself (so it
-    fails exactly on odd error parity, and its parity is meaningful on words
-    only: a string's total is a fair coin no tally reads); the
-    hidden-variable model predicts a_bit ^ parity(mask & t_mask).
+    inverted by odd error parity, and a word (odd r count) fails when that
+    misses its eigenvalue bit c >> 1 & 1. The quantum model predicts the
+    eigenvalue itself, so its words fail exactly on odd parity; the
+    hidden-variable model predicts a_bit ^ tpar.
     """
-    import numpy as np
-
-    n = len(masks)
-    r, word, eigen = ws.r[:n], ws.word[:n], ws.eigen[:n]
-    parity, failure = ws.parity[:n], ws.failure[:n]
-    np.bitwise_count(masks, out=r)
-    np.bitwise_and(r, 1, out=word)
-    np.right_shift(r, 1, out=eigen)
-    np.bitwise_and(eigen, 1, out=eigen)
-    if strategy is None:
-        predicted = eigen
-    else:
-        predicted = parity
-        np.bitwise_and(masks, np.uint64(strategy.t_mask), out=ws.wide[:n])
-        np.bitwise_count(ws.wide[:n], out=parity)
-        np.bitwise_and(parity, 1, out=parity)
-        if strategy.a_sign != +1:
-            np.bitwise_xor(parity, 1, out=parity)
-    np.bitwise_xor(predicted, odd, out=parity)
-    np.bitwise_xor(parity, eigen, out=failure)
-    np.bitwise_and(failure, word, out=failure)
-    return word, failure, parity
-
-
-def _chunk_arrays(
-    cfg: ExperimentConfig,
-    strategy: Optional[CanonicalStrategy],
-    chunk_index: int,
-    ws: _Workspace,
-) -> _Chunk:
-    """Draw one chunk into ``ws`` and apply the failure rule to each trial.
-    The returned arrays are views of ``ws``."""
-    masks, odd = _draw_chunk(cfg, chunk_index, ws)
-    word, failure, parity = _failure_rule(masks, odd, strategy, ws)
-    return _Chunk(masks, word.view(bool), failure.view(bool), parity)
-
-
-def _lane_histogram(ws: _Workspace, q: int) -> np.ndarray:
-    """Zeroed lane histograms in ``ws`` for q-bit bin indices: a run's
-    masks, or up to q = _BIN_TALLY_MAX_Q its masks with the odd bit above.
-
-    Column l has one bin per value of the mask bits 12l .. 12l + 11
-    (stations 12l + 1 ..), 2^min(q, 12) bins in all. The array is
-    contiguous with bins as rows, so a range of bins of every lane is one
-    block of memory.
-    """
-    shape = (1 << min(q, _LANE_BITS), -(-q // _LANE_BITS))
-    hist = ws.lanes[: shape[0] * shape[1]].reshape(shape)
-    hist.fill(0)
-    return hist
-
-
-def _tally_lanes(hist: np.ndarray, masks: np.ndarray, scratch: np.ndarray) -> None:
-    """Add each mask's lane values to the lane histograms ``hist``.
-
-    Masks below 2^12 (one lane) are their own bin indices. Wider masks have
-    each lane shifted down and masked into ``scratch`` (a uint64 array at
-    least as long as ``masks``), so only 4096-bin histograms are allocated.
-    """
-    import numpy as np
-
-    bins, lanes = hist.shape
-    if lanes == 1:
-        hist[:, 0] += np.bincount(masks.view(np.intp), minlength=bins)
-        return
-    index = scratch[: len(masks)]
-    for lane in range(lanes):
-        shifted = masks
-        if lane:
-            shifted = np.right_shift(masks, np.uint64(lane * _LANE_BITS), out=index)
-        if lane < lanes - 1:  # the top lane has no bits above it
-            np.bitwise_and(shifted, np.uint64(bins - 1), out=index)
-        hist[:, lane] += np.bincount(index.view(np.intp), minlength=bins)
-
-
-def _lane_station_counts(hist: np.ndarray, q: int) -> np.ndarray:
-    """How many masks set each of the q station bits, from lane histograms.
-
-    Folds ``hist`` in place, all lanes at once: the upper half of the bins
-    sums to the count of the top bit, and adding it onto the lower half
-    leaves the histogram of the bits below. The halves never share memory,
-    so the fold copies nothing.
-    """
-    import numpy as np
-
-    bins, lanes = hist.shape
-    width = bins.bit_length() - 1
-    counts = np.empty((lanes, width), dtype=np.int64)
-    for bit in reversed(range(width)):
-        half = 1 << bit
-        upper = hist[half : 2 * half]
-        upper.sum(axis=0, out=counts[:, bit])
-        hist[:half] += upper
-    return counts.ravel()[:q]
-
-
-def _bin_tallies(
-    hist: np.ndarray, q: int, strategy: Optional[CanonicalStrategy], ws: _Workspace
-) -> tuple[int, int]:
-    """Word trials and failures of a run, from its one-lane histogram of
-    ``mask | odd << q`` bin indices (q <= _BIN_TALLY_MAX_Q).
-
-    The failure rule runs once per bin, on the bin's mask and odd bit, and
-    each flag is weighted by the bin's trial count. Read before
-    _lane_station_counts folds ``hist``; allocates nothing of bin size.
-    """
-    import numpy as np
-
-    bins = len(hist)
-    masks = np.bitwise_and(ws.bins[:bins], np.uint64((1 << q) - 1), out=ws.masks[:bins])
-    odd = ws.odd[:bins]
-    odd[: bins >> 1] = 0
-    odd[bins >> 1 :] = 1
-    word, failure, _ = _failure_rule(masks, odd, strategy, ws)
-    counts, weights = hist[:, 0], ws.wide[:bins].view(np.int64)
-    np.copyto(weights, word)
-    word_trials = int(counts @ weights)
-    np.copyto(weights, failure)
-    return word_trials, int(counts @ weights)
+    predicted, failing = [], []
+    for c in range(8):
+        eigen = c >> 1 & 1
+        bit = eigen if strategy is None else c >> 2 ^ (strategy.a_sign != +1)
+        predicted.append(bit)
+        failing.append(1 ^ bit ^ eigen if c & 1 else -1)
+    return predicted, failing
 
 
 def _theory_value(cfg: ExperimentConfig, strategy: Optional[CanonicalStrategy]) -> float:
@@ -457,41 +272,17 @@ def _theory_value(cfg: ExperimentConfig, strategy: Optional[CanonicalStrategy]) 
 def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> ExperimentReport:
     """Run all trials and return the aggregate report.
 
-    Chunks are drawn and tallied in chunk order on the calling thread, into
-    that thread's reused workspace, so concurrent callers never share
-    buffers. ``workers`` is accepted for existing callers and ignored: it is
-    neither read nor checked, and the report never depended on it.
-
-    Up to q = _BIN_TALLY_MAX_Q the failure rule runs once per histogram
-    bin at the end of the run (_bin_tallies), wider runs apply it per trial.
+    The tallies come from the run's class chain (_class_chain), each class's
+    failures from the one per-class rule (_class_rule). ``workers`` is
+    accepted for existing callers and ignored: it is neither read nor
+    checked, and the report never depended on it.
     """
-    import numpy as np
-
     strategy = _resolve_strategy(cfg)
-    ws = _workspace()
-    q = cfg.q
-    binned = q <= _BIN_TALLY_MAX_Q
-    noisy = cfg.model.noise.epsilon > 0.0
-    word_trials = failures = 0
-    hist = _lane_histogram(ws, q + 1 if binned else q)
-    for chunk_index in range(_chunk_count(cfg)):
-        if binned:
-            masks, odd = _draw_chunk(cfg, chunk_index, ws)
-            if noisy:  # odd is all zero otherwise
-                odd_bit = ws.wide[: len(masks)]
-                np.copyto(odd_bit, odd)
-                np.left_shift(odd_bit, np.uint64(q), out=odd_bit)
-                np.bitwise_or(masks, odd_bit, out=masks)
-        else:
-            chunk = _chunk_arrays(cfg, strategy, chunk_index, ws)
-            word_trials += int(np.count_nonzero(chunk.is_word))
-            failures += int(np.count_nonzero(chunk.failure))
-            masks = chunk.masks
-        _tally_lanes(hist, masks, ws.wide)
-    if binned:
-        word_trials, failures = _bin_tallies(hist, q, strategy, ws)
-    # the fold drops a binned run's odd bit, bit q
-    station_r = _lane_station_counts(hist, q)
+    chain = _class_chain(cfg, 0 if strategy is None else strategy.t_mask)
+    _, failing = _class_rule(strategy)
+    counts, odd = chain.counts.tolist(), chain.odd.tolist()
+    word_trials = sum(counts[1::2])
+    failures = sum(odd[c] if failing[c] else counts[c] - odd[c] for c in range(1, 8, 2))
     low, high = wilson_interval(failures, cfg.trials, cfg.ci_level)
     return ExperimentReport(
         config=cfg,
@@ -503,46 +294,75 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Expe
         ci_low=low,
         ci_high=high,
         theory=_theory_value(cfg, strategy),
-        station_r_counts=tuple(int(c) for c in station_r),
+        station_r_counts=tuple(chain.picks.sum(axis=1).tolist()),
         strategy=strategy,
+    )
+
+
+def _uniform_subsets(
+    rng: np.random.Generator, classes: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Indices of ``sizes[c]`` trials drawn uniformly without replacement
+    from the trials of each class c, class by class."""
+    import numpy as np
+
+    return np.concatenate(
+        [
+            rng.choice(np.flatnonzero(classes == c), size, replace=False, shuffle=False)
+            for c, size in enumerate(sizes.tolist())
+        ]
     )
 
 
 def iter_trials(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
     """Replay the run trial by trial, yielding exactly the draws a report sums.
 
-    Intended for inspection at small trial counts; tallies of the yielded
-    records match run_experiment for the same configuration bit for bit.
-    A quantum trial's result tuple is uniform over the tuples of its total's
-    parity (over all tuples for a string), drawn from the chunk's second
-    stream, spawn key (chunk_index, 1).
+    The replay draws the run's class chain, then, from the run's second
+    stream (spawn key (1,)), which of each class's trials pick r at each
+    station and which have odd error parity, each a uniform subset of the
+    class. So the records' tallies equal run_experiment's for the same
+    configuration. A quantum trial's result tuple is uniform over the
+    tuples of its total's parity (over all tuples for a string), drawn
+    next from the same stream. Runs above REPLAY_LIMIT trials raise
+    CapacityError before anything is drawn.
     """
     import numpy as np
 
+    if cfg.trials > REPLAY_LIMIT:
+        raise CapacityError(
+            f"iter_trials replays at most {REPLAY_LIMIT} trials, got {cfg.trials}"
+        )
     strategy = _resolve_strategy(cfg)
-    quantum = isinstance(cfg.model, QuantumModel)
-    ws = _Workspace()
-    index = 0
-    for chunk_index in range(_chunk_count(cfg)):
-        chunk = _chunk_arrays(cfg, strategy, chunk_index, ws)
-        if quantum:
-            tuple_rng = _chunk_rng(cfg.master_seed, chunk_index, 1)
-            bits = sample_parity_tuples(cfg.q, chunk.parity, chunk.is_word, tuple_rng)
-            outcomes = (1 - 2 * bits.astype(np.int64)).tolist()
-        else:
-            outcomes = (1 - 2 * chunk.parity.astype(np.int64)).tolist()
-        for mask, outcome, failure in zip(
-            chunk.masks.tolist(), outcomes, chunk.failure.tolist()
-        ):
-            configuration = Configuration(q=cfg.q, r_mask=mask)
-            yield TrialRecord(
-                index=index,
-                configuration=configuration,
-                config_class=classify(configuration),
-                outcome=OutcomeTuple(results=tuple(outcome)) if quantum else outcome,
-                failure=failure,
-            )
-            index += 1
+    t_mask = 0 if strategy is None else strategy.t_mask
+    chain = _class_chain(cfg, t_mask)
+    rng = _stream(cfg.master_seed, 1)
+    nexts = np.array(_NEXT)
+    classes = np.zeros(cfg.trials, dtype=np.intp)
+    masks = np.zeros(cfg.trials, dtype=np.uint64)
+    for k in range(cfg.q):
+        moved = _uniform_subsets(rng, classes, chain.picks[k])
+        masks[moved] |= np.uint64(1 << k)
+        classes[moved] = nexts[t_mask >> k & 1][classes[moved]]
+    odd = np.zeros(cfg.trials, dtype=np.intp)
+    odd[_uniform_subsets(rng, classes, chain.odd)] = 1
+    predicted, failing = (np.array(rule)[classes] for rule in _class_rule(strategy))
+    parity = predicted ^ odd
+    failures = (failing == odd).tolist()
+    if isinstance(cfg.model, QuantumModel):
+        bits = sample_parity_tuples(cfg.q, parity.astype(np.uint8), classes & 1 == 1, rng)
+        signs = 1 - 2 * bits.view(np.int8)
+        outcomes = (OutcomeTuple(results=tuple(row.tolist())) for row in signs)
+    else:
+        outcomes = (1 - 2 * parity).tolist()
+    for index, (mask, outcome, failure) in enumerate(zip(masks.tolist(), outcomes, failures)):
+        configuration = Configuration(q=cfg.q, r_mask=mask)
+        yield TrialRecord(
+            index=index,
+            configuration=configuration,
+            config_class=classify(configuration),
+            outcome=outcome,
+            failure=failure,
+        )
 
 
 def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:

@@ -172,23 +172,35 @@ class TestSimulate:
         )
         assert payload["manifest"]["environment"] == {
             "rng": "PCG64DXSM",
-            "stream_version": 3,
-            "chunk_trials": 65536,
+            "stream_version": 4,
+            "sampler": "class-chain",
         }
         unseeded = run_json(capsys, "classify", "--config", "lrr")
         assert "environment" not in unseeded["manifest"]
 
     def test_trials_over_cap_exits_3(self, capsys):
-        # refused before any chunk is drawn; this run would take days
+        # refused before anything is drawn
         start = time.perf_counter()
         code, out, err = run_cli(
             capsys, "simulate", "--q", "3", "--model", "qm",
-            "--trials", "100000000000000", "--seed", "1",
+            "--trials", str((1 << 62) + 1), "--seed", "1",
         )
         assert time.perf_counter() - start < 0.5
         assert code == 3
         assert out == ""
-        assert err.count("error:") == 1 and str(1 << 40) in err
+        assert err.count("error:") == 1 and str(1 << 62) in err
+
+    def test_run_time_does_not_grow_with_trials(self, capsys):
+        import numpy  # noqa: F401  (timed is the run, not loading numpy)
+
+        start = time.perf_counter()
+        payload = run_json(
+            capsys, "simulate", "--q", "64", "--model", "lhv", "--eps", "0.01",
+            "--trials", str(1 << 40), "--seed", "1",
+        )
+        assert time.perf_counter() - start < 0.1
+        assert payload["trials"] == 1 << 40
+        assert payload["ci_low"] <= payload["theory"] <= payload["ci_high"]
 
     def test_json_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

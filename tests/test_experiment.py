@@ -6,22 +6,17 @@ import threading
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ghzgap.configs import MAX_STATIONS, Word
-from ghzgap.errors import DomainError
+from ghzgap.errors import CapacityError, DomainError
 from ghzgap.experiment import (
-    CHUNK_TRIALS,
     MAX_TRIALS,
+    REPLAY_LIMIT,
     ExperimentConfig,
     LhvModel,
     QuantumModel,
-    _lane_histogram,
-    _lane_station_counts,
-    _tally_lanes,
-    _Workspace,
     iter_trials,
     min_trials_to_disprove,
     run_experiment,
@@ -52,8 +47,7 @@ class TestValidation:
             qm_config(trials=0)
 
     def test_trials_capped(self):
-        # constructed only: a run this long would take hours
-        assert qm_config(trials=MAX_TRIALS).trials == 1 << 40
+        assert qm_config(trials=MAX_TRIALS).trials == 1 << 62
         with pytest.raises(DomainError):
             qm_config(trials=MAX_TRIALS + 1)
 
@@ -78,7 +72,7 @@ class TestReproducibility:
 
     def test_worker_count_is_irrelevant(self):
         cfg = qm_config(
-            model=QuantumModel(NoiseModel(0.05)), trials=3 * CHUNK_TRIALS + 17
+            model=QuantumModel(NoiseModel(0.05)), trials=3 * 65536 + 17
         )
         reports = {run_experiment(cfg, workers=w) for w in (1, 2, 4, 8)}
         assert len(reports) == 1
@@ -96,23 +90,23 @@ class TestReproducibility:
         ids=["qm", "qm-noisy", "lhv-noisy"],
     )
     def test_chunks_reuse_thread_buffers(self, model, q):
-        # q <= 11 tallies (odd, mask) bins, q = 12 the masks directly and
-        # wider q lane by lane
-        cfg = qm_config(q=q, model=model, trials=4 * CHUNK_TRIALS + 5)
-        run_experiment(cfg, workers=1)  # makes this thread's chunk buffers
+        # (named for the chunk kernel it first guarded) a run's memory does
+        # not grow with its trials: it holds class counts, never a trial
+        cfg = qm_config(q=q, model=model, trials=4 * 65536 + 5)
+        run_experiment(cfg, workers=1)  # fills the strategy cache
         tracemalloc.start()
         try:
             run_experiment(cfg, workers=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a chunk-sized temporary would take at least one byte per trial
-        assert peak < CHUNK_TRIALS
+        # a trial-sized temporary would take at least one byte per trial
+        assert peak < 65536
 
     def test_concurrent_callers_get_their_sequential_reports(self):
-        # each caller thread draws into its own workspace; a shared one
-        # would mix the chunks of the two runs
-        trials = 3 * CHUNK_TRIALS + 11
+        # each run draws from its own generator; shared state between
+        # calls would mix the draws of the two runs
+        trials = 3 * 65536 + 11
         configs = [
             qm_config(q=10, model=QuantumModel(NoiseModel(0.05)), trials=trials),
             qm_config(q=64, model=LhvModel(noise=NoiseModel(0.05)), trials=trials),
@@ -188,22 +182,6 @@ class TestTallies:
         assert noisy.failure_rate > quiet.failure_rate
         assert noisy.ci_low <= noisy.theory <= noisy.ci_high
 
-    def test_station_r_counts_match_column_sums(self):
-        # one lane up to q = 12, then lanes of 12 stations; two batches go
-        # into one histogram, as two chunks of a run do
-        gen = np.random.Generator(np.random.PCG64DXSM(31))
-        ws = _Workspace()
-        for q in (1, 7, 11, 12, 13, 24, 25, 63, 64):
-            hist = _lane_histogram(ws, q)
-            column_sums = np.zeros(q, dtype=np.int64)
-            for size in (5_000, 3_001):
-                bits = gen.integers(0, 2, size=(size, q), dtype=np.uint64)
-                masks = (bits << np.arange(q, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
-                _tally_lanes(hist, masks, ws.wide)
-                column_sums += bits.sum(axis=0, dtype=np.int64)
-            counts = _lane_station_counts(hist, q)
-            assert counts.tolist() == column_sums.tolist(), q
-
     def test_report_carries_resolved_strategy(self):
         assert run_experiment(qm_config()).strategy is None
         report = run_experiment(qm_config(q=6, model=LhvModel()))
@@ -216,17 +194,18 @@ class TestTrialIteration:
     def test_matches_aggregate_run(self):
         cases = [
             qm_config(model=QuantumModel(NoiseModel(0.15)), trials=2_000),
-            qm_config(q=9, model=QuantumModel(NoiseModel(0.05)), trials=CHUNK_TRIALS + 300),
-            qm_config(q=5, model=LhvModel(noise=NoiseModel(0.1)), trials=CHUNK_TRIALS + 300),
-            # two tally lanes
-            qm_config(q=25, model=LhvModel(noise=NoiseModel(0.05)), trials=CHUNK_TRIALS + 300),
-            # the bin tally up to q = 11, the per-trial rule from q = 12
-            qm_config(q=1, model=QuantumModel(NoiseModel(0.1)), trials=CHUNK_TRIALS + 300),
-            qm_config(q=1, model=LhvModel(noise=NoiseModel(0.1)), trials=CHUNK_TRIALS + 300),
-            qm_config(q=11, model=QuantumModel(NoiseModel(0.05)), trials=CHUNK_TRIALS + 300),
-            qm_config(q=11, model=LhvModel(noise=NoiseModel(0.05)), trials=CHUNK_TRIALS + 300),
-            qm_config(q=11, model=LhvModel(), trials=CHUNK_TRIALS + 300),
-            qm_config(q=12, model=LhvModel(noise=NoiseModel(0.05)), trials=CHUNK_TRIALS + 300),
+            qm_config(q=9, model=QuantumModel(NoiseModel(0.05)), trials=65536 + 300),
+            qm_config(q=5, model=LhvModel(noise=NoiseModel(0.1)), trials=65536 + 300),
+            qm_config(q=25, model=LhvModel(noise=NoiseModel(0.05)), trials=65536 + 300),
+            qm_config(q=1, model=QuantumModel(NoiseModel(0.1)), trials=65536 + 300),
+            qm_config(q=1, model=LhvModel(noise=NoiseModel(0.1)), trials=65536 + 300),
+            qm_config(q=11, model=QuantumModel(NoiseModel(0.05)), trials=65536 + 300),
+            qm_config(q=11, model=LhvModel(noise=NoiseModel(0.05)), trials=65536 + 300),
+            qm_config(q=11, model=LhvModel(), trials=65536 + 300),
+            qm_config(q=12, model=LhvModel(noise=NoiseModel(0.05)), trials=65536 + 300),
+            qm_config(q=64, model=LhvModel(noise=NoiseModel(0.05)), trials=5_000),
+            qm_config(q=64, model=QuantumModel(NoiseModel(0.05)), trials=5_000),
+            qm_config(q=10, model=QuantumModel(), trials=5_000),
         ]
         for cfg in cases:
             report = run_experiment(cfg)
@@ -263,10 +242,16 @@ class TestTrialIteration:
                 assert record.outcome == record.config_class.eigenvalue
 
     def test_spans_chunk_boundary(self):
-        cfg = qm_config(model=QuantumModel(NoiseModel(0.1)), trials=CHUNK_TRIALS + 5)
+        cfg = qm_config(model=QuantumModel(NoiseModel(0.1)), trials=65536 + 5)
         records = list(iter_trials(cfg))
-        assert len(records) == CHUNK_TRIALS + 5
-        assert records[-1].index == CHUNK_TRIALS + 4
+        assert len(records) == 65536 + 5
+        assert records[-1].index == 65536 + 4
+
+    def test_replay_size_capped(self):
+        # refused before the chain or any per-trial array is drawn
+        with pytest.raises(CapacityError, match=str(REPLAY_LIMIT)):
+            next(iter_trials(qm_config(q=64, trials=REPLAY_LIMIT + 1)))
+        assert next(iter_trials(qm_config(trials=REPLAY_LIMIT))).index == 0
 
 
 class TestWilson:

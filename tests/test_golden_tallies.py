@@ -12,24 +12,23 @@ from pathlib import Path
 import pytest
 
 from ghzgap.experiment import (
-    CHUNK_TRIALS,
     ExperimentConfig,
     LhvModel,
     QuantumModel,
-    _chunk_rng,
+    _stream,
     run_experiment,
     stream_environment,
 )
 from ghzgap.quantum import NoiseModel
 
 GOLDEN_PATH = Path(__file__).with_name("golden_tallies.json")
-#: Crosses the first chunk boundary, so the second chunk's stream is pinned too.
-TRIALS = CHUNK_TRIALS + 4321
+#: The trial count of every case, part of its key.
+TRIALS = 65536 + 4321
 
 
 def _cases():
     index = 0
-    # the benchmark's q, then both sides of the bin-tally boundary (q <= 11)
+    # the benchmark's q, then the smallest q and two more
     for qs in ((3, 10, 64), (1, 11, 12)):
         for model in ("qm", "lhv"):
             for q in qs:
@@ -73,7 +72,7 @@ def test_golden_file_matches_stream():
 
 def test_environment_names_the_generator():
     # a new bit generator needs a new name (and version) in the manifest
-    rng = _chunk_rng(0, 0)
+    rng = _stream(0, 0)
     assert stream_environment()["rng"] == type(rng.bit_generator).__name__
 
 
