@@ -2,6 +2,8 @@
 
 Each handler returns the report's fields and, for a command that can write
 CSV, its rows; ``main`` alone adds the manifest, picks the writer and writes.
+`enumerate` and `gap sweep` check every parameter, then hand over their rows
+as an iterator, which the writer reads and writes a batch at a time.
 Payloads go to standard output only; diagnostics and optional ``--verbose``
 summaries go to standard error. Exit codes: 0 success, 2 usage error,
 3 domain or capacity error, a report that could not be written, or any
@@ -15,11 +17,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .asymptotics import CONSTITUENT_FACTORS, GapReport, gap, macroscopic_report
-from .configs import Configuration, classify, enumerate_configurations, parse_configuration, Word
+from .configs import (
+    Configuration,
+    classify,
+    enumerate_configurations,
+    parse_configuration,
+    Word,
+    word_count,
+)
 from .errors import CapacityError, GhzGapError
 from .experiment import (
     ExperimentConfig,
@@ -30,7 +40,8 @@ from .experiment import (
     stream_environment,
 )
 from .quantum import NoiseModel
-from .reporting import build_manifest, dumps_csv, dumps_json
+from .reporting import build_manifest, write_csv, write_json
+from .reporting import dumps_csv, dumps_json  # noqa: F401  (bench/spans.py traces them here)
 from .strategies import (
     CanonicalStrategy,
     bad_word_count_naive,
@@ -47,8 +58,8 @@ _LIST_BAD_WORDS_LIMIT = 12
 #: within the 4300 digits Python converts an int to text by default.
 _LHV_OPTIMIZE_LIMIT = 14_000
 
-#: `gap sweep` builds at most this many rows, (q range) x (eps count), at
-#: about 0.5 KB each, so a sweep stays within a few hundred MB.
+#: `gap sweep` writes at most this many rows, (q range) x (eps count): rows
+#: stream in constant memory, and 2^20 of them take 10-15 s.
 _GAP_SWEEP_LIMIT = 1 << 20
 
 #: Namespace entries that are not parameters of the command that ran: the
@@ -58,8 +69,9 @@ _NOT_PARAMETERS = frozenset(
 )
 
 #: What a handler returns: the JSON body without its manifest, and the CSV
-#: rows for a command that can write CSV (None for the others).
-_Report = tuple[dict[str, Any], Optional[list[dict[str, Any]]]]
+#: rows for a command that can write CSV (None for the others). A body whose
+#: rows are an iterator holds them as its last value, the same iterator.
+_Report = tuple[dict[str, Any], Optional[Iterable[dict[str, Any]]]]
 
 
 def _manifest(args: argparse.Namespace) -> dict[str, Any]:
@@ -101,15 +113,14 @@ def _cmd_classify(args: argparse.Namespace) -> _Report:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> _Report:
-    items = [
-        _classification_fields(config)
-        for config in enumerate_configurations(args.q)
-        if not (args.words_only and not config.is_word)
-    ]
+    configs = enumerate_configurations(args.q)  # checks q
+    if args.words_only:
+        configs = (config for config in configs if config.is_word)
+    count = word_count(args.q) if args.words_only else 1 << args.q
     if args.verbose:
-        print(f"{len(items)} configurations at q={args.q}", file=sys.stderr)
-    fields = {"q": args.q, "words_only": args.words_only, "count": len(items), "items": items}
-    return fields, items
+        print(f"{count} configurations at q={args.q}", file=sys.stderr)
+    items = map(_classification_fields, configs)
+    return {"q": args.q, "words_only": args.words_only, "count": count, "items": items}, items
 
 
 def _cmd_lhv_optimize(args: argparse.Namespace) -> _Report:
@@ -228,13 +239,13 @@ def _cmd_gap_sweep(args: argparse.Namespace) -> _Report:
             f"gap sweep supports at most {_GAP_SWEEP_LIMIT} rows, got {row_count}"
         )
     noises = [NoiseModel(eps) for eps in args.eps_list]  # every eps checked up front
-    rows = [
+    if args.verbose:
+        print(f"{row_count} gap rows", file=sys.stderr)
+    rows = (
         _gap_row(gap(q, noise))
         for q in range(args.q_min, args.q_max + 1)
         for noise in noises
-    ]
-    if args.verbose:
-        print(f"{len(rows)} gap rows", file=sys.stderr)
+    )
     return {"rows": rows}, rows
 
 
@@ -342,6 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_null_device() -> None:
+    """Point stdout's descriptor at the null device once its reader has gone,
+    so the interpreter's flush at exit does not fail on the same pipe again
+    (exit 120 and an "Exception ignored" report)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor, nothing flushed at exit
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -351,15 +375,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         fields, rows = args.handler(args)
         if args.format == "csv":
-            sys.stdout.write(dumps_csv(list(rows[0]), rows))
+            write_csv(sys.stdout, None, rows)
         else:
-            sys.stdout.write(dumps_json({"manifest": _manifest(args), **fields}) + "\n")
+            write_json(sys.stdout, {"manifest": _manifest(args), **fields})
         sys.stdout.flush()
     except GhzGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            _stdout_to_null_device()
         return 3
     except Exception as exc:  # KeyboardInterrupt and SystemExit still propagate
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

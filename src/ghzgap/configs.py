@@ -20,6 +20,8 @@ MAX_STATIONS = 64
 ENUMERATION_LIMIT = 24
 
 _LETTERS = {"l": 0, "r": 1}
+#: Binary digits to letters: bit clear is ``l``, bit set is ``r``.
+_DIGIT_LETTERS = str.maketrans("01", "lr")
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class Configuration:
 
     def text(self) -> str:
         """Letter form, station 1 first."""
-        return "".join("r" if self.r_mask >> k & 1 else "l" for k in range(self.q))
+        return format(self.r_mask, f"0{self.q}b")[::-1].translate(_DIGIT_LETTERS)
 
     def __str__(self) -> str:
         return self.text()
@@ -77,6 +79,10 @@ class String:
 
 
 ConfigurationClass = Union[Word, String]
+
+#: The three classifications; they are frozen, so `classify` shares them.
+_WORDS = {+1: Word(+1), -1: Word(-1)}
+_STRING = String()
 
 
 def parse_configuration(text: str) -> Configuration:
@@ -119,15 +125,15 @@ def classify(config: Configuration) -> ConfigurationClass:
     """Word (with eigenvalue) for odd r count, String for even."""
     r = config.r_count
     if r % 2 == 1:
-        return Word(eigenvalue=word_eigenvalue(r))
-    return String()
+        return _WORDS[word_eigenvalue(r)]
+    return _STRING
 
 
 def enumerate_configurations(q: int) -> Iterator[Configuration]:
-    """All 2^q configurations in ascending r_mask order."""
+    """All 2^q configurations in ascending r_mask order; q is checked at
+    the call, before the first configuration is asked for."""
     _check_enumeration_capacity(q)
-    for mask in range(1 << q):
-        yield Configuration(q=q, r_mask=mask)
+    return (Configuration(q=q, r_mask=mask) for mask in range(1 << q))
 
 
 def enumerate_words(q: int) -> Iterator[tuple[Configuration, int]]:

@@ -2,26 +2,42 @@
 
 Both writers are the standard library's: a float is written as its
 ``repr``, the shortest text that parses back to the identical bit pattern,
-and a non-finite float is refused rather than written. Reports embed a
+and a non-finite float is refused rather than written to JSON. Reports embed a
 manifest (command, parameter echo, seed, version, timestamp, and for
 seeded runs the random-stream environment) so a payload
 can always be traced back to the invocation that produced it.
+
+`dumps_json` and `dumps_csv` return a whole report as text. `write_json` and
+`write_csv` write the same text to a stream and take the rows of a table
+report as an iterator, which they encode and write BATCH_ROWS rows at a
+time, so a report of any length is written in constant memory.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from .errors import DomainError
 
 SCHEMA_VERSION = 1
+
+#: Rows encoded and written per write by `write_json` and `write_csv`.
+BATCH_ROWS = 4096
+
+#: A table report's rows are flat objects one level inside the payload, so
+#: indent=2 puts each key at six spaces. The C encoder (used only when
+#: indent is None) with this item separator writes the keys' line breaks,
+#: and one replace of `_ROW_BOUNDARY` writes the lines between two rows.
+_ROW_SEPARATOR = ",\n      "
+_ROW_BOUNDARY = "}" + _ROW_SEPARATOR + "{"
 
 
 def _fraction_text(value: Any) -> str:
@@ -30,11 +46,16 @@ def _fraction_text(value: Any) -> str:
     raise DomainError(f"cannot serialize {type(value).__name__} to JSON")
 
 
+_ROW_ENCODER = json.JSONEncoder(
+    separators=(_ROW_SEPARATOR, ": "), allow_nan=False, default=_fraction_text
+)
+
+
 def dumps_json(payload: Any) -> str:
     """JSON text, keys in insertion order; a Fraction becomes "n/d"."""
     # json.dump feeds the encoder's chunks to the buffer one at a time;
     # json.dumps would first collect them all in one list to join, which
-    # for a 27 MB enumeration costs ~150 MB more peak memory.
+    # doubles the peak memory of a large payload.
     buf = io.StringIO()
     try:
         json.dump(payload, buf, indent=2, allow_nan=False, default=_fraction_text)
@@ -43,17 +64,82 @@ def dumps_json(payload: Any) -> str:
     return buf.getvalue()
 
 
-def dumps_csv(columns: Sequence[str], rows: Sequence[Mapping[str, Any]]) -> str:
+def dumps_csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
     """CSV text: header row plus one line per row dict, comma-delimited.
 
     A missing value or None is an empty cell; floats use the same repr as
     JSON.
     """
     buf = io.StringIO()
+    write_csv(buf, columns, rows)
+    return buf.getvalue()
+
+
+def _batches(rows: Iterable[Any]) -> Iterator[list[Any]]:
+    """Rows in lists of BATCH_ROWS, the last one shorter; none when empty."""
+    it = iter(rows)
+    while batch := list(itertools.islice(it, BATCH_ROWS)):
+        yield batch
+
+
+def _encode_rows(batch: list[Mapping[str, Any]]) -> str:
+    """The rows of `batch` as dumps_json writes them inside a list that is a
+    top-level value, without the list's brackets and outer line breaks."""
+    try:
+        text = _ROW_ENCODER.encode(batch)
+    except ValueError as exc:
+        raise DomainError(f"cannot serialize to JSON: {exc}") from exc
+    # An encoded string escapes every newline, so each raw newline in the
+    # text is a separator and the boundary cannot occur inside a value.
+    body = text[2:-2].replace(_ROW_BOUNDARY, "\n    },\n    {\n      ")
+    return "{\n      " + body + "\n    }"
+
+
+def write_json(out: TextIO, payload: dict[str, Any]) -> None:
+    """Write dumps_json(payload) and a newline to `out`.
+
+    When the payload's last value is an iterator, it is read as the rows of
+    a list: flat, non-empty dicts. The first batch of rows is encoded before
+    the first write, so an error in it leaves `out` untouched; later batches
+    are encoded and written one at a time.
+    """
+    rows = next(reversed(payload.values()), None)
+    if not isinstance(rows, Iterator):
+        out.write(dumps_json(payload) + "\n")
+        return
+    batches = _batches(rows)
+    first = next(batches, None)
+    head = dumps_json({**payload, next(reversed(payload)): []})
+    if first is None:
+        out.write(head + "\n")
+        return
+    # head ends with the empty list and the closing brace: "[]\n}".
+    out.write(head[:-4] + "[\n    " + _encode_rows(first))
+    for batch in batches:
+        out.write(",\n    " + _encode_rows(batch))
+    out.write("\n  ]\n}\n")
+
+
+def write_csv(
+    out: TextIO, columns: Optional[Sequence[str]], rows: Iterable[Mapping[str, Any]]
+) -> None:
+    """Write dumps_csv(columns, rows) to `out`, one write per batch of rows.
+
+    `columns` None takes the first row's keys. The first batch is read
+    before the first write.
+    """
+    batches = _batches(rows)
+    first = next(batches, [])
+    if columns is None:
+        columns = list(first[0]) if first else []
+    buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([row.get(col) for col in columns] for row in rows)
-    return buf.getvalue()
+    for batch in itertools.chain([first], batches):
+        writer.writerows([row.get(col) for col in columns] for row in batch)
+        out.write(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
 
 
 def _timestamp() -> str:

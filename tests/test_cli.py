@@ -1,14 +1,17 @@
 """Command-line surface: payload shapes, exit codes, and format parity."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from ghzgap import cli
 from ghzgap.cli import main
+from ghzgap.reporting import BATCH_ROWS
 
 
 def run_cli(capsys, *argv):
@@ -455,6 +458,31 @@ class FullDevice:
         pass
 
 
+class FillingDevice:
+    """A stdout that takes `capacity` characters, then fails as on a full disk."""
+
+    def __init__(self, capacity):
+        self.left = capacity
+        self.written = 0
+
+    def write(self, text):
+        if len(text) > self.left:
+            raise OSError(28, "No space left on device")
+        self.left -= len(text)
+        self.written += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
 class TestWriteErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -466,9 +494,98 @@ class TestWriteErrors:
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("error: ")
         assert "No space left on device" in err
-        assert len(err.splitlines()) == 1
+        assert_one_error_line(err)
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["enumerate", "--q", "14"], 1 << 14),
+            (["gap", "sweep", "--q-min", "2", "--q-max", "10001", "--format", "json"], 10000),
+        ],
+        ids=["enumerate", "gap-sweep"],
+    )
+    def test_write_failing_mid_stream_exits_3(self, capsys, monkeypatch, argv, rows):
+        assert rows > 2 * BATCH_ROWS
+        device = FillingDevice(1_000_000)  # the first batch fits, the report does not
+        monkeypatch.setattr(sys, "stdout", device)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert 0 < device.written < 1_000_000
+        assert "No space left on device" in err
+        assert_one_error_line(err)
+
+    @pytest.mark.parametrize(
+        "argv, read",
+        [(["enumerate", "--q", "16"], 100), (["classify", "--config", "rrr"], 0)],
+        ids=["enumerate-mid-stream", "classify-before-output"],
+    )
+    def test_reader_closing_early_exits_3(self, argv, read):
+        # Python's default, buffered stdout: the data left in its buffer
+        # must not fail the flush at exit a second time.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "ghzgap.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(child.stdout.read(read)) == read
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 3
+        assert "Broken pipe" in err
+        assert_one_error_line(err)
+
+
+class ByteCounter:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def traced_peak(monkeypatch, argv):
+    """(tracemalloc peak in bytes, characters written) of one cli.main call."""
+    sink = ByteCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak, sink.count
+
+
+class TestStreamingMemory:
+    """A large report is written a batch at a time: its peak memory does
+    not grow with its row count."""
+
+    def test_enumerate(self, monkeypatch):
+        small, small_size = traced_peak(monkeypatch, ["enumerate", "--q", "12"])
+        large, large_size = traced_peak(monkeypatch, ["enumerate", "--q", "16"])
+        assert large_size > 15 * small_size
+        assert large < 2 * small
+
+    def test_gap_sweep(self, monkeypatch):
+        # gap() keeps nothing between calls; one fixed report per row keeps
+        # 50 000 rows cheap under tracemalloc.
+        report = cli.gap(10, cli.NoiseModel(0.01))
+        monkeypatch.setattr(cli, "gap", lambda q, noise: report)
+        argv = ["gap", "sweep", "--q-min", "1", "--format", "json", "--q-max"]
+        small, small_size = traced_peak(monkeypatch, argv + ["5000"])
+        large, large_size = traced_peak(monkeypatch, argv + ["50000"])
+        assert large_size > 9 * small_size
+        assert large < 2 * small
 
 
 class TestUnexpectedErrors:

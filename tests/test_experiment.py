@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -215,10 +216,9 @@ class TestTrialIteration:
             assert sum(
                 1 for r in records if isinstance(r.config_class, Word)
             ) == report.word_trials
-            masks = [r.configuration.r_mask for r in records]
-            assert tuple(
-                sum(m >> k & 1 for m in masks) for k in range(cfg.q)
-            ) == report.station_r_counts
+            masks = np.array([r.configuration.r_mask for r in records], dtype=np.uint64)
+            bits = masks[:, None] >> np.arange(cfg.q, dtype=np.uint64) & np.uint64(1)
+            assert tuple(bits.sum(axis=0).tolist()) == report.station_r_counts
 
     def test_failure_only_on_words(self):
         cfg = qm_config(model=QuantumModel(NoiseModel(0.4)), trials=3_000)

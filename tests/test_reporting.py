@@ -1,12 +1,16 @@
-"""Report writers: JSON layout, CSV cells, and refusal of non-finite floats."""
+"""Report writers: JSON layout, CSV cells, refusal of non-finite floats, and
+streamed writers that match the whole-text ones byte for byte."""
 
+import io
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from ghzgap.errors import DomainError
-from ghzgap.reporting import dumps_csv, dumps_json
+from ghzgap.reporting import BATCH_ROWS, dumps_csv, dumps_json, write_csv, write_json
 
 
 class TestJson:
@@ -67,3 +71,100 @@ class TestCsv:
 
     def test_header_only(self):
         assert dumps_csv(["q", "eps"], []) == "q,eps\n"
+
+
+#: Values that stress the row encoder: escapes, the text of a row boundary,
+#: integers past 64 bits and floats at the ends of the binary64 range.
+_SPECIAL_VALUES = [
+    'say "hi"', "back\\slash", "line\nbreak", "Schrödinger ✓", "},\n      {", "",
+    2**64 + 1, -(2**70), 0, -0.0, 5e-324, 1e308, -1.5, Fraction(3, 8), None, True, False,
+]
+
+_values = st.one_of(
+    st.sampled_from(_SPECIAL_VALUES),
+    st.text(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.none(),
+    st.booleans(),
+)
+
+#: A few distinct flat rows, repeated to each tested length.
+_row_pools = st.lists(
+    st.dictionaries(st.text(max_size=8), _values, min_size=1, max_size=5), min_size=1, max_size=4
+)
+
+_ROW_COUNTS = [0, 1, BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1]
+
+#: No shrinking: an example encodes up to BATCH_ROWS + 1 rows with the
+#: pure-Python encoder, and its pool of at most four rows is already small.
+_streamed = settings(
+    max_examples=30, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate]
+)
+
+
+def _rows(pool, count):
+    return list(itertools.islice(itertools.cycle(pool), count))
+
+
+def assert_same_text(got, want):
+    """Equal texts; a mismatch shows where they part instead of a diff of
+    two texts of up to a megabyte."""
+    if got != want:
+        pairs = enumerate(zip(got, want))
+        at = next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+        window = slice(max(at - 60, 0), at + 60)
+        assert got[window] == want[window], f"texts part at character {at}"
+        assert len(got) == len(want)
+
+
+class TestStreamedWriters:
+    @_streamed
+    @given(pool=_row_pools, count=st.sampled_from(_ROW_COUNTS), scalar=_values)
+    def test_json_matches_whole_text(self, pool, count, scalar):
+        rows = _rows(pool, count)
+        fields = {"manifest": {"command": "enumerate", "parameters": {"q": 3}}, "x": scalar}
+        out = io.StringIO()
+        write_json(out, {**fields, "rows": iter(rows)})
+        assert_same_text(out.getvalue(), dumps_json({**fields, "rows": rows}) + "\n")
+
+    @_streamed
+    @given(pool=_row_pools, count=st.sampled_from(_ROW_COUNTS))
+    def test_csv_matches_whole_text(self, pool, count):
+        rows = _rows(pool, count)
+        columns = list(dict.fromkeys(key for row in pool for key in row))
+        out = io.StringIO()
+        write_csv(out, columns, iter(rows))
+        assert_same_text(out.getvalue(), dumps_csv(columns, rows))
+        if rows:
+            out = io.StringIO()
+            write_csv(out, None, iter(rows))
+            assert_same_text(out.getvalue(), dumps_csv(list(rows[0]), rows))
+
+    def test_payload_without_rows_is_whole_text(self):
+        out = io.StringIO()
+        write_json(out, {"q": 3, "rows": [{"a": 1}]})
+        assert out.getvalue() == dumps_json({"q": 3, "rows": [{"a": 1}]}) + "\n"
+
+    @pytest.mark.parametrize("position", [0, BATCH_ROWS - 1])
+    def test_nan_in_first_batch_writes_nothing(self, position):
+        rows = [{"p": 0.5} for _ in range(BATCH_ROWS + 1)]
+        rows[position] = {"p": float("nan")}
+        out = io.StringIO()
+        with pytest.raises(DomainError):
+            write_json(out, {"q": 3, "rows": iter(rows)})
+        assert out.getvalue() == ""
+
+    def test_first_batch_read_before_any_write(self):
+        def rows():
+            yield {"p": 0.5}
+            raise LookupError("row failed")
+
+        for write in (
+            lambda out: write_json(out, {"rows": rows()}),
+            lambda out: write_csv(out, None, rows()),
+        ):
+            out = io.StringIO()
+            with pytest.raises(LookupError):
+                write(out)
+            assert out.getvalue() == ""
