@@ -448,20 +448,11 @@ class TestManifest:
         assert run_json(capsys, "classify", "--config", "r")["manifest"]["timestamp"] == timestamp
 
 
-class FullDevice:
-    """A stdout whose every write fails as on a full disk."""
-
-    def write(self, text):
-        raise OSError(28, "No space left on device")
-
-    def flush(self):
-        pass
-
-
 class FillingDevice:
-    """A stdout that takes `capacity` characters, then fails as on a full disk."""
+    """A stdout that counts the characters written and fails, as on a full
+    disk, a write that would pass `capacity`."""
 
-    def __init__(self, capacity):
+    def __init__(self, capacity=float("inf")):
         self.left = capacity
         self.written = 0
 
@@ -490,7 +481,7 @@ class TestWriteErrors:
         ids=["classify", "enumerate-csv"],
     )
     def test_failed_write_exits_3(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(sys, "stdout", FullDevice())
+        monkeypatch.setattr(sys, "stdout", FillingDevice(0))
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 3
@@ -538,23 +529,9 @@ class TestWriteErrors:
         assert_one_error_line(err)
 
 
-class ByteCounter:
-    """A stdout that keeps only the number of characters written."""
-
-    def __init__(self):
-        self.count = 0
-
-    def write(self, text):
-        self.count += len(text)
-        return len(text)
-
-    def flush(self):
-        pass
-
-
 def traced_peak(monkeypatch, argv):
     """(tracemalloc peak in bytes, characters written) of one cli.main call."""
-    sink = ByteCounter()
+    sink = FillingDevice()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
@@ -563,7 +540,7 @@ def traced_peak(monkeypatch, argv):
     finally:
         tracemalloc.stop()
     assert code == 0
-    return peak, sink.count
+    return peak, sink.written
 
 
 class TestStreamingMemory:
