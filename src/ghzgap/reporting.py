@@ -2,10 +2,10 @@
 
 Both writers are the standard library's: a float is written as its
 ``repr``, the shortest text that parses back to the identical bit pattern,
-and a non-finite float is refused rather than written to JSON. Reports embed a
-manifest (command, parameter echo, seed, version, timestamp, and for
-seeded runs the random-stream environment) so a payload
-can always be traced back to the invocation that produced it.
+and a non-finite float is refused rather than written to JSON. Reports
+embed a manifest (command, parameter echo, seed, version, timestamp, and
+for seeded runs the random-stream environment) so a payload can always be
+traced back to the invocation that produced it.
 
 `dumps_json` and `dumps_csv` return a whole report as text. `write_json` and
 `write_csv` write the same text to a stream and take the rows of a table
