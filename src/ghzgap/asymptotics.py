@@ -12,11 +12,11 @@ stably up to station counts of order 10^27 (a few kilograms of matter).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .quantum import NoiseModel, failure_probability_closed, parity_attenuation
+from .quantum import NoiseModel, _log_attenuation, parity_attenuation
+from .quantum import failure_probability_closed  # noqa: F401  (bench/spans.py traces it here)
 from .strategies import mermin_bound  # noqa: F401  (bench/spans.py traces it here)
 
 #: 2022 SI definition, exact.
@@ -39,8 +39,7 @@ CONSTITUENT_FACTORS = {
 REFERENCE_EPSILON = 6e-28
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Failure probabilities of both models at one (q, epsilon) point.
 
     Exact fields are filled only on the integer-q path; for real q (the
@@ -56,8 +55,7 @@ class GapReport:
     gap_asymptotic: float
 
 
-@dataclass(frozen=True)
-class MacroscopicReport:
+class MacroscopicReport(NamedTuple):
     """Constituent count and error thresholds for a mass of water."""
 
     mass_kg: float
@@ -90,8 +88,12 @@ def gap(q: float, noise: NoiseModel) -> GapReport:
         raise DomainError("station count q exceeds the float range") from None
     if not finite:
         raise DomainError(f"station count q must be finite, got {q!r}")
-    asymptotic = gap_asymptotic(q, noise)
-    p_qm = failure_probability_closed(q, noise)
+    if q < 1:
+        raise DomainError(f"station count must be at least 1, got {q}")
+    # gap_asymptotic and failure_probability_closed from one q*log1p(-2*eps)
+    log_attenuation = _log_attenuation(q, noise)
+    asymptotic = 0.25 * math.exp(log_attenuation)
+    p_qm = -0.25 * math.expm1(log_attenuation)
     p_classical = gap_exact = None
     if isinstance(q, int) and not isinstance(q, bool):
         # The classical probability mermin_bound(q) / 2^q is

@@ -15,7 +15,6 @@ load numpy; every other command runs without it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -267,7 +266,7 @@ def _cmd_cat(args: argparse.Namespace) -> _Report:
             f"vs reference {report.epsilon_reference:.3e}",
             file=sys.stderr,
         )
-    return dataclasses.asdict(report), None
+    return report._asdict(), None
 
 
 @functools.cache

@@ -9,8 +9,7 @@ coin). Station 1 is the leftmost letter in text form and bit 0 internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import CapacityError, ConfigParseError, DomainError
 
@@ -24,22 +23,17 @@ _LETTERS = {"l": 0, "r": 1}
 _DIGIT_LETTERS = str.maketrans("01", "lr")
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple("Configuration", [("q", int), ("r_mask", int)])):
     """Bit-packed choice of settings: bit k set means station k+1 applies ``r``."""
 
-    q: int
-    r_mask: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.q <= MAX_STATIONS:
-            raise CapacityError(
-                f"station count must be between 1 and {MAX_STATIONS}, got {self.q}"
-            )
-        if not 0 <= self.r_mask < (1 << self.q):
-            raise DomainError(
-                f"r_mask {self.r_mask:#x} has bits outside the {self.q} stations"
-            )
+    def __new__(cls, q: int, r_mask: int) -> Configuration:
+        if not 1 <= q <= MAX_STATIONS:
+            raise CapacityError(f"station count must be between 1 and {MAX_STATIONS}, got {q}")
+        if not 0 <= r_mask < (1 << q):
+            raise DomainError(f"r_mask {r_mask:#x} has bits outside the {q} stations")
+        return super().__new__(cls, q, r_mask)
 
     @property
     def r_count(self) -> int:
@@ -58,21 +52,19 @@ class Configuration:
         return self.text()
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple("Word", [("eigenvalue", int)])):
     """Classification of a configuration whose total result is determined."""
 
-    eigenvalue: int
-
-    def __post_init__(self) -> None:
-        if self.eigenvalue not in (+1, -1):
-            raise DomainError(f"eigenvalue must be +1 or -1, got {self.eigenvalue}")
-
+    __slots__ = ()
     kind = "word"
 
+    def __new__(cls, eigenvalue: int) -> Word:
+        if eigenvalue not in (+1, -1):
+            raise DomainError(f"eigenvalue must be +1 or -1, got {eigenvalue}")
+        return super().__new__(cls, eigenvalue)
 
-@dataclass(frozen=True)
-class String:
+
+class String(NamedTuple):
     """Classification of a configuration whose total result is a fair coin."""
 
     kind = "string"

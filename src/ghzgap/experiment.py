@@ -30,7 +30,6 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Optional, Union
@@ -75,15 +74,13 @@ REPLAY_LIMIT = 1 << 20
 _EXACT_SETTLE_LIMIT = 1 << 12
 
 
-@dataclass(frozen=True)
-class QuantumModel:
+class QuantumModel(NamedTuple):
     """Entangled-state model with independent per-station errors."""
 
     noise: NoiseModel = NoiseModel(0.0)
 
 
-@dataclass(frozen=True)
-class LhvModel:
+class LhvModel(NamedTuple):
     """Deterministic per-station answer table, optionally read out with errors.
 
     ``strategy=None`` selects the canonical optimum for the experiment's q.
@@ -96,39 +93,34 @@ class LhvModel:
 Model = Union[QuantumModel, LhvModel]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(
+    NamedTuple(
+        "ExperimentConfig",
+        [("q", int), ("model", Model), ("trials", int), ("master_seed", int), ("ci_level", float)],
+    )
+):
     """Everything needed to reproduce a run: sizes, model, and master seed."""
 
-    q: int
-    model: Model
-    trials: int
-    master_seed: int
-    ci_level: float = 0.95
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, q: int, model: Model, trials: int, master_seed: int, ci_level: float = 0.95
+    ) -> ExperimentConfig:
         # configurations are packed into one uint64 per trial
-        if not 1 <= self.q <= MAX_STATIONS:
-            raise DomainError(
-                f"station count must lie in [1, {MAX_STATIONS}], got {self.q}"
-            )
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise DomainError(
-                f"trial count must lie in [1, {MAX_TRIALS}], got {self.trials}"
-            )
-        if not 0 <= self.master_seed < (1 << 64):
+        if not 1 <= q <= MAX_STATIONS:
+            raise DomainError(f"station count must lie in [1, {MAX_STATIONS}], got {q}")
+        if not 1 <= trials <= MAX_TRIALS:
+            raise DomainError(f"trial count must lie in [1, {MAX_TRIALS}], got {trials}")
+        if not 0 <= master_seed < (1 << 64):
             raise DomainError("master seed must be a 64-bit nonnegative integer")
-        if not 0.0 < self.ci_level < 1.0:
-            raise DomainError(f"interval level must lie in (0, 1), got {self.ci_level}")
-        if isinstance(self.model, LhvModel) and self.model.strategy is not None:
-            if self.model.strategy.q != self.q:
-                raise DomainError(
-                    f"strategy is for q={self.model.strategy.q}, experiment has q={self.q}"
-                )
+        if not 0.0 < ci_level < 1.0:
+            raise DomainError(f"interval level must lie in (0, 1), got {ci_level}")
+        if isinstance(model, LhvModel) and model.strategy is not None and model.strategy.q != q:
+            raise DomainError(f"strategy is for q={model.strategy.q}, experiment has q={q}")
+        return super().__new__(cls, q, model, trials, master_seed, ci_level)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One trial, for inspection; aggregate runs only keep the tallies."""
 
     index: int
@@ -138,8 +130,7 @@ class TrialRecord:
     failure: bool
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     """Tallies of a run plus the matching theoretical failure probability.
 
     ``strategy`` is the answer table the hidden-variable model played (the
@@ -351,18 +342,14 @@ def iter_trials(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
     if isinstance(cfg.model, QuantumModel):
         bits = sample_parity_tuples(cfg.q, parity.astype(np.uint8), classes & 1 == 1, rng)
         signs = 1 - 2 * bits.view(np.int8)
-        outcomes = (OutcomeTuple(results=tuple(row.tolist())) for row in signs)
+        outcomes = (OutcomeTuple._make((tuple(row.tolist()),)) for row in signs)
     else:
         outcomes = (1 - 2 * parity).tolist()
+    # The records are built from the run's own arrays (masks below 2^q,
+    # results +1 or -1), so they skip the validating constructors.
     for index, (mask, outcome, failure) in enumerate(zip(masks.tolist(), outcomes, failures)):
-        configuration = Configuration(q=cfg.q, r_mask=mask)
-        yield TrialRecord(
-            index=index,
-            configuration=configuration,
-            config_class=classify(configuration),
-            outcome=outcome,
-            failure=failure,
-        )
+        configuration = Configuration._make((cfg.q, mask))
+        yield TrialRecord(index, configuration, classify(configuration), outcome, failure)
 
 
 def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:

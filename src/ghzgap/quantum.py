@@ -17,9 +17,8 @@ process that never samples never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .configs import Configuration, classify, Word
 from .errors import CapacityError, DomainError
@@ -31,31 +30,29 @@ if TYPE_CHECKING:
 ORACLE_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(NamedTuple("NoiseModel", [("epsilon", float)])):
     """Independent per-station probability of reporting the wrong result."""
 
-    epsilon: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 0.5:
-            raise DomainError(
-                f"error probability must lie in [0, 1/2], got {self.epsilon}"
-            )
+    def __new__(cls, epsilon: float = 0.0) -> NoiseModel:
+        if not 0.0 <= epsilon <= 0.5:
+            raise DomainError(f"error probability must lie in [0, 1/2], got {epsilon}")
+        return super().__new__(cls, epsilon)
 
 
-@dataclass(frozen=True)
-class OutcomeTuple:
+class OutcomeTuple(NamedTuple("OutcomeTuple", [("results", tuple[int, ...])])):
     """The q per-station results of one observation, each +1 or -1."""
 
-    results: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.results:
+    def __new__(cls, results: tuple[int, ...]) -> OutcomeTuple:
+        if not results:
             raise DomainError("an outcome needs at least one station result")
-        for k, s in enumerate(self.results):
+        for k, s in enumerate(results):
             if s not in (+1, -1):
                 raise DomainError(f"results must be +1 or -1, station {k + 1} has {s}")
+        return super().__new__(cls, results)
 
     @property
     def q(self) -> int:
@@ -206,8 +203,7 @@ def sample_outcome_batch(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleEntry:
+class OracleEntry(NamedTuple):
     """Oracle result for a single configuration."""
 
     configuration: Configuration
@@ -218,8 +214,7 @@ class OracleEntry:
     law_error: float
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """State-vector verification of every configuration at one q."""
 
     q: int

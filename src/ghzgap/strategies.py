@@ -18,9 +18,8 @@ independent checks of both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .configs import (
     ENUMERATION_LIMIT,
@@ -34,23 +33,20 @@ from .errors import CapacityError, DomainError
 BRUTE_FORCE_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
+class DeterministicStrategy(
+    NamedTuple("DeterministicStrategy", [("q", int), ("answers", tuple[tuple[int, int], ...])])
+):
     """Per-station answer table: ``answers[k] = (a, b)`` for settings l and r."""
 
-    q: int
-    answers: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.q != len(self.answers):
-            raise DomainError(
-                f"expected {self.q} answer pairs, got {len(self.answers)}"
-            )
-        for k, (a, b) in enumerate(self.answers):
+    def __new__(cls, q: int, answers: tuple[tuple[int, int], ...]) -> DeterministicStrategy:
+        if q != len(answers):
+            raise DomainError(f"expected {q} answer pairs, got {len(answers)}")
+        for k, (a, b) in enumerate(answers):
             if a not in (+1, -1) or b not in (+1, -1):
-                raise DomainError(
-                    f"answers must be +1 or -1, station {k + 1} has {(a, b)}"
-                )
+                raise DomainError(f"answers must be +1 or -1, station {k + 1} has {(a, b)}")
+        return super().__new__(cls, q, answers)
 
     @classmethod
     def from_masks(cls, q: int, a_mask: int, b_mask: int) -> "DeterministicStrategy":
@@ -75,8 +71,9 @@ class DeterministicStrategy:
         return total
 
 
-@dataclass(frozen=True)
-class CanonicalStrategy:
+class CanonicalStrategy(
+    NamedTuple("CanonicalStrategy", [("q", int), ("a_sign", int), ("t_mask", int)])
+):
     """Prediction-equivalent reduction of a deterministic strategy.
 
     `a_sign` is the product of all l answers; bit k of `t_mask` is set when
@@ -84,21 +81,17 @@ class CanonicalStrategy:
     total for a configuration is ``a_sign * (-1)**|r_mask & t_mask|``.
     """
 
-    q: int
-    a_sign: int
-    t_mask: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a_sign not in (+1, -1):
-            raise DomainError(f"a_sign must be +1 or -1, got {self.a_sign}")
-        if not 0 <= self.t_mask < (1 << self.q):
-            raise DomainError(
-                f"t_mask {self.t_mask:#x} has bits outside the {self.q} stations"
-            )
+    def __new__(cls, q: int, a_sign: int, t_mask: int) -> CanonicalStrategy:
+        if a_sign not in (+1, -1):
+            raise DomainError(f"a_sign must be +1 or -1, got {a_sign}")
+        if not 0 <= t_mask < (1 << q):
+            raise DomainError(f"t_mask {t_mask:#x} has bits outside the {q} stations")
+        return super().__new__(cls, q, a_sign, t_mask)
 
 
-@dataclass(frozen=True)
-class BadWordReport:
+class BadWordReport(NamedTuple):
     """A strategy together with how many words it gets wrong."""
 
     strategy: CanonicalStrategy

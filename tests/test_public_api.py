@@ -1,8 +1,26 @@
-"""The public surface: the names that `from ghzgap import *` binds."""
+"""The public surface: the names that `from ghzgap import *` binds, and how
+the record types among them validate and refuse assignment."""
 
+import math
 import types
 
+import pytest
+
+import ghzgap
 import ghzgap.cli  # noqa: F401  (loads every submodule before the star import)
+from ghzgap import (
+    CanonicalStrategy,
+    CapacityError,
+    Configuration,
+    DeterministicStrategy,
+    DomainError,
+    ExperimentConfig,
+    LhvModel,
+    NoiseModel,
+    OutcomeTuple,
+    QuantumModel,
+    Word,
+)
 
 #: The package's public names. Removed helpers: classical_failure_probability,
 #: gap_exact_fraction, gap_asymptotic_fraction, sample_outcomes,
@@ -78,3 +96,84 @@ def test_star_import_binds_exactly_the_public_names():
     del namespace["__builtins__"]
     assert set(namespace) == PUBLIC_NAMES
     assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+
+
+#: One bad value for each check the validating types run, as
+#: (constructor, arguments, error class).
+_BAD_VALUES = {
+    "configuration-q-low": (Configuration, (0, 0), CapacityError),
+    "configuration-q-high": (Configuration, (65, 0), CapacityError),
+    "configuration-mask-high": (Configuration, (3, 8), DomainError),
+    "configuration-mask-negative": (Configuration, (3, -1), DomainError),
+    "word-eigenvalue": (Word, (0,), DomainError),
+    "noise-negative": (NoiseModel, (-0.1,), DomainError),
+    "noise-above-half": (NoiseModel, (0.6,), DomainError),
+    "noise-nan": (NoiseModel, (math.nan,), DomainError),
+    "outcome-empty": (OutcomeTuple, ((),), DomainError),
+    "outcome-result": (OutcomeTuple, ((1, 0),), DomainError),
+    "experiment-q": (ExperimentConfig, (0, QuantumModel(), 10, 1), DomainError),
+    "experiment-trials": (ExperimentConfig, (3, QuantumModel(), 0, 1), DomainError),
+    "experiment-seed": (ExperimentConfig, (3, QuantumModel(), 10, 1 << 64), DomainError),
+    "experiment-ci-level": (ExperimentConfig, (3, QuantumModel(), 10, 1, 1.0), DomainError),
+    "experiment-strategy-q": (
+        ExperimentConfig,
+        (3, LhvModel(CanonicalStrategy(4, 1, 0)), 10, 1),
+        DomainError,
+    ),
+    "deterministic-count": (DeterministicStrategy, (2, ((1, 1),)), DomainError),
+    "deterministic-answer": (DeterministicStrategy, (1, ((1, 0),)), DomainError),
+    "canonical-sign": (CanonicalStrategy, (3, 0, 0), DomainError),
+    "canonical-mask": (CanonicalStrategy, (3, 1, 8), DomainError),
+}
+
+
+@pytest.mark.parametrize("make, args, error", _BAD_VALUES.values(), ids=_BAD_VALUES)
+def test_validating_types_reject_bad_values(make, args, error):
+    with pytest.raises(error):
+        make(*args)
+
+
+def _instances():
+    """One instance of every record type the package defines."""
+    config = Configuration(3, 5)
+    strategy = CanonicalStrategy(3, 1, 1)
+    cfg = ExperimentConfig(3, LhvModel(strategy), 10, 1)
+    return [
+        config,
+        Word(1),
+        ghzgap.String(),
+        NoiseModel(0.1),
+        OutcomeTuple((1, -1, -1)),
+        ghzgap.statevector_oracle(1),
+        ghzgap.statevector_oracle(1).entries[0],
+        DeterministicStrategy(1, ((1, -1),)),
+        strategy,
+        ghzgap.minimize_bad_words(3),
+        QuantumModel(),
+        LhvModel(),
+        cfg,
+        next(ghzgap.iter_trials(cfg)),
+        ghzgap.run_experiment(cfg),
+        ghzgap.gap(3, NoiseModel(0.1)),
+        ghzgap.macroscopic_report(4.0, 0.01),
+    ]
+
+
+@pytest.mark.parametrize("instance", _instances(), ids=lambda value: type(value).__name__)
+def test_records_are_immutable(instance):
+    for name in instance._fields:
+        with pytest.raises(AttributeError):
+            setattr(instance, name, getattr(instance, name))
+    with pytest.raises(AttributeError):
+        instance.extra = 1
+
+
+def test_records_are_tuples():
+    # Deliberate since the records became named tuples: a record equals the
+    # plain tuple of its fields, unpacks, and has _asdict and _replace.
+    config = Configuration(3, 5)
+    assert config == (3, 5) and tuple(config) == (3, 5)
+    assert config._asdict() == {"q": 3, "r_mask": 5}
+    assert config._replace(r_mask=6) == Configuration(3, 6)
+    assert str(config) == "rlr" and repr(config) == "Configuration(q=3, r_mask=5)"
+    assert (Word.kind, ghzgap.String.kind) == ("word", "string")
