@@ -15,13 +15,17 @@ load numpy; every other command runs without it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
+import itertools
 import os
 import sys
-from typing import Any, Iterable, Optional
+from typing import Any, ContextManager, Iterable, Iterator, Optional, TextIO
 
 from .asymptotics import CONSTITUENT_FACTORS, GapReport, gap, macroscopic_report
 from .configs import (
+    ENUMERATION_LIMIT,
     Configuration,
     classify,
     enumerate_configurations,
@@ -56,6 +60,11 @@ _LIST_BAD_WORDS_LIMIT = 12
 #: `lhv optimize` answers up to this q: its exact counts near 2^q must stay
 #: within the 4300 digits Python converts an int to text by default.
 _LHV_OPTIMIZE_LIMIT = 14_000
+
+#: `enumerate` builds its items from a table of the first stations' settings,
+#: 2^12 of them: half the enumeration cap, so the stations above the table
+#: take their letters from it too.
+_PREFIX_STATIONS = (ENUMERATION_LIMIT + 1) // 2
 
 #: `gap sweep` writes at most this many rows, (q range) x (eps count): rows
 #: stream in constant memory, and 2^20 of them take 10-15 s.
@@ -111,14 +120,48 @@ def _cmd_classify(args: argparse.Namespace) -> _Report:
     return {"q": config.q, "r_count": config.r_count, **_classification_fields(config)}, None
 
 
+def _enumerate_items(q: int, words_only: bool) -> Iterator[dict[str, Any]]:
+    """`enumerate`'s items in ascending r_mask order, each as
+    `_classification_fields` gives it, without a Configuration per item.
+
+    Station 1 is bit 0 and the leftmost letter, so the configuration
+    low | high << n reads low's n letters, then high's; its r count mod 4
+    picks its kind and eigenvalue. q is checked at the call.
+    """
+    configs = enumerate_configurations(q)  # checks q
+    n = min(q, _PREFIX_STATIONS)
+    # The first 2^n configurations set r only among stations 1..n.
+    prefix = [(config.text()[:n], config.r_count) for config in itertools.islice(configs, 1 << n)]
+    highs = [(text[: q - n], r) for text, r in prefix[: 1 << (q - n)]]
+    # An item's kind and eigenvalue by its r count mod 4: those of the
+    # 3-station configuration with that many r settings.
+    shapes = []
+    for r in range(4):
+        fields = _classification_fields(Configuration(q=3, r_mask=(1 << r) - 1))
+        shapes.append((fields["kind"], fields["eigenvalue"]))
+    # By the high stations' r count mod 4: each prefix entry with the kind and
+    # eigenvalue it then takes; with words_only, only the entries that are
+    # words. Three columns take less memory than a tuple per entry.
+    lows = {}
+    for s in {r % 4 for _, r in highs}:
+        entries = [(text, *shapes[(r + s) % 4]) for text, r in prefix]
+        if words_only:
+            entries = [entry for entry in entries if entry[1] == Word.kind]
+        lows[s] = list(zip(*entries))
+    return itertools.chain.from_iterable(
+        [
+            {"configuration": low + high, "kind": kind, "eigenvalue": eigenvalue}
+            for low, kind, eigenvalue in zip(*lows[r % 4])
+        ]
+        for high, r in highs
+    )
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> _Report:
-    configs = enumerate_configurations(args.q)  # checks q
-    if args.words_only:
-        configs = (config for config in configs if config.is_word)
+    items = _enumerate_items(args.q, args.words_only)  # checks q
     count = word_count(args.q) if args.words_only else 1 << args.q
     if args.verbose:
         print(f"{count} configurations at q={args.q}", file=sys.stderr)
-    items = map(_classification_fields, configs)
     return {"q": args.q, "words_only": args.words_only, "count": count, "items": items}, items
 
 
@@ -365,6 +408,18 @@ def _stdout_to_null_device() -> None:
     os.close(null)
 
 
+def _report_stream(stdout: TextIO) -> ContextManager[TextIO]:
+    """Where `main` writes a report: `stdout` itself, or, when its text layer
+    writes straight to the raw file (PYTHONUNBUFFERED) and so would drop the
+    rest of a short write, a buffered writer on its descriptor, which writes
+    the rest or raises. Closing that writer leaves the descriptor open."""
+    if not isinstance(getattr(stdout, "buffer", None), io.FileIO):
+        return contextlib.nullcontext(stdout)
+    return open(
+        stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False
+    )
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -373,11 +428,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error("gap requires --q (or the sweep subcommand)")
     try:
         fields, rows = args.handler(args)
-        if args.format == "csv":
-            write_csv(sys.stdout, None, rows)
-        else:
-            write_json(sys.stdout, {"manifest": _manifest(args), **fields})
-        sys.stdout.flush()
+        with _report_stream(sys.stdout) as out:
+            if args.format == "csv":
+                write_csv(out, None, rows)
+            else:
+                write_json(out, {"manifest": _manifest(args), **fields})
+            out.flush()
     except GhzGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -76,10 +76,13 @@ def dumps_csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
 
 
 def _batches(rows: Iterable[Any]) -> Iterator[list[Any]]:
-    """Rows in lists of BATCH_ROWS, the last one shorter; none when empty."""
+    """Rows in lists of BATCH_ROWS, the last one shorter; none when empty.
+
+    It keeps no batch it has handed out, so a writer that lets go of each
+    batch before it asks for the next holds one at a time.
+    """
     it = iter(rows)
-    while batch := list(itertools.islice(it, BATCH_ROWS)):
-        yield batch
+    return iter(lambda: list(itertools.islice(it, BATCH_ROWS)), [])
 
 
 def _encode_rows(batch: list[Mapping[str, Any]]) -> str:
@@ -108,15 +111,18 @@ def write_json(out: TextIO, payload: dict[str, Any]) -> None:
         out.write(dumps_json(payload) + "\n")
         return
     batches = _batches(rows)
-    first = next(batches, None)
+    batch = next(batches, None)
     head = dumps_json({**payload, next(reversed(payload)): []})
-    if first is None:
+    if batch is None:
         out.write(head + "\n")
         return
     # head ends with the empty list and the closing brace: "[]\n}".
-    out.write(head[:-4] + "[\n    " + _encode_rows(first))
-    for batch in batches:
-        out.write(",\n    " + _encode_rows(batch))
+    separator = head[:-4] + "[\n    "
+    while batch is not None:
+        out.write(separator + _encode_rows(batch))
+        del batch  # one batch in memory at a time
+        separator = ",\n    "
+        batch = next(batches, None)
     out.write("\n  ]\n}\n")
 
 
@@ -129,17 +135,19 @@ def write_csv(
     before the first write.
     """
     batches = _batches(rows)
-    first = next(batches, [])
+    batch = next(batches, [])
     if columns is None:
-        columns = list(first[0]) if first else []
+        columns = list(batch[0]) if batch else []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for batch in itertools.chain([first], batches):
+    while batch is not None:
         writer.writerows([row.get(col) for col in columns] for row in batch)
+        del batch  # one batch in memory at a time
         out.write(buf.getvalue())
         buf.seek(0)
         buf.truncate()
+        batch = next(batches, None)
 
 
 def _timestamp() -> str:

@@ -11,6 +11,7 @@ import pytest
 
 from ghzgap import cli
 from ghzgap.cli import main
+from ghzgap.configs import Word, classify, enumerate_configurations
 from ghzgap.reporting import BATCH_ROWS
 
 
@@ -93,6 +94,38 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--q", "30")
         assert code == 3
         assert "error" in err
+
+    # Both sides of the 12-station prefix table that `enumerate` builds its
+    # items from; the golden reports pin only q = 3 and 4.
+    @pytest.mark.parametrize("q", [1, 2, 11, 12, 13, 15])
+    @pytest.mark.parametrize("words_only", [False, True], ids=["all", "words-only"])
+    def test_items_match_library(self, capsys, q, words_only):
+        expected = []  # (configuration, kind, eigenvalue) by the library
+        for config in enumerate_configurations(q):
+            cls = classify(config)
+            if isinstance(cls, Word):
+                expected.append((config.text(), cls.kind, cls.eigenvalue))
+            elif not words_only:
+                expected.append((config.text(), cls.kind, None))
+        argv = ["enumerate", "--q", str(q)] + (["--words-only"] if words_only else [])
+        items = run_json(capsys, *argv)["items"]
+        assert [list(item.items()) for item in items] == [
+            [("configuration", text), ("kind", kind), ("eigenvalue", eigenvalue)]
+            for text, kind, eigenvalue in expected
+        ]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out == "configuration,kind,eigenvalue\n" + "".join(
+            f"{text},{kind},{'' if eigenvalue is None else eigenvalue}\n"
+            for text, kind, eigenvalue in expected
+        )
+
+    def test_verbose_count_equals_rows_written(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--q", "13", "--words-only", "--verbose")
+        assert code == 0
+        payload = json.loads(out)
+        assert err == f"{len(payload['items'])} configurations at q=13\n"
+        assert payload["count"] == len(payload["items"]) == 1 << 12
 
 
 class TestLhvOptimize:
@@ -516,17 +549,37 @@ class TestWriteErrors:
         # Python's default, buffered stdout: the data left in its buffer
         # must not fail the flush at exit a second time.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        child = subprocess.Popen(
-            [sys.executable, "-m", "ghzgap.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        assert len(child.stdout.read(read)) == read
-        child.stdout.close()
-        err = child.stderr.read().decode()
-        child.stderr.close()
-        assert child.wait(timeout=60) == 3
-        assert "Broken pipe" in err
-        assert_one_error_line(err)
+        assert_reader_closing_early_exits_3(argv, read, env)
+
+    @pytest.mark.parametrize(
+        "argv, read",
+        [
+            (["enumerate", "--q", "16"], 100),
+            (["enumerate", "--q", "12", "--format", "csv"], 100),  # one write
+            (["classify", "--config", "rrr"], 0),
+        ],
+        ids=["enumerate-mid-stream", "enumerate-csv-one-write", "classify-before-output"],
+    )
+    def test_reader_closing_early_exits_3_unbuffered(self, argv, read):
+        # Unbuffered stdout writes straight to the pipe: the part of a large
+        # write that a short write left over must not be lost unreported.
+        assert_reader_closing_early_exits_3(argv, read, {**os.environ, "PYTHONUNBUFFERED": "1"})
+
+
+def assert_reader_closing_early_exits_3(argv, read, env):
+    """A fresh `ghzgap` whose stdout reader reads `read` bytes, then closes
+    the pipe, exits 3 with one "Broken pipe" error line."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ghzgap.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(child.stdout.read(read)) == read
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 3
+    assert "Broken pipe" in err
+    assert_one_error_line(err)
 
 
 def traced_peak(monkeypatch, argv):
@@ -548,10 +601,15 @@ class TestStreamingMemory:
     not grow with its row count."""
 
     def test_enumerate(self, monkeypatch):
-        small, small_size = traced_peak(monkeypatch, ["enumerate", "--q", "12"])
-        large, large_size = traced_peak(monkeypatch, ["enumerate", "--q", "16"])
-        assert large_size > 15 * small_size
-        assert large < 2 * small
+        # Above 12 stations, the table `enumerate` builds its items from stays
+        # the same size. At q = 12 --words-only writes 2048 rows, half a
+        # batch, so its pair starts at q = 13, where both runs fill batches.
+        for options, q in [([], 12), (["--words-only"], 13), (["--format", "csv"], 12)]:
+            argv = ["enumerate", *options, "--q"]
+            small, small_size = traced_peak(monkeypatch, argv + [str(q)])
+            large, large_size = traced_peak(monkeypatch, argv + [str(q + 4)])
+            assert large_size > 15 * small_size, options
+            assert large < 2 * small, options
 
     def test_gap_sweep(self, monkeypatch):
         # gap() keeps nothing between calls; one fixed report per row keeps
