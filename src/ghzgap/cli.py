@@ -3,7 +3,7 @@
 Each handler returns the report's fields and, for a command that can write
 CSV, its rows; ``main`` alone adds the manifest, picks the writer and writes.
 `enumerate` and `gap sweep` check every parameter, then hand over their rows
-as an iterator, which the writer reads and writes a batch at a time.
+as an iterator, which the writer reads a batch at a time.
 Payloads go to standard output only; diagnostics and optional ``--verbose``
 summaries go to standard error. Exit codes: 0 success, 2 usage error,
 3 domain or capacity error, a report that could not be written, or any
@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import itertools
-import os
 import sys
 from typing import Any, ContextManager, Iterable, Iterator, Optional, TextIO
 
@@ -86,9 +84,7 @@ def _manifest(args: argparse.Namespace) -> dict[str, Any]:
     """Manifest payload naming the command that ran and echoing its options
     from the namespace; a seeded run also states its random stream."""
     names = (args.command, getattr(args, "lhv_command", None), getattr(args, "gap_command", None))
-    # argparse also copies the parent `gap` parser's --q and --eps into `gap sweep`.
-    skip = _NOT_PARAMETERS | ({"q", "eps"} if names[2] else set())
-    parameters = {key: value for key, value in vars(args).items() if key not in skip}
+    parameters = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
     seed = getattr(args, "seed", None)
     environment = None if seed is None else stream_environment()
     return build_manifest(" ".join(name for name in names if name), parameters, seed, environment)
@@ -367,8 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", parents=[common], help="quantum-classical failure gap")
     gap_sub = p.add_subparsers(dest="gap_command")
+    # --eps defaults to None so that `main` can refuse it before `sweep`;
+    # the point report takes 0.0.
     p.add_argument("--q", type=_parse_q, help="integer for the exact path, real for huge q")
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--eps", type=float)
     p.set_defaults(handler=_cmd_gap)
     p = gap_sub.add_parser("sweep", parents=[common], help="gap table over a q range")
     p.add_argument("--q-min", type=int, required=True)
@@ -395,37 +393,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stdout_to_null_device() -> None:
-    """Point stdout's descriptor at the null device once its reader has gone,
-    so the interpreter's flush at exit does not fail on the same pipe again
-    (exit 120 and an "Exception ignored" report)."""
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, OSError, ValueError):  # no descriptor, nothing flushed at exit
-        return
-    null = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(null, fd)
-    os.close(null)
-
-
 def _report_stream(stdout: TextIO) -> ContextManager[TextIO]:
-    """Where `main` writes a report: `stdout` itself, or, when its text layer
-    writes straight to the raw file (PYTHONUNBUFFERED) and so would drop the
-    rest of a short write, a buffered writer on its descriptor, which writes
-    the rest or raises. Closing that writer leaves the descriptor open."""
-    if not isinstance(getattr(stdout, "buffer", None), io.FileIO):
+    """Where `main` writes a report: a buffered writer of its own on stdout's
+    descriptor, which writes all of each write or raises, and leaves no
+    report text in `stdout`'s buffer for the flush at exit to fail on again;
+    `stdout` itself when it has no descriptor (an in-memory stream). Text
+    already in `stdout`'s buffer is flushed first, so it stays ahead of the
+    report. Closing the writer leaves the descriptor open."""
+    try:
+        fd = stdout.fileno()
+    except (AttributeError, OSError, ValueError):
         return contextlib.nullcontext(stdout)
-    return open(
-        stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False
-    )
+    stdout.flush()
+    return open(fd, "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gap" and getattr(args, "gap_command", None) is None:
-        if args.q is None:
+    if args.command == "gap":
+        if args.gap_command is not None:
+            if (args.q, args.eps) != (None, None):
+                parser.error("gap sweep takes --q-min, --q-max and --eps-list, not --q or --eps")
+            del args.q, args.eps  # the `gap` parser's own options, not sweep parameters
+        elif args.q is None:
             parser.error("gap requires --q (or the sweep subcommand)")
+        elif args.eps is None:
+            args.eps = 0.0
     try:
         fields, rows = args.handler(args)
         with _report_stream(sys.stdout) as out:
@@ -439,8 +433,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
-        if isinstance(exc, BrokenPipeError):
-            _stdout_to_null_device()
         return 3
     except Exception as exc:  # KeyboardInterrupt and SystemExit still propagate
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -9,8 +9,10 @@ traced back to the invocation that produced it.
 
 `dumps_json` and `dumps_csv` return a whole report as text. `write_json` and
 `write_csv` write the same text to a stream and take the rows of a table
-report as an iterator, which they encode and write BATCH_ROWS rows at a
-time, so a report of any length is written in constant memory.
+report as an iterator, so a report of any length is written in constant
+memory. Both read the rows BATCH_ROWS at a time, the first batch before
+they write anything; `write_json` encodes and writes a batch at a time,
+`write_csv` a row at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import DomainError
 
 SCHEMA_VERSION = 1
 
-#: Rows encoded and written per write by `write_json` and `write_csv`.
+#: Rows the writers read at a time; `write_json` encodes and writes them at once.
 BATCH_ROWS = 4096
 
 #: A table report's rows are flat objects one level inside the payload, so
@@ -129,24 +131,22 @@ def write_json(out: TextIO, payload: dict[str, Any]) -> None:
 def write_csv(
     out: TextIO, columns: Optional[Sequence[str]], rows: Iterable[Mapping[str, Any]]
 ) -> None:
-    """Write dumps_csv(columns, rows) to `out`, one write per batch of rows.
+    """Write dumps_csv(columns, rows) to `out`.
 
-    `columns` None takes the first row's keys. The first batch is read
-    before the first write.
+    `columns` None takes the first row's keys. Rows are read BATCH_ROWS at
+    a time, and the first batch before the first write, so an error in it
+    leaves `out` untouched; the header and the rows are then written to
+    `out` a row at a time.
     """
     batches = _batches(rows)
     batch = next(batches, [])
     if columns is None:
         columns = list(batch[0]) if batch else []
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     while batch is not None:
         writer.writerows([row.get(col) for col in columns] for row in batch)
         del batch  # one batch in memory at a time
-        out.write(buf.getvalue())
-        buf.seek(0)
-        buf.truncate()
         batch = next(batches, None)
 
 

@@ -279,6 +279,23 @@ class TestGap:
             main(["gap"])
         assert excinfo.value.code == 2
 
+    def test_point_eps_defaults_to_zero(self, capsys):
+        payload = run_json(capsys, "gap", "--q", "5")
+        assert payload["eps"] == 0.0
+        assert payload["manifest"]["parameters"] == {"q": 5, "eps": 0.0}
+
+    @pytest.mark.parametrize(
+        "point", [["--eps", "0.3", "--q", "7"], ["--q", "7"], ["--eps", "0"]]
+    )
+    def test_point_options_before_sweep_are_a_usage_error(self, capsys, point):
+        # The sweep reads neither, so running it would drop them unreported.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gap", *point, "sweep", "--q-min", "2", "--q-max", "3"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert "not --q or --eps" in captured.err
+
     def test_sweep_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "gap", "sweep", "--q-min", "2", "--q-max", "6",
@@ -564,6 +581,43 @@ class TestWriteErrors:
         # Unbuffered stdout writes straight to the pipe: the part of a large
         # write that a short write left over must not be lost unreported.
         assert_reader_closing_early_exits_3(argv, read, {**os.environ, "PYTHONUNBUFFERED": "1"})
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv", [["classify", "--config", "rrr"], ["enumerate", "--q", "16"]],
+        ids=["classify", "enumerate"],
+    )
+    def test_full_device_exits_3(self, argv, unbuffered):
+        # A fresh process, so the report goes through stdout's descriptor.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "ghzgap.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        err = result.stderr.decode()
+        assert result.returncode == 3
+        assert "No space left on device" in err
+        assert_one_error_line(err)
+
+    def test_text_printed_before_main_stays_first(self, tmp_path):
+        # stdout to a file is block-buffered: the caller's line still sits in
+        # its buffer when main writes the report to the descriptor.
+        code = (
+            "from ghzgap.cli import main\n"
+            "print('caller line')\n"
+            "raise SystemExit(main(['classify', '--config', 'rrr']))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        path = tmp_path / "stdout.txt"
+        with open(path, "wb") as stdout:
+            subprocess.run([sys.executable, "-c", code], stdout=stdout, env=env, check=True)
+        first, report = path.read_text().split("\n", 1)
+        assert first == "caller line"
+        assert json.loads(report)["kind"] == "word"
 
 
 def assert_reader_closing_early_exits_3(argv, read, env):

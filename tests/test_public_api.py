@@ -1,7 +1,10 @@
 """The public surface: the names that `from ghzgap import *` binds, and how
 the record types among them validate and refuse assignment."""
 
+import ast
+import importlib
 import math
+import pathlib
 import types
 
 import pytest
@@ -177,3 +180,24 @@ def test_records_are_tuples():
     assert config._replace(r_mask=6) == Configuration(3, 6)
     assert str(config) == "rlr" and repr(config) == "Configuration(q=3, r_mask=5)"
     assert (Word.kind, ghzgap.String.kind) == ("word", "string")
+
+
+def test_names_the_benchmark_traces_resolve():
+    # bench/spans.py wraps these names on these modules for `--trace 1`; it
+    # is read, not imported, because it loads numpy.
+    spans = pathlib.Path(__file__).parents[1] / "bench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    (boundaries,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["LAYER_BOUNDARIES"]
+    ]
+    assert boundaries
+    missing = [
+        f"{module}.{name}"
+        for module, names in boundaries.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []
