@@ -3,7 +3,7 @@
 Each handler returns the report's fields and, for a command that can write
 CSV, its rows; ``main`` alone adds the manifest, picks the writer and writes.
 `enumerate` and `gap sweep` check every parameter, then hand over their rows
-as an iterator, which the writer reads a batch at a time.
+for the writer to write a block at a time, `enumerate`'s already encoded.
 Payloads go to standard output only; diagnostics and optional ``--verbose``
 summaries go to standard error. Exit codes: 0 success, 2 usage error,
 3 domain or capacity error, a report that could not be written, or any
@@ -19,7 +19,7 @@ import contextlib
 import functools
 import itertools
 import sys
-from typing import Any, ContextManager, Iterable, Iterator, Optional, TextIO
+from typing import Any, ContextManager, Iterable, Optional, TextIO
 
 from .asymptotics import CONSTITUENT_FACTORS, GapReport, gap, macroscopic_report
 from .configs import (
@@ -41,7 +41,7 @@ from .experiment import (
     stream_environment,
 )
 from .quantum import NoiseModel
-from .reporting import build_manifest, write_csv, write_json
+from .reporting import SPLICE, EncodedRows, build_manifest, fragments, write_csv, write_json
 from .reporting import dumps_csv, dumps_json  # noqa: F401  (bench/spans.py traces them here)
 from .strategies import (
     CanonicalStrategy,
@@ -59,9 +59,9 @@ _LIST_BAD_WORDS_LIMIT = 12
 #: within the 4300 digits Python converts an int to text by default.
 _LHV_OPTIMIZE_LIMIT = 14_000
 
-#: `enumerate` builds its items from a table of the first stations' settings,
-#: 2^12 of them: half the enumeration cap, so the stations above the table
-#: take their letters from it too.
+#: `enumerate` encodes the items of the first 12 stations' settings once and
+#: writes one block of them per setting of the stations above; 12 is half the
+#: enumeration cap, so those take their letters from the same table.
 _PREFIX_STATIONS = (ENUMERATION_LIMIT + 1) // 2
 
 #: `gap sweep` writes at most this many rows, (q range) x (eps count): rows
@@ -75,9 +75,9 @@ _NOT_PARAMETERS = frozenset(
 )
 
 #: What a handler returns: the JSON body without its manifest, and the CSV
-#: rows for a command that can write CSV (None for the others). A body whose
-#: rows are an iterator holds them as its last value, the same iterator.
-_Report = tuple[dict[str, Any], Optional[Iterable[dict[str, Any]]]]
+#: rows for a command that can write CSV (None for the others). A body with
+#: such rows (an iterator or EncodedRows) holds the same object as its last value.
+_Report = tuple[dict[str, Any], Optional[Iterable[dict[str, Any]] | EncodedRows]]
 
 
 def _manifest(args: argparse.Namespace) -> dict[str, Any]:
@@ -116,9 +116,9 @@ def _cmd_classify(args: argparse.Namespace) -> _Report:
     return {"q": config.q, "r_count": config.r_count, **_classification_fields(config)}, None
 
 
-def _enumerate_items(q: int, words_only: bool) -> Iterator[dict[str, Any]]:
+def _enumerate_rows(q: int, words_only: bool, fmt: str) -> EncodedRows:
     """`enumerate`'s items in ascending r_mask order, each as
-    `_classification_fields` gives it, without a Configuration per item.
+    `_classification_fields` gives it, encoded for the `fmt` writer.
 
     Station 1 is bit 0 and the leftmost letter, so the configuration
     low | high << n reads low's n letters, then high's; its r count mod 4
@@ -128,33 +128,23 @@ def _enumerate_items(q: int, words_only: bool) -> Iterator[dict[str, Any]]:
     n = min(q, _PREFIX_STATIONS)
     # The first 2^n configurations set r only among stations 1..n.
     prefix = [(config.text()[:n], config.r_count) for config in itertools.islice(configs, 1 << n)]
-    highs = [(text[: q - n], r) for text, r in prefix[: 1 << (q - n)]]
+    highs = [(text[: q - n], r % 4) for text, r in prefix[: 1 << (q - n)]]
     # An item's kind and eigenvalue by its r count mod 4: those of the
     # 3-station configuration with that many r settings.
-    shapes = []
-    for r in range(4):
-        fields = _classification_fields(Configuration(q=3, r_mask=(1 << r) - 1))
-        shapes.append((fields["kind"], fields["eigenvalue"]))
-    # By the high stations' r count mod 4: each prefix entry with the kind and
-    # eigenvalue it then takes; with words_only, only the entries that are
-    # words. Three columns take less memory than a tuple per entry.
-    lows = {}
-    for s in {r % 4 for _, r in highs}:
-        entries = [(text, *shapes[(r + s) % 4]) for text, r in prefix]
+    shapes = [_classification_fields(Configuration(q=3, r_mask=(1 << r) - 1)) for r in range(4)]
+    # By the high part's r count mod 4, the low parts' rows (only the words
+    # with words_only), encoded once with SPLICE where the high letters go.
+    pieces = {}
+    for s in {s for _, s in highs}:
+        rows = [{**shapes[(r + s) % 4], "configuration": text + SPLICE} for text, r in prefix]
         if words_only:
-            entries = [entry for entry in entries if entry[1] == Word.kind]
-        lows[s] = list(zip(*entries))
-    return itertools.chain.from_iterable(
-        [
-            {"configuration": low + high, "kind": kind, "eigenvalue": eigenvalue}
-            for low, kind, eigenvalue in zip(*lows[r % 4])
-        ]
-        for high, r in highs
-    )
+            rows = [row for row in rows if row["kind"] == Word.kind]
+        pieces[s] = fragments(fmt, list(shapes[0]), rows)
+    return EncodedRows(list(shapes[0]), (high.join(pieces[s]) for high, s in highs))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> _Report:
-    items = _enumerate_items(args.q, args.words_only)  # checks q
+    items = _enumerate_rows(args.q, args.words_only, args.format)  # checks q
     count = word_count(args.q) if args.words_only else 1 << args.q
     if args.verbose:
         print(f"{count} configurations at q={args.q}", file=sys.stderr)
@@ -211,7 +201,7 @@ def _cmd_simulate(args: argparse.Namespace) -> _Report:
     row: dict[str, Any] = {
         "q": args.q,
         "model": args.model,
-        "epsilon": args.eps,
+        "epsilon": noise.epsilon,
         "trials": report.trials,
         "master_seed": args.seed,
         "ci_level": args.ci_level,

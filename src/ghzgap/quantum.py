@@ -38,7 +38,7 @@ class NoiseModel(NamedTuple("NoiseModel", [("epsilon", float)])):
     def __new__(cls, epsilon: float = 0.0) -> NoiseModel:
         if not 0.0 <= epsilon <= 0.5:
             raise DomainError(f"error probability must lie in [0, 1/2], got {epsilon}")
-        return super().__new__(cls, epsilon)
+        return super().__new__(cls, epsilon + 0.0)  # -0.0 becomes 0.0
 
 
 class OutcomeTuple(NamedTuple("OutcomeTuple", [("results", tuple[int, ...])])):

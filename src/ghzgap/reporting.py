@@ -9,10 +9,9 @@ traced back to the invocation that produced it.
 
 `dumps_json` and `dumps_csv` return a whole report as text. `write_json` and
 `write_csv` write the same text to a stream and take the rows of a table
-report as an iterator, so a report of any length is written in constant
-memory. Both read the rows BATCH_ROWS at a time, the first batch before
-they write anything; `write_json` encodes and writes a batch at a time,
-`write_csv` a row at a time.
+report as an iterator, encoded BATCH_ROWS at a time into blocks, or as
+`EncodedRows`, blocks already encoded (joined from `fragments`); one loop
+writes the blocks of both, so a report of any length runs in constant memory.
 """
 
 from __future__ import annotations
@@ -31,8 +30,11 @@ from .errors import DomainError
 
 SCHEMA_VERSION = 1
 
-#: Rows the writers read at a time; `write_json` encodes and writes them at once.
+#: Rows the writers encode at a time, into one block of text.
 BATCH_ROWS = 4096
+
+#: Where `fragments` cuts an encoded row: neither writer escapes or quotes it.
+SPLICE = "#"
 
 #: A table report's rows are flat objects one level inside the payload, so
 #: indent=2 puts each key at six spaces. The C encoder (used only when
@@ -100,54 +102,77 @@ def _encode_rows(batch: list[Mapping[str, Any]]) -> str:
     return "{\n      " + body + "\n    }"
 
 
+def _encode_csv(columns: Sequence[str], batch: list[Mapping[str, Any]]) -> str:
+    """The rows of `batch` as CSV lines of their `columns` cells."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([row.get(c) for c in columns] for row in batch)
+    return buf.getvalue()
+
+
+class EncodedRows:
+    """A table's rows already in the text one format's writer gives them, as
+    blocks of whole rows (see `fragments`), and the names of their `columns`."""
+
+    def __init__(self, columns: list[str], blocks: Iterator[str]) -> None:
+        self.columns, self.blocks = columns, blocks
+
+
+def fragments(fmt: str, columns: list[str], rows: list[Mapping[str, Any]]) -> list[str]:
+    """The `fmt` ("json" or "csv") writer's block of `rows`, cut at each
+    SPLICE: joined with a text, the pieces are the block of the same rows
+    with that text in place of SPLICE."""
+    return (_encode_rows(rows) if fmt == "json" else _encode_csv(columns, rows)).split(SPLICE)
+
+
+def _write_blocks(
+    out: TextIO, head: str, blocks: Iterator[str], sep: str, tail: str, empty: str
+) -> None:
+    """Write head, the blocks with `sep` between two, and tail; or `empty`
+    when there are none. The first block is computed before the first write,
+    so an error in it leaves `out` untouched."""
+    block = next(blocks, None)
+    out.write(empty if block is None else head)
+    while block is not None:
+        out.write(block)
+        del block  # one block in memory at a time
+        block = next(blocks, None)
+        out.write(tail if block is None else sep)
+
+
 def write_json(out: TextIO, payload: dict[str, Any]) -> None:
     """Write dumps_json(payload) and a newline to `out`.
 
     When the payload's last value is an iterator, it is read as the rows of
-    a list: flat, non-empty dicts. The first batch of rows is encoded before
-    the first write, so an error in it leaves `out` untouched; later batches
-    are encoded and written one at a time.
+    a list: flat, non-empty dicts. `EncodedRows` are written as they are.
     """
     rows = next(reversed(payload.values()), None)
-    if not isinstance(rows, Iterator):
+    if not isinstance(rows, (Iterator, EncodedRows)):
         out.write(dumps_json(payload) + "\n")
         return
-    batches = _batches(rows)
-    batch = next(batches, None)
+    blocks = rows.blocks if isinstance(rows, EncodedRows) else map(_encode_rows, _batches(rows))
     head = dumps_json({**payload, next(reversed(payload)): []})
-    if batch is None:
-        out.write(head + "\n")
-        return
     # head ends with the empty list and the closing brace: "[]\n}".
-    separator = head[:-4] + "[\n    "
-    while batch is not None:
-        out.write(separator + _encode_rows(batch))
-        del batch  # one batch in memory at a time
-        separator = ",\n    "
-        batch = next(batches, None)
-    out.write("\n  ]\n}\n")
+    _write_blocks(out, head[:-4] + "[\n    ", blocks, ",\n    ", "\n  ]\n}\n", head + "\n")
 
 
 def write_csv(
-    out: TextIO, columns: Optional[Sequence[str]], rows: Iterable[Mapping[str, Any]]
+    out: TextIO, columns: Optional[Sequence[str]], rows: Iterable[Mapping[str, Any]] | EncodedRows
 ) -> None:
     """Write dumps_csv(columns, rows) to `out`.
 
-    `columns` None takes the first row's keys. Rows are read BATCH_ROWS at
-    a time, and the first batch before the first write, so an error in it
-    leaves `out` untouched; the header and the rows are then written to
-    `out` a row at a time.
+    `columns` None takes the first row's keys, or those of `EncodedRows`.
+    The first batch of rows is read before the first write.
     """
-    batches = _batches(rows)
-    batch = next(batches, [])
-    if columns is None:
-        columns = list(batch[0]) if batch else []
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    while batch is not None:
-        writer.writerows([row.get(col) for col in columns] for row in batch)
-        del batch  # one batch in memory at a time
-        batch = next(batches, None)
+    if isinstance(rows, EncodedRows):
+        columns, blocks = rows.columns, rows.blocks
+    else:
+        rows = iter(rows)
+        first = list(itertools.islice(rows, 1))
+        if columns is None:
+            columns = list(first[0]) if first else []
+        blocks = map(_encode_csv, itertools.repeat(columns), _batches(itertools.chain(first, rows)))
+    header = _encode_csv(columns, [dict(zip(columns, columns))])  # each name in its column
+    _write_blocks(out, header, blocks, "", "", header)
 
 
 def _timestamp() -> str:

@@ -1,6 +1,7 @@
 """Command-line surface: payload shapes, exit codes, and format parity."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from ghzgap import cli
 from ghzgap.cli import main
 from ghzgap.configs import Word, classify, enumerate_configurations
-from ghzgap.reporting import BATCH_ROWS
+from ghzgap.reporting import BATCH_ROWS, dumps_csv, dumps_json
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +120,29 @@ class TestEnumerate:
             f"{text},{kind},{'' if eigenvalue is None else eigenvalue}\n"
             for text, kind, eigenvalue in expected
         )
+
+    # Two and four blocks of 2^12 rows (2^11 with --words-only): parsing the
+    # JSON, as above, would not see the whitespace where two blocks meet.
+    @pytest.mark.parametrize("q", [13, 14])
+    @pytest.mark.parametrize("words_only", [False, True], ids=["all", "words-only"])
+    def test_bytes_match_whole_text(self, capsys, q, words_only):
+        items = []
+        for config in enumerate_configurations(q):
+            cls = classify(config)
+            if isinstance(cls, Word) or not words_only:
+                eigenvalue = cls.eigenvalue if isinstance(cls, Word) else None
+                items.append(
+                    {"configuration": config.text(), "kind": cls.kind, "eigenvalue": eigenvalue}
+                )
+        argv = ["enumerate", "--q", str(q)] + (["--words-only"] if words_only else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        fields = {"q": q, "words_only": words_only, "count": len(items), "items": items}
+        manifest = json.loads(out)["manifest"]
+        assert out == dumps_json({"manifest": manifest, **fields}) + "\n"
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out == dumps_csv(list(items[0]), items)
 
     def test_verbose_count_equals_rows_written(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "--q", "13", "--words-only", "--verbose")
@@ -387,6 +411,24 @@ class TestGap:
         for row in (point, *sweep["rows"]):
             assert isinstance(row["gap_asymptotic"], float)
             assert row["gap_asymptotic"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [
+            (["gap", "--q", "2"], ["eps", "p_qm"]),
+            (["gap", "--q", "4e27"], ["eps", "p_qm"]),
+            (["gap", "sweep", "--q-min", "2", "--q-max", "3", "--format", "json"], ["eps", "p_qm"]),
+            (["simulate", "--q", "3", "--model", "qm", "--trials", "100", "--seed", "1"],
+             ["epsilon", "failure_rate", "theory"]),
+        ],
+        ids=["gap", "gap-real-q", "gap-sweep", "simulate"],
+    )
+    def test_negative_zero_eps_reports_zero(self, capsys, argv, fields):
+        option = "--eps-list" if "sweep" in argv else "--eps"
+        payload = run_json(capsys, *argv, option, "-0.0")
+        for row in payload.get("rows", [payload]):
+            for field in fields:
+                assert row[field] == 0.0 and math.copysign(1.0, row[field]) == 1.0, field
 
 
 class TestDisproveAndCat:

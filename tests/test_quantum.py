@@ -42,6 +42,11 @@ class TestNoiseModel:
         with pytest.raises(DomainError):
             NoiseModel(0.51)
 
+    def test_negative_zero_becomes_zero(self):
+        epsilon = NoiseModel(-0.0).epsilon
+        assert epsilon == 0.0 and math.copysign(1.0, epsilon) == 1.0
+        assert math.copysign(1.0, failure_probability_closed(2, NoiseModel(-0.0))) == 1.0
+
 
 class TestFailureProbability:
     def test_no_error_terms_at_zero(self):
