@@ -33,9 +33,10 @@ CONSTITUENT_FACTORS = {
 }
 
 #: Published reference value for the per-station error below which a 4 kg
-#: water-based system would still show a >1e-2 failure-rate difference.
-#: Juxtaposed in reports with the threshold this module derives, which
-#: comes out lower; the discrepancy is reported, not resolved.
+#: water-based system would still show a >1e-2 failure-rate difference. It
+#: inverts the visibility, (1 - 2*eps)^q = delta: -expm1(ln(delta)/q)/2 is
+#: 6.15e-28 at q = 3.744e27 and rounds to 6e-28. The derived threshold
+#: (4.30e-28) inverts the absolute gap, (1/4)(1 - 2*eps)^q = delta.
 REFERENCE_EPSILON = 6e-28
 
 
@@ -124,7 +125,7 @@ def epsilon_threshold(q: float, delta: float) -> float:
 
     Inverts (1/4)(1 - 2*eps)^q = delta as eps = (1 - (4*delta)^(1/q))/2,
     evaluated as -expm1(log(4*delta)/q)/2 so that q ~ 1e27 loses no
-    precision. delta = 1/4 returns 0; larger delta has no solution.
+    precision. delta = 1/4 returns +0.0; larger delta has no solution.
     """
     if q < 1:
         raise DomainError(f"station count must be at least 1, got {q}")
@@ -132,7 +133,7 @@ def epsilon_threshold(q: float, delta: float) -> float:
         raise DomainError(
             f"gap target must lie in (0, 1/4] for a nonnegative threshold, got {delta}"
         )
-    return -0.5 * math.expm1(math.log(4.0 * delta) / q)
+    return -0.5 * math.expm1(math.log(4.0 * delta) / q) + 0.0  # -0.0 becomes 0.0
 
 
 def particles_in_mass(mass_kg: float, convention: str = "electrons-nucleons") -> float:

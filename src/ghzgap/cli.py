@@ -1,9 +1,9 @@
 """Command-line surface: every library quantity as a JSON or CSV report.
 
-Each handler returns the report's fields and, for a command that can write
-CSV, its rows; ``main`` alone adds the manifest, picks the writer and writes.
-`enumerate` and `gap sweep` check every parameter, then hand over their rows
-for the writer to write a block at a time, `enumerate`'s already encoded.
+Each handler returns the report's fields, a table among them as their last
+value: `EncodedRows` of the chosen format, all that a CSV report writes.
+``main`` alone adds the manifest, picks the writer and writes. `enumerate` and
+`gap sweep` check every parameter, then hand over rows encoded block by block.
 Payloads go to standard output only; diagnostics and optional ``--verbose``
 summaries go to standard error. Exit codes: 0 success, 2 usage error,
 3 domain or capacity error, a report that could not be written, or any
@@ -19,7 +19,7 @@ import contextlib
 import functools
 import itertools
 import sys
-from typing import Any, ContextManager, Iterable, Optional, TextIO
+from typing import Any, ContextManager, Optional, TextIO
 
 from .asymptotics import CONSTITUENT_FACTORS, GapReport, gap, macroscopic_report
 from .configs import (
@@ -41,7 +41,7 @@ from .experiment import (
     stream_environment,
 )
 from .quantum import NoiseModel
-from .reporting import SPLICE, EncodedRows, build_manifest, fragments, write_csv, write_json
+from .reporting import SPLICE, EncodedRows, build_manifest, encode, fragments, write_csv, write_json
 from .reporting import dumps_csv, dumps_json  # noqa: F401  (bench/spans.py traces them here)
 from .strategies import (
     CanonicalStrategy,
@@ -74,10 +74,13 @@ _NOT_PARAMETERS = frozenset(
     {"command", "lhv_command", "gap_command", "handler", "verbose", "format"}
 )
 
-#: What a handler returns: the JSON body without its manifest, and the CSV
-#: rows for a command that can write CSV (None for the others). A body with
-#: such rows (an iterator or EncodedRows) holds the same object as its last value.
-_Report = tuple[dict[str, Any], Optional[Iterable[dict[str, Any]] | EncodedRows]]
+#: What a handler returns: the JSON body without its manifest. A table is
+#: its last value, as `EncodedRows` of the format asked for; in CSV the
+#: table is the whole report.
+_Report = dict[str, Any]
+
+#: `gap sweep`'s CSV columns: the keys of `_gap_row`.
+_GAP_COLUMNS = ["q", "eps", "p_qm", "p_classical_exact", "gap_exact", "gap_asymptotic"]
 
 
 def _manifest(args: argparse.Namespace) -> dict[str, Any]:
@@ -113,7 +116,7 @@ def _cmd_classify(args: argparse.Namespace) -> _Report:
         cls = classify(config)
         tail = f" with eigenvalue {cls.eigenvalue:+d}" if isinstance(cls, Word) else ""
         print(f"{config.text()} is a {cls.kind}{tail}", file=sys.stderr)
-    return {"q": config.q, "r_count": config.r_count, **_classification_fields(config)}, None
+    return {"q": config.q, "r_count": config.r_count, **_classification_fields(config)}
 
 
 def _enumerate_rows(q: int, words_only: bool, fmt: str) -> EncodedRows:
@@ -148,7 +151,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> _Report:
     count = word_count(args.q) if args.words_only else 1 << args.q
     if args.verbose:
         print(f"{count} configurations at q={args.q}", file=sys.stderr)
-    return {"q": args.q, "words_only": args.words_only, "count": count, "items": items}, items
+    return {"q": args.q, "words_only": args.words_only, "count": count, "items": items}
 
 
 def _cmd_lhv_optimize(args: argparse.Namespace) -> _Report:
@@ -184,7 +187,7 @@ def _cmd_lhv_optimize(args: argparse.Namespace) -> _Report:
             f"{1 << (args.q - 1)} words (probability {report.probability})",
             file=sys.stderr,
         )
-    return fields, None
+    return fields
 
 
 def _cmd_simulate(args: argparse.Namespace) -> _Report:
@@ -220,9 +223,10 @@ def _cmd_simulate(args: argparse.Namespace) -> _Report:
             f"CI [{report.ci_low:.6f}, {report.ci_high:.6f}]",
             file=sys.stderr,
         )
+    if args.format == "csv":
+        return {"rows": encode("csv", list(row), [row])}
     strategy = None if report.strategy is None else _strategy_fields(report.strategy)
-    fields = {**row, "strategy": strategy, "station_r_counts": list(report.station_r_counts)}
-    return fields, [row]
+    return {**row, "strategy": strategy, "station_r_counts": list(report.station_r_counts)}
 
 
 def _gap_row(report: GapReport) -> dict[str, Any]:
@@ -255,7 +259,7 @@ def _cmd_gap(args: argparse.Namespace) -> _Report:
             f"q={args.q}, eps={args.eps}: asymptotic gap {report.gap_asymptotic:.6e}",
             file=sys.stderr,
         )
-    return {**_gap_row(report), "p_classical_limit": report.p_classical_limit}, None
+    return {**_gap_row(report), "p_classical_limit": report.p_classical_limit}
 
 
 def _cmd_gap_sweep(args: argparse.Namespace) -> _Report:
@@ -274,7 +278,7 @@ def _cmd_gap_sweep(args: argparse.Namespace) -> _Report:
         for q in range(args.q_min, args.q_max + 1)
         for noise in noises
     )
-    return {"rows": rows}, rows
+    return {"rows": encode(args.format, _GAP_COLUMNS, rows)}
 
 
 def _cmd_disprove(args: argparse.Namespace) -> _Report:
@@ -284,7 +288,7 @@ def _cmd_disprove(args: argparse.Namespace) -> _Report:
             f"{trials} trials expose a failure with confidence {args.confidence}",
             file=sys.stderr,
         )
-    return {"p_failure": args.p_failure, "confidence": args.confidence, "trials": trials}, None
+    return {"p_failure": args.p_failure, "confidence": args.confidence, "trials": trials}
 
 
 def _cmd_cat(args: argparse.Namespace) -> _Report:
@@ -295,7 +299,7 @@ def _cmd_cat(args: argparse.Namespace) -> _Report:
             f"vs reference {report.epsilon_reference:.3e}",
             file=sys.stderr,
         )
-    return report._asdict(), None
+    return report._asdict()
 
 
 @functools.cache
@@ -411,10 +415,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.eps is None:
             args.eps = 0.0
     try:
-        fields, rows = args.handler(args)
+        fields = args.handler(args)
         with _report_stream(sys.stdout) as out:
             if args.format == "csv":
-                write_csv(out, None, rows)
+                write_csv(out, next(reversed(fields.values())))
             else:
                 write_json(out, {"manifest": _manifest(args), **fields})
             out.flush()

@@ -8,10 +8,10 @@ for seeded runs the random-stream environment) so a payload can always be
 traced back to the invocation that produced it.
 
 `dumps_json` and `dumps_csv` return a whole report as text. `write_json` and
-`write_csv` write the same text to a stream and take the rows of a table
-report as an iterator, encoded BATCH_ROWS at a time into blocks, or as
-`EncodedRows`, blocks already encoded (joined from `fragments`); one loop
-writes the blocks of both, so a report of any length runs in constant memory.
+`write_csv` write the same text to a stream and take a table only as
+`EncodedRows`, blocks of encoded rows: `encode` encodes row dicts BATCH_ROWS
+at a time as the writer asks for a block, or blocks are joined from
+`fragments`. One loop writes them, so any report runs in constant memory.
 """
 
 from __future__ import annotations
@@ -74,19 +74,7 @@ def dumps_csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
     A missing value or None is an empty cell; floats use the same repr as
     JSON.
     """
-    buf = io.StringIO()
-    write_csv(buf, columns, rows)
-    return buf.getvalue()
-
-
-def _batches(rows: Iterable[Any]) -> Iterator[list[Any]]:
-    """Rows in lists of BATCH_ROWS, the last one shorter; none when empty.
-
-    It keeps no batch it has handed out, so a writer that lets go of each
-    batch before it asks for the next holds one at a time.
-    """
-    it = iter(rows)
-    return iter(lambda: list(itertools.islice(it, BATCH_ROWS)), [])
+    return _encode_csv(columns, [dict(zip(columns, columns)), *rows])  # each name in its column
 
 
 def _encode_rows(batch: list[Mapping[str, Any]]) -> str:
@@ -102,7 +90,7 @@ def _encode_rows(batch: list[Mapping[str, Any]]) -> str:
     return "{\n      " + body + "\n    }"
 
 
-def _encode_csv(columns: Sequence[str], batch: list[Mapping[str, Any]]) -> str:
+def _encode_csv(columns: Sequence[str], batch: Iterable[Mapping[str, Any]]) -> str:
     """The rows of `batch` as CSV lines of their `columns` cells."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([row.get(c) for c in columns] for row in batch)
@@ -111,17 +99,32 @@ def _encode_csv(columns: Sequence[str], batch: list[Mapping[str, Any]]) -> str:
 
 class EncodedRows:
     """A table's rows already in the text one format's writer gives them, as
-    blocks of whole rows (see `fragments`), and the names of their `columns`."""
+    blocks of whole rows, and the names of their `columns`."""
 
     def __init__(self, columns: list[str], blocks: Iterator[str]) -> None:
         self.columns, self.blocks = columns, blocks
 
 
+def _encode(fmt: str, columns: list[str], batch: list[Mapping[str, Any]]) -> str:
+    """The `fmt` ("json" or "csv") writer's block of the rows of `batch`."""
+    return _encode_rows(batch) if fmt == "json" else _encode_csv(columns, batch)
+
+
+def encode(fmt: str, columns: list[str], rows: Iterable[Mapping[str, Any]]) -> EncodedRows:
+    """`rows`, flat dicts, for the `fmt` writer, which has the next BATCH_ROWS
+    of them encoded each time it asks for a block; CSV writes `columns`.
+    No batch is kept once encoded, so the writer holds one at a time."""
+    it = iter(rows)
+    batches = iter(lambda: list(itertools.islice(it, BATCH_ROWS)), [])
+    blocks = map(_encode, itertools.repeat(fmt), itertools.repeat(columns), batches)
+    return EncodedRows(columns, blocks)
+
+
 def fragments(fmt: str, columns: list[str], rows: list[Mapping[str, Any]]) -> list[str]:
-    """The `fmt` ("json" or "csv") writer's block of `rows`, cut at each
-    SPLICE: joined with a text, the pieces are the block of the same rows
-    with that text in place of SPLICE."""
-    return (_encode_rows(rows) if fmt == "json" else _encode_csv(columns, rows)).split(SPLICE)
+    """The `fmt` writer's block of `rows`, cut at each SPLICE: joined with a
+    text, the pieces are the block of the same rows with that text in place
+    of SPLICE."""
+    return _encode(fmt, columns, rows).split(SPLICE)
 
 
 def _write_blocks(
@@ -142,37 +145,23 @@ def _write_blocks(
 def write_json(out: TextIO, payload: dict[str, Any]) -> None:
     """Write dumps_json(payload) and a newline to `out`.
 
-    When the payload's last value is an iterator, it is read as the rows of
-    a list: flat, non-empty dicts. `EncodedRows` are written as they are.
+    When the payload's last value is `EncodedRows` (of the JSON writer), it
+    is written as the list of their rows, which must be flat, non-empty dicts.
     """
     rows = next(reversed(payload.values()), None)
-    if not isinstance(rows, (Iterator, EncodedRows)):
+    if not isinstance(rows, EncodedRows):
         out.write(dumps_json(payload) + "\n")
         return
-    blocks = rows.blocks if isinstance(rows, EncodedRows) else map(_encode_rows, _batches(rows))
     head = dumps_json({**payload, next(reversed(payload)): []})
     # head ends with the empty list and the closing brace: "[]\n}".
-    _write_blocks(out, head[:-4] + "[\n    ", blocks, ",\n    ", "\n  ]\n}\n", head + "\n")
+    _write_blocks(out, head[:-4] + "[\n    ", rows.blocks, ",\n    ", "\n  ]\n}\n", head + "\n")
 
 
-def write_csv(
-    out: TextIO, columns: Optional[Sequence[str]], rows: Iterable[Mapping[str, Any]] | EncodedRows
-) -> None:
-    """Write dumps_csv(columns, rows) to `out`.
-
-    `columns` None takes the first row's keys, or those of `EncodedRows`.
-    The first batch of rows is read before the first write.
-    """
-    if isinstance(rows, EncodedRows):
-        columns, blocks = rows.columns, rows.blocks
-    else:
-        rows = iter(rows)
-        first = list(itertools.islice(rows, 1))
-        if columns is None:
-            columns = list(first[0]) if first else []
-        blocks = map(_encode_csv, itertools.repeat(columns), _batches(itertools.chain(first, rows)))
-    header = _encode_csv(columns, [dict(zip(columns, columns))])  # each name in its column
-    _write_blocks(out, header, blocks, "", "", header)
+def write_csv(out: TextIO, rows: EncodedRows) -> None:
+    """Write `rows`, `EncodedRows` of the CSV writer, to `out` under the
+    header of their columns: dumps_csv of the same columns and rows."""
+    header = dumps_csv(rows.columns, ())
+    _write_blocks(out, header, rows.blocks, "", "", header)
 
 
 def _timestamp() -> str:

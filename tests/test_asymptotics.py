@@ -133,6 +133,12 @@ class TestEpsilonThreshold:
     def test_boundary_delta_gives_zero(self):
         assert epsilon_threshold(3, 0.25) == 0.0
 
+    def test_boundary_delta_gives_positive_zero(self):
+        # -0.5 * expm1(0.0) is -0.0, which a report would print as -0.0.
+        for q in (1, 3, 4e27):
+            assert math.copysign(1.0, epsilon_threshold(q, 0.25)) == 1.0
+        assert math.copysign(1.0, macroscopic_report(4.0, 0.25).epsilon_derived) == 1.0
+
     def test_q100_value(self):
         # forward-checked inversion at q=100, delta=0.01
         value = epsilon_threshold(100, 0.01)
@@ -224,10 +230,18 @@ class TestMacroscopicReport:
         assert report.gap_at_reference < 0.01
 
     def test_reference_threshold_fails_forward_check(self):
-        # the quoted reference value does not satisfy the defining equation;
-        # both numbers are reported side by side rather than reconciled
+        # the quoted reference value does not satisfy the absolute-gap equation
         report = macroscopic_report(4.0, 0.01)
         assert report.gap_at_reference == pytest.approx(0.0027973, rel=1e-4)
+
+    def test_reference_threshold_inverts_the_visibility(self):
+        # (1 - 2*eps)^q = delta, the gap relative to its noiseless 1/4,
+        # reproduces the quoted 6e-28 to its one significant digit
+        report = macroscopic_report(4.0, 0.01)
+        visibility = -math.expm1(math.log(report.delta) / report.q) / 2
+        assert visibility == pytest.approx(6.15e-28, rel=1e-3, abs=0.0)
+        assert float(f"{visibility:.0e}") == REFERENCE_EPSILON
+        assert 4 * gap_asymptotic(report.q, NoiseModel(visibility)) == pytest.approx(0.01)
 
     def test_convention_echo(self):
         report = macroscopic_report(1.0, 0.02, convention="atoms")

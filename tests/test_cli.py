@@ -342,6 +342,28 @@ class TestGap:
             for column in ("p_qm", "p_classical_exact", "gap_exact", "gap_asymptotic"):
                 assert float(csv_row[column]) == json_row[column]
 
+    # 8997 rows, three blocks: parsing, as above, would not see where two meet.
+    def test_sweep_bytes_match_whole_text(self, capsys):
+        eps_list = [0.01, 0.1, 0.3]
+        rows = []
+        for q in range(2, 3001):
+            for eps in eps_list:
+                report = cli.gap(q, cli.NoiseModel(eps))
+                rows.append({
+                    "q": q, "eps": eps, "p_qm": report.p_qm,
+                    "p_classical_exact": report.p_classical_exact,
+                    "gap_exact": report.gap_exact, "gap_asymptotic": report.gap_asymptotic,
+                })
+        assert len(rows) > 2 * BATCH_ROWS
+        argv = ["gap", "sweep", "--q-min", "2", "--q-max", "3000", "--eps-list", *map(str, eps_list)]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out == dumps_csv(list(rows[0]), rows)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        manifest = json.loads(out)["manifest"]
+        assert out == dumps_json({"manifest": manifest, "rows": rows}) + "\n"
+
     def test_bad_range_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "gap", "sweep", "--q-min", "5", "--q-max", "2")
         assert code == 3
@@ -454,6 +476,12 @@ class TestDisproveAndCat:
         assert payload["epsilon_derived"] == pytest.approx(4.2987e-28, rel=1e-4, abs=0.0)
         assert payload["epsilon_reference"] == 6e-28
         assert payload["gap_at_derived"] == pytest.approx(0.01, rel=1e-9)
+
+    def test_cat_boundary_delta_reports_positive_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "cat", "--mass-kg", "4", "--delta", "0.25")
+        assert code == 0
+        assert '"epsilon_derived": 0.0,' in out
+        assert math.copysign(1.0, json.loads(out)["epsilon_derived"]) == 1.0
 
     def test_cat_convention_flag(self, capsys):
         payload = run_json(

@@ -3,6 +3,7 @@ the record types among them validate and refuse assignment."""
 
 import ast
 import importlib
+import inspect
 import math
 import pathlib
 import types
@@ -182,11 +183,54 @@ def test_records_are_tuples():
     assert (Word.kind, ghzgap.String.kind) == ("word", "string")
 
 
+_BENCH = pathlib.Path(__file__).parents[1] / "bench"
+
+
+def _unresolved_bench_uses(path):
+    """What a bench module uses of ghzgap and ghzgap lacks: each name it
+    imports from a ghzgap module, each `module.name` on a module it imports
+    so, and each keyword it passes to a callable it reaches either way."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ghzgap"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name, None)
+                if value is None:
+                    missing.append(f"{node.module}.{alias.name}")
+                elif bound.setdefault(alias.asname or alias.name, value) is not value:
+                    missing.append(f"{alias.name} bound twice")  # the walk cannot tell apart
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner = bound.get(node.value.id)
+            if isinstance(owner, types.ModuleType) and not hasattr(owner, node.attr):
+                missing.append(f"{owner.__name__}.{node.attr}")
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            target = bound.get(node.func.id)
+        elif isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
+            target = getattr(bound.get(node.func.value.id), node.func.attr, None)
+        else:
+            continue
+        if callable(target) and not isinstance(target, types.ModuleType):
+            parameters = inspect.signature(target).parameters.values()
+            if any(p.kind is p.VAR_KEYWORD for p in parameters):
+                continue
+            names = {p.name for p in parameters if p.kind is not p.POSITIONAL_ONLY}
+            missing += [
+                f"{target.__module__}.{target.__qualname__}({k.arg}=...)"
+                for k in node.keywords
+                if k.arg is not None and k.arg not in names
+            ]
+    return missing
+
+
 def test_names_the_benchmark_traces_resolve():
-    # bench/spans.py wraps these names on these modules for `--trace 1`; it
-    # is read, not imported, because it loads numpy.
-    spans = pathlib.Path(__file__).parents[1] / "bench" / "spans.py"
-    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    # bench/spans.py wraps these names on these modules for `--trace 1`; the
+    # bench files are read, not imported, because they load numpy.
+    tree = ast.parse((_BENCH / "spans.py").read_text(encoding="utf-8"))
     (boundaries,) = [
         ast.literal_eval(node.value)
         for node in tree.body
@@ -201,3 +245,6 @@ def test_names_the_benchmark_traces_resolve():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+    # The probes and workloads call ghzgap by these names and keywords.
+    for name in ("probes.py", "workloads.py"):
+        assert _unresolved_bench_uses(_BENCH / name) == [], name

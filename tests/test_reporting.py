@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from ghzgap.errors import DomainError
-from ghzgap.reporting import BATCH_ROWS, dumps_csv, dumps_json, write_csv, write_json
+from ghzgap.reporting import BATCH_ROWS, dumps_csv, dumps_json, encode, write_csv, write_json
 
 
 class TestJson:
@@ -107,6 +107,10 @@ def _rows(pool, count):
     return list(itertools.islice(itertools.cycle(pool), count))
 
 
+def _columns(pool):
+    return list(dict.fromkeys(key for row in pool for key in row))
+
+
 def assert_same_text(got, want):
     """Equal texts; a mismatch shows where they part instead of a diff of
     two texts of up to a megabyte."""
@@ -125,21 +129,17 @@ class TestStreamedWriters:
         rows = _rows(pool, count)
         fields = {"manifest": {"command": "enumerate", "parameters": {"q": 3}}, "x": scalar}
         out = io.StringIO()
-        write_json(out, {**fields, "rows": iter(rows)})
+        write_json(out, {**fields, "rows": encode("json", _columns(pool), iter(rows))})
         assert_same_text(out.getvalue(), dumps_json({**fields, "rows": rows}) + "\n")
 
     @_streamed
     @given(pool=_row_pools, count=st.sampled_from(_ROW_COUNTS))
     def test_csv_matches_whole_text(self, pool, count):
         rows = _rows(pool, count)
-        columns = list(dict.fromkeys(key for row in pool for key in row))
+        columns = _columns(pool)
         out = io.StringIO()
-        write_csv(out, columns, iter(rows))
+        write_csv(out, encode("csv", columns, iter(rows)))
         assert_same_text(out.getvalue(), dumps_csv(columns, rows))
-        if rows:
-            out = io.StringIO()
-            write_csv(out, None, iter(rows))
-            assert_same_text(out.getvalue(), dumps_csv(list(rows[0]), rows))
 
     def test_payload_without_rows_is_whole_text(self):
         out = io.StringIO()
@@ -152,7 +152,7 @@ class TestStreamedWriters:
         rows[position] = {"p": float("nan")}
         out = io.StringIO()
         with pytest.raises(DomainError):
-            write_json(out, {"q": 3, "rows": iter(rows)})
+            write_json(out, {"q": 3, "rows": encode("json", ["p"], iter(rows))})
         assert out.getvalue() == ""
 
     def test_first_batch_read_before_any_write(self):
@@ -161,8 +161,8 @@ class TestStreamedWriters:
             raise LookupError("row failed")
 
         for write in (
-            lambda out: write_json(out, {"rows": rows()}),
-            lambda out: write_csv(out, None, rows()),
+            lambda out: write_json(out, {"rows": encode("json", ["p"], rows())}),
+            lambda out: write_csv(out, encode("csv", ["p"], rows())),
         ):
             out = io.StringIO()
             with pytest.raises(LookupError):
