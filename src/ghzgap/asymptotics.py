@@ -12,7 +12,7 @@ stably up to station counts of order 10^27 (a few kilograms of matter).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .quantum import NoiseModel, _log_attenuation, parity_attenuation
@@ -76,13 +76,8 @@ def gap_asymptotic(q: float, noise: NoiseModel) -> float:
     return 0.25 * parity_attenuation(q, noise)
 
 
-def gap(q: float, noise: NoiseModel) -> GapReport:
-    """Full gap report at one point.
-
-    Integer q ≥ 2 fills the exact classical probability and exact gap; any
-    real q ≥ 1 (e.g. 4e27) fills the asymptotic fields only. q must be
-    finite, and an integer q must fit the float range.
-    """
+def _check_q(q: float) -> None:
+    """q must be finite, fit the float range, and be at least 1."""
     try:
         finite = math.isfinite(q)
     except OverflowError:  # an int too large to convert
@@ -91,33 +86,53 @@ def gap(q: float, noise: NoiseModel) -> GapReport:
         raise DomainError(f"station count q must be finite, got {q!r}")
     if q < 1:
         raise DomainError(f"station count must be at least 1, got {q}")
-    # gap_asymptotic and failure_probability_closed from one q*log1p(-2*eps)
-    log_attenuation = _log_attenuation(q, noise)
-    asymptotic = 0.25 * math.exp(log_attenuation)
-    p_qm = -0.25 * math.expm1(log_attenuation)
-    p_classical = gap_exact = None
-    if isinstance(q, int) and not isinstance(q, bool):
-        # The classical probability mermin_bound(q) / 2^q is
-        # 1/4 - 2^-floor((q+3)/2) exactly. One float subtraction rounds it
-        # correctly, without that ratio's 2^q-sized integers. The gap is the
-        # asymptotic term minus the same power of two; subtracting the two
-        # probabilities, both near 1/4, would cancel. At q = 2 the power is
-        # 1/4 itself and the classical probability is 0, so the plain
-        # difference is the exact one there.
+
+
+def gap_rows(qs: Iterable[int], noises: Sequence[NoiseModel]) -> Iterator[tuple]:
+    """Integer-q gap rows (q, eps, p_qm, p_classical_exact, gap_exact,
+    gap_asymptotic), for each q of `qs` one per noise model, each q checked
+    as `gap` checks it when its first row is asked for.
+
+    The classical probability mermin_bound(q) / 2^q is 1/4 - 2^-floor((q+3)/2)
+    exactly. One float subtraction rounds it correctly, without that ratio's
+    2^q-sized integers. The gap is the asymptotic term minus the same power
+    of two; subtracting the two probabilities, both near 1/4, would cancel.
+    At q = 2 the power is 1/4 itself and the classical probability is 0, so
+    the plain difference is the exact one there. Both the asymptotic term
+    and p_qm come from one q*log1p(-2*eps), whose log is taken once per eps.
+    """
+    logs = [(noise.epsilon, _log_attenuation(1, noise)) for noise in noises]
+    for q in qs:
+        _check_q(q)
         if q < 2:
             raise DomainError(f"classical failure probability needs q >= 2, got {q}")
         power = math.ldexp(1.0, -((q + 3) // 2))
         p_classical = 0.25 - power
-        gap_exact = p_classical - p_qm if q == 2 else asymptotic - power
-    return GapReport(
-        q=q,
-        epsilon=noise.epsilon,
-        p_qm=p_qm,
-        p_classical_exact=p_classical,
-        p_classical_limit=0.25,
-        gap_exact=gap_exact,
-        gap_asymptotic=asymptotic,
-    )
+        for eps, log in logs:
+            log_attenuation = q * log
+            asymptotic = 0.25 * math.exp(log_attenuation)
+            p_qm = -0.25 * math.expm1(log_attenuation)
+            gap_exact = p_classical - p_qm if q == 2 else asymptotic - power
+            yield q, eps, p_qm, p_classical, gap_exact, asymptotic
+
+
+def gap(q: float, noise: NoiseModel) -> GapReport:
+    """Full gap report at one point.
+
+    Integer q ≥ 2 fills the exact classical probability and exact gap, as
+    the `gap_rows` row at (q, eps); any real q ≥ 1 (e.g. 4e27) fills the
+    asymptotic fields only. q must be finite, and an integer q must fit the
+    float range.
+    """
+    if isinstance(q, int) and not isinstance(q, bool):
+        q, eps, p_qm, p_classical, gap_exact, asymptotic = next(gap_rows((q,), (noise,)))
+    else:
+        _check_q(q)
+        log_attenuation = _log_attenuation(q, noise)
+        eps, p_classical, gap_exact = noise.epsilon, None, None
+        asymptotic = 0.25 * math.exp(log_attenuation)
+        p_qm = -0.25 * math.expm1(log_attenuation)
+    return GapReport(q, eps, p_qm, p_classical, 0.25, gap_exact, asymptotic)
 
 
 def epsilon_threshold(q: float, delta: float) -> float:

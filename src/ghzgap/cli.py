@@ -21,7 +21,7 @@ import itertools
 import sys
 from typing import Any, ContextManager, Optional, TextIO
 
-from .asymptotics import CONSTITUENT_FACTORS, GapReport, gap, macroscopic_report
+from .asymptotics import CONSTITUENT_FACTORS, gap, gap_rows, macroscopic_report
 from .configs import (
     ENUMERATION_LIMIT,
     Configuration,
@@ -65,7 +65,7 @@ _LHV_OPTIMIZE_LIMIT = 14_000
 _PREFIX_STATIONS = (ENUMERATION_LIMIT + 1) // 2
 
 #: `gap sweep` writes at most this many rows, (q range) x (eps count): rows
-#: stream in constant memory, and 2^20 of them take 10-15 s.
+#: stream in constant memory, and 2^20 of them take ~4 s as CSV, ~7 s as JSON.
 _GAP_SWEEP_LIMIT = 1 << 20
 
 #: Namespace entries that are not parameters of the command that ran: the
@@ -79,7 +79,7 @@ _NOT_PARAMETERS = frozenset(
 #: table is the whole report.
 _Report = dict[str, Any]
 
-#: `gap sweep`'s CSV columns: the keys of `_gap_row`.
+#: `gap sweep`'s columns, the cells of a `gap_rows` row; the first fields of `gap`.
 _GAP_COLUMNS = ["q", "eps", "p_qm", "p_classical_exact", "gap_exact", "gap_asymptotic"]
 
 
@@ -134,16 +134,18 @@ def _enumerate_rows(q: int, words_only: bool, fmt: str) -> EncodedRows:
     highs = [(text[: q - n], r % 4) for text, r in prefix[: 1 << (q - n)]]
     # An item's kind and eigenvalue by its r count mod 4: those of the
     # 3-station configuration with that many r settings.
-    shapes = [_classification_fields(Configuration(q=3, r_mask=(1 << r) - 1)) for r in range(4)]
+    fields = [_classification_fields(Configuration(q=3, r_mask=(1 << r) - 1)) for r in range(4)]
+    columns = list(fields[0])  # configuration, kind, eigenvalue
+    shapes = [(f["kind"], f["eigenvalue"]) for f in fields]
     # By the high part's r count mod 4, the low parts' rows (only the words
     # with words_only), encoded once with SPLICE where the high letters go.
     pieces = {}
     for s in {s for _, s in highs}:
-        rows = [{**shapes[(r + s) % 4], "configuration": text + SPLICE} for text, r in prefix]
+        rows = [(text + SPLICE, *shapes[(r + s) % 4]) for text, r in prefix]
         if words_only:
-            rows = [row for row in rows if row["kind"] == Word.kind]
-        pieces[s] = fragments(fmt, list(shapes[0]), rows)
-    return EncodedRows(list(shapes[0]), (high.join(pieces[s]) for high, s in highs))
+            rows = [row for row in rows if row[1] == Word.kind]
+        pieces[s] = fragments(fmt, columns, rows)
+    return EncodedRows(columns, (high.join(pieces[s]) for high, s in highs))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> _Report:
@@ -224,20 +226,9 @@ def _cmd_simulate(args: argparse.Namespace) -> _Report:
             file=sys.stderr,
         )
     if args.format == "csv":
-        return {"rows": encode("csv", list(row), [row])}
+        return {"rows": encode("csv", list(row), [tuple(row.values())])}
     strategy = None if report.strategy is None else _strategy_fields(report.strategy)
     return {**row, "strategy": strategy, "station_r_counts": list(report.station_r_counts)}
-
-
-def _gap_row(report: GapReport) -> dict[str, Any]:
-    return {
-        "q": report.q,
-        "eps": report.epsilon,
-        "p_qm": report.p_qm,
-        "p_classical_exact": report.p_classical_exact,
-        "gap_exact": report.gap_exact,
-        "gap_asymptotic": report.gap_asymptotic,
-    }
 
 
 def _parse_q(text: str) -> int | float:
@@ -259,7 +250,8 @@ def _cmd_gap(args: argparse.Namespace) -> _Report:
             f"q={args.q}, eps={args.eps}: asymptotic gap {report.gap_asymptotic:.6e}",
             file=sys.stderr,
         )
-    return {**_gap_row(report), "p_classical_limit": report.p_classical_limit}
+    cells = report[:4] + report[5:]  # all but p_classical_limit, in _GAP_COLUMNS order
+    return {**dict(zip(_GAP_COLUMNS, cells)), "p_classical_limit": report.p_classical_limit}
 
 
 def _cmd_gap_sweep(args: argparse.Namespace) -> _Report:
@@ -273,11 +265,7 @@ def _cmd_gap_sweep(args: argparse.Namespace) -> _Report:
     noises = [NoiseModel(eps) for eps in args.eps_list]  # every eps checked up front
     if args.verbose:
         print(f"{row_count} gap rows", file=sys.stderr)
-    rows = (
-        _gap_row(gap(q, noise))
-        for q in range(args.q_min, args.q_max + 1)
-        for noise in noises
-    )
+    rows = gap_rows(range(args.q_min, args.q_max + 1), noises)
     return {"rows": encode(args.format, _GAP_COLUMNS, rows)}
 
 

@@ -9,9 +9,10 @@ traced back to the invocation that produced it.
 
 `dumps_json` and `dumps_csv` return a whole report as text. `write_json` and
 `write_csv` write the same text to a stream and take a table only as
-`EncodedRows`, blocks of encoded rows: `encode` encodes row dicts BATCH_ROWS
-at a time as the writer asks for a block, or blocks are joined from
-`fragments`. One loop writes them, so any report runs in constant memory.
+`EncodedRows`, blocks of encoded rows: `encode` encodes rows, tuples of cells
+in column order, BATCH_ROWS at a time as the writer asks for a block, or
+blocks are joined from `fragments`. One loop writes them, so any report runs
+in constant memory.
 """
 
 from __future__ import annotations
@@ -74,14 +75,15 @@ def dumps_csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
     A missing value or None is an empty cell; floats use the same repr as
     JSON.
     """
-    return _encode_csv(columns, [dict(zip(columns, columns)), *rows])  # each name in its column
+    return _encode_csv([columns, *([row.get(c) for c in columns] for row in rows)])
 
 
-def _encode_rows(batch: list[Mapping[str, Any]]) -> str:
-    """The rows of `batch` as dumps_json writes them inside a list that is a
-    top-level value, without the list's brackets and outer line breaks."""
+def _encode_rows(columns: Sequence[str], batch: list[Sequence[Any]]) -> str:
+    """The rows of `batch`, as objects of their `columns`, as dumps_json
+    writes them inside a list that is a top-level value, without the list's
+    brackets and outer line breaks."""
     try:
-        text = _ROW_ENCODER.encode(batch)
+        text = _ROW_ENCODER.encode([dict(zip(columns, row)) for row in batch])
     except ValueError as exc:
         raise DomainError(f"cannot serialize to JSON: {exc}") from exc
     # An encoded string escapes every newline, so each raw newline in the
@@ -90,10 +92,10 @@ def _encode_rows(batch: list[Mapping[str, Any]]) -> str:
     return "{\n      " + body + "\n    }"
 
 
-def _encode_csv(columns: Sequence[str], batch: Iterable[Mapping[str, Any]]) -> str:
-    """The rows of `batch` as CSV lines of their `columns` cells."""
+def _encode_csv(batch: Iterable[Sequence[Any]]) -> str:
+    """The rows of `batch` as CSV lines of their cells."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([row.get(c) for c in columns] for row in batch)
+    csv.writer(buf, lineterminator="\n").writerows(batch)
     return buf.getvalue()
 
 
@@ -105,25 +107,25 @@ class EncodedRows:
         self.columns, self.blocks = columns, blocks
 
 
-def _encode(fmt: str, columns: list[str], batch: list[Mapping[str, Any]]) -> str:
+def _encode(fmt: str, columns: list[str], batch: list[Sequence[Any]]) -> str:
     """The `fmt` ("json" or "csv") writer's block of the rows of `batch`."""
-    return _encode_rows(batch) if fmt == "json" else _encode_csv(columns, batch)
+    return _encode_rows(columns, batch) if fmt == "json" else _encode_csv(batch)
 
 
-def encode(fmt: str, columns: list[str], rows: Iterable[Mapping[str, Any]]) -> EncodedRows:
-    """`rows`, flat dicts, for the `fmt` writer, which has the next BATCH_ROWS
-    of them encoded each time it asks for a block; CSV writes `columns`.
-    No batch is kept once encoded, so the writer holds one at a time."""
+def encode(fmt: str, columns: list[str], rows: Iterable[Sequence[Any]]) -> EncodedRows:
+    """`rows`, tuples of cells in `columns` order, for the `fmt` writer,
+    which has the next BATCH_ROWS of them encoded each time it asks for a
+    block. No batch is kept once encoded, so the writer holds one at a time."""
     it = iter(rows)
     batches = iter(lambda: list(itertools.islice(it, BATCH_ROWS)), [])
     blocks = map(_encode, itertools.repeat(fmt), itertools.repeat(columns), batches)
     return EncodedRows(columns, blocks)
 
 
-def fragments(fmt: str, columns: list[str], rows: list[Mapping[str, Any]]) -> list[str]:
-    """The `fmt` writer's block of `rows`, cut at each SPLICE: joined with a
-    text, the pieces are the block of the same rows with that text in place
-    of SPLICE."""
+def fragments(fmt: str, columns: list[str], rows: list[Sequence[Any]]) -> list[str]:
+    """The `fmt` writer's block of `rows`, tuples of cells in `columns`
+    order, cut at each SPLICE: joined with a text, the pieces are the block
+    of the same rows with that text in place of SPLICE."""
     return _encode(fmt, columns, rows).split(SPLICE)
 
 
@@ -146,7 +148,7 @@ def write_json(out: TextIO, payload: dict[str, Any]) -> None:
     """Write dumps_json(payload) and a newline to `out`.
 
     When the payload's last value is `EncodedRows` (of the JSON writer), it
-    is written as the list of their rows, which must be flat, non-empty dicts.
+    is written as the list of their rows, objects of at least one column.
     """
     rows = next(reversed(payload.values()), None)
     if not isinstance(rows, EncodedRows):

@@ -364,6 +364,33 @@ class TestGap:
         manifest = json.loads(out)["manifest"]
         assert out == dumps_json({"manifest": manifest, "rows": rows}) + "\n"
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 1000, 10**6])
+    def test_sweep_rows_are_point_reports(self, capsys, q):
+        # Compared by repr, so a -0.0 where the point report has 0.0 differs.
+        eps_list = ["0", "-0.0", "1e-300", "1e-12", "0.01", "0.3", "0.5"]
+        points = [run_json(capsys, "gap", "--q", str(q), "--eps", eps) for eps in eps_list]
+        argv = ["gap", "sweep", "--q-min", str(q), "--q-max", str(q), "--eps-list", *eps_list]
+        rows = run_json(capsys, *argv, "--format", "json")["rows"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == len(lines) == len(points)
+        for row, line, point in zip(rows, lines, points):
+            want = [point[column] for column in cli._GAP_COLUMNS]
+            assert [repr(row[column]) for column in cli._GAP_COLUMNS] == list(map(repr, want))
+            assert line == ["" if value is None else repr(value) for value in want]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "q", ["1", "-5", "1" + "0" * 400], ids=["one", "negative", "past-float-range"]
+    )
+    def test_sweep_errors_are_point_errors(self, capsys, q, fmt):
+        code, out, point_err = run_cli(capsys, "gap", "--q", q)
+        assert (code, out) == (3, "")
+        assert point_err.startswith("error: ") and point_err.count("\n") == 1
+        argv = ["gap", "sweep", "--q-min", q, "--q-max", q, "--format", fmt]
+        assert run_cli(capsys, *argv) == (3, "", point_err)
+
     def test_bad_range_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "gap", "sweep", "--q-min", "5", "--q-max", "2")
         assert code == 3
@@ -407,12 +434,13 @@ class TestGap:
         ],
     )
     def test_sweep_row_cap(self, capsys, monkeypatch, q_max, eps_list, rows):
-        # The first gap() call fails, so neither sweep builds a row: one at
-        # the cap gets as far as its first row, one over it never does.
-        def first_row(q, noise):
+        # The first row fails, so neither sweep builds a row: one at the
+        # cap gets as far as its first row, one over it never does.
+        def first_row(qs, noises):
             raise LookupError("first row reached")
+            yield
 
-        monkeypatch.setattr(cli, "gap", first_row)
+        monkeypatch.setattr(cli, "gap_rows", first_row)
         code, out, err = run_cli(
             capsys, "gap", "sweep", "--q-min", "2", "--q-max", str(q_max),
             "--eps-list", *eps_list,
@@ -736,10 +764,10 @@ class TestStreamingMemory:
             assert large < 2 * small, options
 
     def test_gap_sweep(self, monkeypatch):
-        # gap() keeps nothing between calls; one fixed report per row keeps
-        # 50 000 rows cheap under tracemalloc.
-        report = cli.gap(10, cli.NoiseModel(0.01))
-        monkeypatch.setattr(cli, "gap", lambda q, noise: report)
+        # gap_rows() keeps nothing between rows; one fixed row per (q, eps)
+        # keeps 50 000 rows cheap under tracemalloc.
+        row = next(cli.gap_rows((10,), (cli.NoiseModel(0.01),)))
+        monkeypatch.setattr(cli, "gap_rows", lambda qs, noises: (row for _ in qs for _ in noises))
         argv = ["gap", "sweep", "--q-min", "1", "--format", "json", "--q-max"]
         small, small_size = traced_peak(monkeypatch, argv + ["5000"])
         large, large_size = traced_peak(monkeypatch, argv + ["50000"])

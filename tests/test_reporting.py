@@ -89,9 +89,12 @@ _values = st.one_of(
     st.booleans(),
 )
 
-#: A few distinct flat rows, repeated to each tested length.
-_row_pools = st.lists(
-    st.dictionaries(st.text(max_size=8), _values, min_size=1, max_size=5), min_size=1, max_size=4
+#: Column names and a few distinct rows of cells in their order, repeated
+#: to each tested length.
+_row_pools = st.lists(st.text(max_size=8), min_size=1, max_size=5, unique=True).flatmap(
+    lambda columns: st.tuples(
+        st.just(columns), st.lists(st.tuples(*[_values] * len(columns)), min_size=1, max_size=4)
+    )
 )
 
 _ROW_COUNTS = [0, 1, BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1]
@@ -104,11 +107,12 @@ _streamed = settings(
 
 
 def _rows(pool, count):
-    return list(itertools.islice(itertools.cycle(pool), count))
+    return list(itertools.islice(itertools.cycle(pool[1]), count))
 
 
-def _columns(pool):
-    return list(dict.fromkeys(key for row in pool for key in row))
+def _dicts(pool, rows):
+    """`rows` as the dicts the whole-text writers take."""
+    return [dict(zip(pool[0], row)) for row in rows]
 
 
 def assert_same_text(got, want):
@@ -129,17 +133,16 @@ class TestStreamedWriters:
         rows = _rows(pool, count)
         fields = {"manifest": {"command": "enumerate", "parameters": {"q": 3}}, "x": scalar}
         out = io.StringIO()
-        write_json(out, {**fields, "rows": encode("json", _columns(pool), iter(rows))})
-        assert_same_text(out.getvalue(), dumps_json({**fields, "rows": rows}) + "\n")
+        write_json(out, {**fields, "rows": encode("json", pool[0], iter(rows))})
+        assert_same_text(out.getvalue(), dumps_json({**fields, "rows": _dicts(pool, rows)}) + "\n")
 
     @_streamed
     @given(pool=_row_pools, count=st.sampled_from(_ROW_COUNTS))
     def test_csv_matches_whole_text(self, pool, count):
         rows = _rows(pool, count)
-        columns = _columns(pool)
         out = io.StringIO()
-        write_csv(out, encode("csv", columns, iter(rows)))
-        assert_same_text(out.getvalue(), dumps_csv(columns, rows))
+        write_csv(out, encode("csv", pool[0], iter(rows)))
+        assert_same_text(out.getvalue(), dumps_csv(pool[0], _dicts(pool, rows)))
 
     def test_payload_without_rows_is_whole_text(self):
         out = io.StringIO()
@@ -148,8 +151,8 @@ class TestStreamedWriters:
 
     @pytest.mark.parametrize("position", [0, BATCH_ROWS - 1])
     def test_nan_in_first_batch_writes_nothing(self, position):
-        rows = [{"p": 0.5} for _ in range(BATCH_ROWS + 1)]
-        rows[position] = {"p": float("nan")}
+        rows = [(0.5,) for _ in range(BATCH_ROWS + 1)]
+        rows[position] = (float("nan"),)
         out = io.StringIO()
         with pytest.raises(DomainError):
             write_json(out, {"q": 3, "rows": encode("json", ["p"], iter(rows))})
@@ -157,7 +160,7 @@ class TestStreamedWriters:
 
     def test_first_batch_read_before_any_write(self):
         def rows():
-            yield {"p": 0.5}
+            yield (0.5,)
             raise LookupError("row failed")
 
         for write in (
