@@ -7,80 +7,114 @@ quantum setup fail, and at what station count does the difference between
 the two fall below any given experimental resolution.
 """
 
-from types import ModuleType as _ModuleType
-
-from .asymptotics import (
-    AVOGADRO,
-    CONSTITUENT_FACTORS,
-    GapReport,
-    MacroscopicReport,
-    REFERENCE_EPSILON,
-    WATER_MOLAR_MASS_KG,
-    epsilon_threshold,
-    gap,
-    gap_asymptotic,
-    macroscopic_report,
-    particles_in_mass,
-)
-from .configs import (
-    Configuration,
-    ConfigurationClass,
-    String,
-    Word,
-    classify,
-    enumerate_configurations,
-    enumerate_words,
-    parse_configuration,
-    word_count,
-    word_eigenvalue,
-)
-from .errors import CapacityError, ConfigParseError, DomainError, GhzGapError
-from .experiment import (
-    ExperimentConfig,
-    ExperimentReport,
-    LhvModel,
-    QuantumModel,
-    TrialRecord,
-    iter_trials,
-    min_trials_to_disprove,
-    run_experiment,
-    wilson_interval,
-)
-from .quantum import (
-    NoiseModel,
-    OracleEntry,
-    OracleReport,
-    OutcomeTuple,
-    entangled_state,
-    failure_probability_closed,
-    failure_probability_exact,
-    failure_probability_sum,
-    joint_outcome_probabilities,
-    parity_attenuation,
-    product_observable_expectation,
-    sample_outcome_batch,
-    statevector_oracle,
-)
-from .strategies import (
-    BadWordReport,
-    CanonicalStrategy,
-    DeterministicStrategy,
-    bad_word_count_analytic,
-    bad_word_count_naive,
-    canonicalize,
-    max_classical_mermin_sum,
-    mermin_bound,
-    mermin_sum,
-    minimize_bad_words,
-    minimize_bad_words_brute_force,
-    predict_total,
-)
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
-# Every public name above, and no submodule: the imports are the one list.
-__all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-)
+#: Every public name, by the submodule that defines it. Importing the package
+#: loads none of them: `__getattr__` imports a name's submodule on first use,
+#: so a command pays only for the layers it runs.
+_EXPORTS = {
+    **dict.fromkeys(
+        [
+            "AVOGADRO",
+            "CONSTITUENT_FACTORS",
+            "GapReport",
+            "MacroscopicReport",
+            "REFERENCE_EPSILON",
+            "WATER_MOLAR_MASS_KG",
+            "epsilon_threshold",
+            "gap",
+            "gap_asymptotic",
+            "macroscopic_report",
+            "particles_in_mass",
+        ],
+        "asymptotics",
+    ),
+    **dict.fromkeys(
+        [
+            "Configuration",
+            "ConfigurationClass",
+            "String",
+            "Word",
+            "classify",
+            "enumerate_configurations",
+            "enumerate_words",
+            "parse_configuration",
+            "word_count",
+            "word_eigenvalue",
+        ],
+        "configs",
+    ),
+    **dict.fromkeys(
+        ["CapacityError", "ConfigParseError", "DomainError", "GhzGapError"], "errors"
+    ),
+    **dict.fromkeys(
+        [
+            "ExperimentConfig",
+            "ExperimentReport",
+            "LhvModel",
+            "QuantumModel",
+            "TrialRecord",
+            "iter_trials",
+            "min_trials_to_disprove",
+            "run_experiment",
+            "wilson_interval",
+        ],
+        "experiment",
+    ),
+    **dict.fromkeys(
+        [
+            "NoiseModel",
+            "OracleEntry",
+            "OracleReport",
+            "OutcomeTuple",
+            "entangled_state",
+            "failure_probability_closed",
+            "failure_probability_exact",
+            "failure_probability_sum",
+            "joint_outcome_probabilities",
+            "parity_attenuation",
+            "product_observable_expectation",
+            "sample_outcome_batch",
+            "statevector_oracle",
+        ],
+        "quantum",
+    ),
+    **dict.fromkeys(
+        [
+            "BadWordReport",
+            "CanonicalStrategy",
+            "DeterministicStrategy",
+            "bad_word_count_analytic",
+            "bad_word_count_naive",
+            "canonicalize",
+            "max_classical_mermin_sum",
+            "mermin_bound",
+            "mermin_sum",
+            "minimize_bad_words",
+            "minimize_bad_words_brute_force",
+            "predict_total",
+        ],
+        "strategies",
+    ),
+}
+
+#: Submodules that `ghzgap.<name>` reaches without an import of its own.
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

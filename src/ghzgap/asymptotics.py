@@ -17,7 +17,17 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import DomainError
 from .quantum import NoiseModel, _log_attenuation, parity_attenuation
 from .quantum import failure_probability_closed  # noqa: F401  (bench/spans.py traces it here)
-from .strategies import mermin_bound  # noqa: F401  (bench/spans.py traces it here)
+
+
+def __getattr__(name: str):
+    # bench/spans.py traces `mermin_bound` here; importing it on first use
+    # keeps `strategies` off the path of `gap` and `cat`.
+    if name == "mermin_bound":
+        from .strategies import mermin_bound
+
+        return mermin_bound
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: 2022 SI definition, exact.
 AVOGADRO = 6.02214076e23

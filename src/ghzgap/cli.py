@@ -8,8 +8,11 @@ Payloads go to standard output only; diagnostics and optional ``--verbose``
 summaries go to standard error. Exit codes: 0 success, 2 usage error,
 3 domain or capacity error, a report that could not be written, or any
 other error a command raised (one ``error:`` line naming its type, never a
-traceback). Only ``simulate`` and ``lhv optimize --verify-brute-force``
-load numpy; every other command runs without it.
+traceback). Each command loads only the layers it runs: ``disprove`` and
+``simulate`` load the Monte Carlo layer (`experiment`, and `strategies` with
+it), ``lhv optimize`` loads `strategies`, and ``classify``, ``enumerate``,
+``gap``, ``gap sweep`` and ``cat`` load neither. Only ``simulate`` and
+``lhv optimize --verify-brute-force`` load numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import itertools
 import sys
-from typing import Any, ContextManager, Optional, TextIO
+from typing import TYPE_CHECKING, Any, ContextManager, Optional, TextIO
 
 from .asymptotics import CONSTITUENT_FACTORS, gap, gap_rows, macroscopic_report
 from .configs import (
@@ -32,25 +36,52 @@ from .configs import (
     word_count,
 )
 from .errors import CapacityError, GhzGapError
-from .experiment import (
-    ExperimentConfig,
-    LhvModel,
-    QuantumModel,
-    min_trials_to_disprove,
-    run_experiment,
-    stream_environment,
-)
 from .quantum import NoiseModel
 from .reporting import SPLICE, EncodedRows, build_manifest, encode, fragments, write_csv, write_json
 from .reporting import dumps_csv, dumps_json  # noqa: F401  (bench/spans.py traces them here)
-from .strategies import (
-    CanonicalStrategy,
-    bad_word_count_naive,
-    max_classical_mermin_sum,
-    mermin_bound,
-    minimize_bad_words,
-    minimize_bad_words_brute_force,
-)
+
+if TYPE_CHECKING:
+    from .strategies import CanonicalStrategy
+
+#: Names from the Monte Carlo and strategy layers, by module: `__getattr__`
+#: imports one on first use, so only `disprove`, `simulate` and `lhv optimize`
+#: load those modules.
+_LAZY_NAMES = {
+    **dict.fromkeys(
+        [
+            "ExperimentConfig",
+            "LhvModel",
+            "QuantumModel",
+            "min_trials_to_disprove",
+            "run_experiment",
+            "stream_environment",
+        ],
+        "experiment",
+    ),
+    **dict.fromkeys(
+        [
+            "bad_word_count_naive",
+            "max_classical_mermin_sum",
+            "mermin_bound",
+            "minimize_bad_words",
+            "minimize_bad_words_brute_force",
+        ],
+        "strategies",
+    ),
+}
+
+#: This module (`__main__` under `python -m`). Handlers call the names above
+#: as `_lazy.<name>`, so that a name patched on the module is the one that runs.
+_lazy = sys.modules[__name__]
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 #: Listing individual bad words in reports is capped at this q.
 _LIST_BAD_WORDS_LIMIT = 12
@@ -89,7 +120,7 @@ def _manifest(args: argparse.Namespace) -> dict[str, Any]:
     names = (args.command, getattr(args, "lhv_command", None), getattr(args, "gap_command", None))
     parameters = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
     seed = getattr(args, "seed", None)
-    environment = None if seed is None else stream_environment()
+    environment = None if seed is None else _lazy.stream_environment()
     return build_manifest(" ".join(name for name in names if name), parameters, seed, environment)
 
 
@@ -161,7 +192,7 @@ def _cmd_lhv_optimize(args: argparse.Namespace) -> _Report:
         raise CapacityError(
             f"lhv optimize supports q <= {_LHV_OPTIMIZE_LIMIT}, got {args.q}"
         )
-    report = minimize_bad_words(args.q)
+    report = _lazy.minimize_bad_words(args.q)
     strategy = report.strategy
     fields: dict[str, Any] = {
         "q": args.q,
@@ -169,16 +200,16 @@ def _cmd_lhv_optimize(args: argparse.Namespace) -> _Report:
         "bad_count": report.bad_count,
         "failure_probability": report.probability,
         "failure_probability_float": float(report.probability),
-        "bound": mermin_bound(args.q),
-        "max_mermin_sum": max_classical_mermin_sum(args.q),
+        "bound": _lazy.mermin_bound(args.q),
+        "max_mermin_sum": _lazy.max_classical_mermin_sum(args.q),
     }
     if args.q <= _LIST_BAD_WORDS_LIMIT:
-        listed = bad_word_count_naive(strategy, list_words=True)
+        listed = _lazy.bad_word_count_naive(strategy, list_words=True)
         fields["bad_words"] = [c.text() for c in listed.bad_words or ()]
     else:
         fields["bad_words"] = None
     if args.verify_brute_force:
-        brute = minimize_bad_words_brute_force(args.q)
+        brute = _lazy.minimize_bad_words_brute_force(args.q)
         fields["brute_force"] = {
             "bad_count": brute.bad_count,
             "matches": brute.bad_count == report.bad_count,
@@ -194,15 +225,15 @@ def _cmd_lhv_optimize(args: argparse.Namespace) -> _Report:
 
 def _cmd_simulate(args: argparse.Namespace) -> _Report:
     noise = NoiseModel(args.eps)
-    model = QuantumModel(noise) if args.model == "qm" else LhvModel(noise=noise)
-    cfg = ExperimentConfig(
+    model = _lazy.QuantumModel(noise) if args.model == "qm" else _lazy.LhvModel(noise=noise)
+    cfg = _lazy.ExperimentConfig(
         q=args.q,
         model=model,
         trials=args.trials,
         master_seed=args.seed,
         ci_level=args.ci_level,
     )
-    report = run_experiment(cfg)
+    report = _lazy.run_experiment(cfg)
     row: dict[str, Any] = {
         "q": args.q,
         "model": args.model,
@@ -270,7 +301,7 @@ def _cmd_gap_sweep(args: argparse.Namespace) -> _Report:
 
 
 def _cmd_disprove(args: argparse.Namespace) -> _Report:
-    trials = min_trials_to_disprove(args.p_failure, args.confidence)
+    trials = _lazy.min_trials_to_disprove(args.p_failure, args.confidence)
     if args.verbose:
         print(
             f"{trials} trials expose a failure with confidence {args.confidence}",

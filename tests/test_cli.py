@@ -796,21 +796,49 @@ class TestUnexpectedErrors:
             main(["disprove", "--p-failure", "0.5", "--confidence", "0.9"])
 
 
+class TestPatchedNames:
+    """Handlers call the Monte Carlo and strategy names through `cli`, so a
+    name patched there (as `bench/spans.py --trace 1` wraps it) is called."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("run_experiment", ["simulate", "--q", "3", "--model", "qm", "--trials", "10", "--seed", "1"]),
+            ("minimize_bad_words", ["lhv", "optimize", "--q", "5"]),
+        ],
+    )
+    def test_patched_name_reaches_the_handler(self, capsys, monkeypatch, name, argv):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        _, expected, _ = run_cli(capsys, *argv)
+        original = getattr(cli, name)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out, len(calls)) == (0, expected, 1)
+
+
 #: Runs cli.main on each argv of argv[1] (a JSON list) in one fresh process,
 #: stdout discarded, and prints a JSON object: after `import ghzgap` and after
-#: each command, which of numpy, dataclasses and inspect (the costly imports
-#: the start-up path avoids) are loaded, with the command's exit code.
+#: each command, the command's exit code, which of numpy, dataclasses and
+#: inspect (the costly imports the start-up path avoids) are loaded, and
+#: which `ghzgap` submodules are.
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
 def loaded():
-    return [name for name in ("dataclasses", "inspect", "numpy") if name in sys.modules]
+    costly = [name for name in ("dataclasses", "inspect", "numpy") if name in sys.modules]
+    return costly, sorted(name for name in sys.modules if name.startswith("ghzgap."))
 import ghzgap
-report = {"import ghzgap": [0, loaded()]}
+report = {"import ghzgap": [0, *loaded()]}
 from ghzgap import cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    report[" ".join(argv)] = [code, loaded()]
+    report[" ".join(argv)] = [code, *loaded()]
 print(json.dumps(report))
 """
 
@@ -823,34 +851,48 @@ def _startup_report(commands):
     return json.loads(result.stdout)
 
 
+_LAYERS = {"ghzgap.experiment", "ghzgap.strategies"}
+
+
 class TestStartupPath:
     def test_closed_form_commands_never_load_numpy(self):
-        commands = [
+        # The closed-form commands come first: submodules stay loaded, so
+        # each entry lists what it and the commands before it loaded.
+        closed_form = [
             ["classify", "--config", "rrl"],
             ["enumerate", "--q", "4"],
             ["gap", "--q", "10", "--eps", "0.01"],
             ["gap", "sweep", "--q-min", "2", "--q-max", "5"],
-            ["disprove", "--p-failure", "0.125", "--confidence", "0.99"],
             ["cat", "--mass-kg", "4"],
-            ["lhv", "optimize", "--q", "8"],
         ]
+        lhv = ["lhv", "optimize", "--q", "8"]
+        disprove = ["disprove", "--p-failure", "0.125", "--confidence", "0.99"]
+        commands = [*closed_form, lhv, disprove]
+        report = _startup_report(commands)
         expected = {"import ghzgap": [0, []]}
         expected.update({" ".join(argv): [0, []] for argv in commands})
-        assert _startup_report(commands) == expected
+        assert {label: entry[:2] for label, entry in report.items()} == expected
+        modules = {label: set(entry[2]) for label, entry in report.items()}
+        assert modules["import ghzgap"] == set()
+        for argv in closed_form:
+            assert not modules[" ".join(argv)] & _LAYERS, argv
+        assert modules[" ".join(lhv)] & _LAYERS == {"ghzgap.strategies"}
+        assert "ghzgap.experiment" in modules[" ".join(disprove)]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, layer",
         [
-            ["simulate", "--q", "3", "--model", "qm", "--trials", "10", "--seed", "1"],
-            ["lhv", "optimize", "--q", "4", "--verify-brute-force"],
+            (["simulate", "--q", "3", "--model", "qm", "--trials", "10", "--seed", "1"], "experiment"),
+            (["lhv", "optimize", "--q", "4", "--verify-brute-force"], "strategies"),
         ],
         ids=["simulate", "lhv-brute-force"],
     )
-    def test_array_commands_load_numpy(self, argv):
+    def test_array_commands_load_numpy(self, argv, layer):
         report = _startup_report([argv])
-        assert report["import ghzgap"] == [0, []]
-        code, loaded = report[" ".join(argv)]
+        assert report["import ghzgap"] == [0, [], []]
+        code, loaded, modules = report[" ".join(argv)]
         assert code == 0 and "numpy" in loaded
+        assert f"ghzgap.{layer}" in modules
 
 
 class TestConsoleScript:

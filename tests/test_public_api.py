@@ -4,14 +4,17 @@ the record types among them validate and refuse assignment."""
 import ast
 import importlib
 import inspect
+import json
 import math
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
 
 import ghzgap
-import ghzgap.cli  # noqa: F401  (loads every submodule before the star import)
+import ghzgap.cli  # noqa: F401  (cli loads some submodules; the star import still binds none)
 from ghzgap import (
     CanonicalStrategy,
     CapacityError,
@@ -100,6 +103,43 @@ def test_star_import_binds_exactly_the_public_names():
     del namespace["__builtins__"]
     assert set(namespace) == PUBLIC_NAMES
     assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+
+
+#: After a bare `import ghzgap` in a fresh process, prints as JSON which
+#: submodules are loaded, `dir` and `__all__`, whether a name reached through
+#: its submodule is the one the package gives, the error an unknown name
+#: raises, and the names `from ghzgap import *` binds.
+_LAZY_SURFACE_PROBE = """
+import json, sys
+import ghzgap
+report = {
+    "loaded": sorted(name for name in sys.modules if name.startswith("ghzgap.")),
+    "dir": dir(ghzgap),
+    "all": ghzgap.__all__,
+    "same": ghzgap.experiment.run_experiment is ghzgap.run_experiment,
+}
+try:
+    ghzgap.no_such_name
+except AttributeError as exc:
+    report["error"] = str(exc)
+namespace = {}
+exec("from ghzgap import *", namespace)
+report["star"] = sorted(set(namespace) - {"__builtins__"})
+print(json.dumps(report))
+"""
+
+
+def test_lazy_package_surface():
+    result = subprocess.run(
+        [sys.executable, "-c", _LAZY_SURFACE_PROBE], capture_output=True, text=True, check=True
+    )
+    report = json.loads(result.stdout)
+    assert report["loaded"] == []
+    assert set(report["all"]) == PUBLIC_NAMES
+    assert set(report["all"]) <= set(report["dir"])
+    assert report["same"] is True
+    assert "ghzgap" in report["error"] and "no_such_name" in report["error"]
+    assert set(report["star"]) == PUBLIC_NAMES
 
 
 #: One bad value for each check the validating types run, as
