@@ -27,6 +27,7 @@ _EXPORTS = {
             "gap",
             "gap_asymptotic",
             "macroscopic_report",
+            "min_trials_to_disprove",
             "particles_in_mass",
         ],
         "asymptotics",
@@ -57,8 +58,8 @@ _EXPORTS = {
             "QuantumModel",
             "TrialRecord",
             "iter_trials",
-            "min_trials_to_disprove",
             "run_experiment",
+            "stream_environment",
             "wilson_interval",
         ],
         "experiment",

@@ -7,15 +7,19 @@ and more stations. Their difference decays like (1/4)(1-2*eps)^q, so for any
 error level a station count exists beyond which no experiment of a given
 resolution can separate the two models. These helpers evaluate all of that
 stably up to station counts of order 10^27 (a few kilograms of matter).
+`min_trials_to_disprove` counts the trials that show one failure at a given
+rate: at eps = 0, where the quantum model never fails, the trials that tell
+the two models apart. Everything here is pure Python.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
-from .quantum import NoiseModel, _log_attenuation, parity_attenuation
+from .quantum import NoiseModel, _check_q, _log_attenuation, parity_attenuation
 from .quantum import failure_probability_closed  # noqa: F401  (bench/spans.py traces it here)
 
 
@@ -81,21 +85,7 @@ class MacroscopicReport(NamedTuple):
 
 def gap_asymptotic(q: float, noise: NoiseModel) -> float:
     """Leading-order gap (1/4)(1 - 2*eps)^q, stable for huge q."""
-    if q < 1:
-        raise DomainError(f"station count must be at least 1, got {q}")
     return 0.25 * parity_attenuation(q, noise)
-
-
-def _check_q(q: float) -> None:
-    """q must be finite, fit the float range, and be at least 1."""
-    try:
-        finite = math.isfinite(q)
-    except OverflowError:  # an int too large to convert
-        raise DomainError("station count q exceeds the float range") from None
-    if not finite:
-        raise DomainError(f"station count q must be finite, got {q!r}")
-    if q < 1:
-        raise DomainError(f"station count must be at least 1, got {q}")
 
 
 def gap_rows(qs: Iterable[int], noises: Sequence[NoiseModel]) -> Iterator[tuple]:
@@ -137,7 +127,6 @@ def gap(q: float, noise: NoiseModel) -> GapReport:
     if isinstance(q, int) and not isinstance(q, bool):
         q, eps, p_qm, p_classical, gap_exact, asymptotic = next(gap_rows((q,), (noise,)))
     else:
-        _check_q(q)
         log_attenuation = _log_attenuation(q, noise)
         eps, p_classical, gap_exact = noise.epsilon, None, None
         asymptotic = 0.25 * math.exp(log_attenuation)
@@ -152,13 +141,50 @@ def epsilon_threshold(q: float, delta: float) -> float:
     evaluated as -expm1(log(4*delta)/q)/2 so that q ~ 1e27 loses no
     precision. delta = 1/4 returns +0.0; larger delta has no solution.
     """
-    if q < 1:
-        raise DomainError(f"station count must be at least 1, got {q}")
+    _check_q(q)
     if not 0.0 < delta <= 0.25:
         raise DomainError(
             f"gap target must lie in (0, 1/4] for a nonnegative threshold, got {delta}"
         )
     return -0.5 * math.expm1(math.log(4.0 * delta) / q) + 0.0  # -0.0 becomes 0.0
+
+
+#: min_trials_to_disprove settles its answer with exact rational powers up to
+#: this many trials (at most ~10 ms). An exact boundary (1 - p)^N = 1 - c
+#: between binary floats needs N <= 1074, so beyond the limit the float
+#: logs decide alone.
+_EXACT_SETTLE_LIMIT = 1 << 12
+
+
+def min_trials_to_disprove(p_failure: float, confidence: float) -> int:
+    """Smallest N with (1 - p_failure)^N ≤ 1 - confidence.
+
+    The count of independent trials needed before at least one failure has
+    been seen with the requested confidence, assuming each trial fails with
+    probability p_failure.
+    """
+    if not 0.0 < p_failure <= 1.0:
+        raise DomainError(
+            f"failure probability must lie in (0, 1] for a finite answer, got {p_failure}"
+        )
+    if not 0.0 < confidence < 1.0:
+        raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
+    if p_failure == 1.0:
+        return 1
+    # Both logs through log1p, so p_failure far below the float spacing at 1
+    # still counts; the quotient is taken exactly, so it cannot overflow.
+    ratio = Fraction(math.log1p(-confidence)) / Fraction(math.log1p(-p_failure))
+    n = max(1, math.ceil(ratio))
+    # Float rounding can land the ceiling one step off an exact boundary;
+    # settle it in exact rationals.
+    if n <= _EXACT_SETTLE_LIMIT:
+        miss = 1 - Fraction(p_failure)
+        target = 1 - Fraction(confidence)
+        while n > 1 and miss ** (n - 1) <= target:
+            n -= 1
+        while miss**n > target:
+            n += 1
+    return n
 
 
 def particles_in_mass(mass_kg: float, convention: str = "electrons-nucleons") -> float:

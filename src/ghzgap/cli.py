@@ -8,11 +8,11 @@ Payloads go to standard output only; diagnostics and optional ``--verbose``
 summaries go to standard error. Exit codes: 0 success, 2 usage error,
 3 domain or capacity error, a report that could not be written, or any
 other error a command raised (one ``error:`` line naming its type, never a
-traceback). Each command loads only the layers it runs: ``disprove`` and
-``simulate`` load the Monte Carlo layer (`experiment`, and `strategies` with
-it), ``lhv optimize`` loads `strategies`, and ``classify``, ``enumerate``,
-``gap``, ``gap sweep`` and ``cat`` load neither. Only ``simulate`` and
-``lhv optimize --verify-brute-force`` load numpy.
+traceback). Each command loads only the layers it runs: ``simulate`` loads
+the Monte Carlo layer (`experiment`, and `strategies` and numpy with it),
+``lhv optimize`` loads `strategies`, and ``classify``, ``enumerate``,
+``gap``, ``gap sweep``, ``disprove`` and ``cat`` load neither. Only
+``simulate`` and ``lhv optimize --verify-brute-force`` load numpy.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import importlib
 import itertools
 import sys
 from typing import TYPE_CHECKING, Any, ContextManager, Optional, TextIO
 
-from .asymptotics import CONSTITUENT_FACTORS, gap, gap_rows, macroscopic_report
+from .asymptotics import CONSTITUENT_FACTORS, gap, gap_rows, macroscopic_report, min_trials_to_disprove
 from .configs import (
     ENUMERATION_LIMIT,
     Configuration,
@@ -43,43 +42,18 @@ from .reporting import dumps_csv, dumps_json  # noqa: F401  (bench/spans.py trac
 if TYPE_CHECKING:
     from .strategies import CanonicalStrategy
 
-#: Names from the Monte Carlo and strategy layers, by module: `__getattr__`
-#: imports one on first use, so only `disprove`, `simulate` and `lhv optimize`
-#: load those modules.
-_LAZY_NAMES = {
-    **dict.fromkeys(
-        [
-            "ExperimentConfig",
-            "LhvModel",
-            "QuantumModel",
-            "min_trials_to_disprove",
-            "run_experiment",
-            "stream_environment",
-        ],
-        "experiment",
-    ),
-    **dict.fromkeys(
-        [
-            "bad_word_count_naive",
-            "max_classical_mermin_sum",
-            "mermin_bound",
-            "minimize_bad_words",
-            "minimize_bad_words_brute_force",
-        ],
-        "strategies",
-    ),
-}
-
-#: This module (`__main__` under `python -m`). Handlers call the names above
-#: as `_lazy.<name>`, so that a name patched on the module is the one that runs.
+#: This module (`__main__` under `python -m`). Handlers call the Monte Carlo
+#: and strategy names as `_lazy.<name>`: `__getattr__` resolves a public name
+#: through the package on first use, so only `simulate` and `lhv optimize`
+#: load those layers, and a name patched on the module is the one that runs.
 _lazy = sys.modules[__name__]
+_package = sys.modules[__package__]
 
 
 def __getattr__(name: str) -> Any:
-    if name not in _LAZY_NAMES:
+    if name not in _package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __package__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(_package, name)
     return value
 
 
@@ -301,7 +275,7 @@ def _cmd_gap_sweep(args: argparse.Namespace) -> _Report:
 
 
 def _cmd_disprove(args: argparse.Namespace) -> _Report:
-    trials = _lazy.min_trials_to_disprove(args.p_failure, args.confidence)
+    trials = min_trials_to_disprove(args.p_failure, args.confidence)
     if args.verbose:
         print(
             f"{trials} trials expose a failure with confidence {args.confidence}",

@@ -21,18 +21,17 @@ stream version STREAM_VERSION (see `_class_chain`).
 which trials of each class pick r at each station and which have odd
 error parity, each a uniform subset, so its records tally to the report.
 
-Only the Monte Carlo functions build arrays, and each imports numpy on its
-first call: `wilson_interval`, `min_trials_to_disprove` and the model and
-config types are pure Python, so a process that runs no trials never loads
-it.
+Every run builds arrays, so the module imports numpy when it is imported;
+the commands that run no trials never import this module.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from statistics import NormalDist
-from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Optional, Union
+from typing import Any, Iterator, NamedTuple, Optional, Union
+
+import numpy as np
 
 from .configs import MAX_STATIONS, Configuration, ConfigurationClass, classify
 from .errors import CapacityError, DomainError
@@ -50,9 +49,6 @@ from .strategies import (
     minimize_bad_words,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 #: Version of the seed -> draws contract: bumped whenever the draw order or
 #: the streams change, so every such change is deliberate.
 STREAM_VERSION = 4
@@ -66,12 +62,6 @@ MAX_TRIALS = 1 << 62
 #: Largest run iter_trials replays: the replay holds arrays of one entry per
 #: trial, and q result bits per trial for the quantum model (64 MB at q = 64).
 REPLAY_LIMIT = 1 << 20
-
-#: min_trials_to_disprove settles its answer with exact rational powers up to
-#: this many trials (at most ~10 ms). An exact boundary (1 - p)^N = 1 - c
-#: between binary floats needs N <= 1074, so beyond the limit the float
-#: logs decide alone.
-_EXACT_SETTLE_LIMIT = 1 << 12
 
 
 class QuantumModel(NamedTuple):
@@ -185,8 +175,6 @@ class _Chain(NamedTuple):
 
 def _stream(master_seed: int, key: int) -> np.random.Generator:
     """The run's stream ``key``: 0 draws the class chain, 1 the replay."""
-    import numpy as np
-
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(key,))
     return np.random.Generator(np.random.PCG64DXSM(seq))
 
@@ -205,8 +193,6 @@ def _class_chain(cfg: ExperimentConfig, t_mask: int) -> _Chain:
        whose q independent flips are odd in number. Without errors every
        parity is even.
     """
-    import numpy as np
-
     rng = _stream(cfg.master_seed, 0)
     nexts = np.array(_NEXT)
     counts = np.zeros(8, dtype=np.int64)
@@ -295,8 +281,6 @@ def _uniform_subsets(
 ) -> np.ndarray:
     """Indices of ``sizes[c]`` trials drawn uniformly without replacement
     from the trials of each class c, class by class."""
-    import numpy as np
-
     return np.concatenate(
         [
             rng.choice(np.flatnonzero(classes == c), size, replace=False, shuffle=False)
@@ -317,8 +301,6 @@ def iter_trials(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
     next from the same stream. Runs above REPLAY_LIMIT trials raise
     CapacityError before anything is drawn.
     """
-    import numpy as np
-
     if cfg.trials > REPLAY_LIMIT:
         raise CapacityError(
             f"iter_trials replays at most {REPLAY_LIMIT} trials, got {cfg.trials}"
@@ -374,34 +356,3 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[f
     low = 0.0 if successes == 0 else max(0.0, center - half)
     high = 1.0 if successes == trials else min(1.0, center + half)
     return low, high
-
-
-def min_trials_to_disprove(p_failure: float, confidence: float) -> int:
-    """Smallest N with (1 - p_failure)^N ≤ 1 - confidence.
-
-    The count of independent trials needed before at least one failure has
-    been seen with the requested confidence, assuming each trial fails with
-    probability p_failure.
-    """
-    if not 0.0 < p_failure <= 1.0:
-        raise DomainError(
-            f"failure probability must lie in (0, 1] for a finite answer, got {p_failure}"
-        )
-    if not 0.0 < confidence < 1.0:
-        raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
-    if p_failure == 1.0:
-        return 1
-    # Both logs through log1p, so p_failure far below the float spacing at 1
-    # still counts; the quotient is taken exactly, so it cannot overflow.
-    ratio = Fraction(math.log1p(-confidence)) / Fraction(math.log1p(-p_failure))
-    n = max(1, math.ceil(ratio))
-    # Float rounding can land the ceiling one step off an exact boundary;
-    # settle it in exact rationals.
-    if n <= _EXACT_SETTLE_LIMIT:
-        miss = 1 - Fraction(p_failure)
-        target = 1 - Fraction(confidence)
-        while n > 1 and miss ** (n - 1) <= target:
-            n -= 1
-        while miss**n > target:
-            n += 1
-    return n

@@ -64,8 +64,22 @@ class OutcomeTuple(NamedTuple("OutcomeTuple", [("results", tuple[int, ...])])):
         return math.prod(self.results)
 
 
+def _check_q(q: float) -> None:
+    """q must be finite, fit the float range, and be at least 1."""
+    try:
+        finite = math.isfinite(q)
+    except OverflowError:  # an int too large to convert
+        raise DomainError("station count q exceeds the float range") from None
+    if not finite:
+        raise DomainError(f"station count q must be finite, got {q!r}")
+    if q < 1:
+        raise DomainError(f"station count must be at least 1, got {q}")
+
+
 def _log_attenuation(q: float, noise: NoiseModel) -> float:
-    """q * log(1 - 2*eps), taken through log1p; -inf at eps = 1/2."""
+    """q * log(1 - 2*eps), taken through log1p; -inf at eps = 1/2. q is
+    checked first (`_check_q`)."""
+    _check_q(q)
     if noise.epsilon == 0.5:
         return -math.inf
     return q * math.log1p(-2.0 * noise.epsilon)
@@ -106,8 +120,6 @@ def failure_probability_closed(q: float, noise: NoiseModel) -> float:
     Accepts real q so that astronomically large station counts evaluate
     stably.
     """
-    if q < 1:
-        raise DomainError(f"station count must be at least 1, got {q}")
     return -0.25 * math.expm1(_log_attenuation(q, noise))
 
 

@@ -18,14 +18,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ghzgap.asymptotics import epsilon_threshold, gap_asymptotic, macroscopic_report
+from ghzgap.asymptotics import (
+    epsilon_threshold,
+    gap_asymptotic,
+    macroscopic_report,
+    min_trials_to_disprove,
+)
 from ghzgap.cli import main
 from ghzgap.configs import enumerate_configurations
 from ghzgap.experiment import (
     ExperimentConfig,
     LhvModel,
     QuantumModel,
-    min_trials_to_disprove,
     run_experiment,
 )
 from ghzgap.quantum import (

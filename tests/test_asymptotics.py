@@ -15,7 +15,12 @@ from ghzgap.asymptotics import (
     REFERENCE_EPSILON,
 )
 from ghzgap.errors import DomainError
-from ghzgap.quantum import NoiseModel, failure_probability_exact
+from ghzgap.quantum import (
+    NoiseModel,
+    failure_probability_closed,
+    failure_probability_exact,
+    parity_attenuation,
+)
 from ghzgap.strategies import mermin_bound
 
 
@@ -127,6 +132,25 @@ class TestGap:
             for q in (10.0, 100.0, 1000.0):
                 ratio = gap_asymptotic(q + stride, noise) / gap_asymptotic(q, noise)
                 assert ratio == pytest.approx(0.5, rel=1e-9)
+
+
+#: The closed forms that take a real q, each called with a valid second argument.
+_CLOSED_FORMS = {
+    "gap_asymptotic": lambda q: gap_asymptotic(q, NoiseModel(0.0)),
+    "failure_probability_closed": lambda q: failure_probability_closed(q, NoiseModel(0.0)),
+    "parity_attenuation": lambda q: parity_attenuation(q, NoiseModel(0.0)),
+    "epsilon_threshold": lambda q: epsilon_threshold(q, 0.01),
+}
+
+
+@pytest.mark.parametrize(
+    "q", [math.nan, math.inf, 10**400, 0, -3], ids=["nan", "inf", "1e400", "0", "-3"]
+)
+@pytest.mark.parametrize("closed_form", _CLOSED_FORMS.values(), ids=_CLOSED_FORMS)
+def test_closed_forms_reject_q(closed_form, q):
+    # at eps = 0, q = inf would give inf * 0 = nan without the check
+    with pytest.raises(DomainError, match="station count"):
+        closed_form(q)
 
 
 class TestEpsilonThreshold:

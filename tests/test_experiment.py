@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ghzgap.asymptotics import min_trials_to_disprove
 from ghzgap.configs import MAX_STATIONS, Word
 from ghzgap.errors import CapacityError, DomainError
 from ghzgap.experiment import (
@@ -19,7 +20,6 @@ from ghzgap.experiment import (
     LhvModel,
     QuantumModel,
     iter_trials,
-    min_trials_to_disprove,
     run_experiment,
     wilson_interval,
 )
@@ -94,7 +94,7 @@ class TestReproducibility:
         # (named for the chunk kernel it first guarded) a run's memory does
         # not grow with its trials: it holds class counts, never a trial
         cfg = qm_config(q=q, model=model, trials=4 * 65536 + 5)
-        run_experiment(cfg, workers=1)  # fills the strategy cache
+        run_experiment(cfg, workers=1)  # warm-up
         tracemalloc.start()
         try:
             run_experiment(cfg, workers=1)

@@ -90,6 +90,7 @@ PUBLIC_NAMES = frozenset(
         "run_experiment",
         "sample_outcome_batch",
         "statevector_oracle",
+        "stream_environment",
         "wilson_interval",
         "word_count",
         "word_eigenvalue",
@@ -103,6 +104,20 @@ def test_star_import_binds_exactly_the_public_names():
     del namespace["__builtins__"]
     assert set(namespace) == PUBLIC_NAMES
     assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+
+
+def test_export_table_names_the_defining_module():
+    # `ghzgap.__getattr__` and, through it, `cli`'s lazy names resolve each
+    # public name in the submodule this table gives; a stale entry would
+    # fail only when a command first asks for the name.
+    misplaced = []
+    for name, module_name in ghzgap._EXPORTS.items():
+        module = importlib.import_module(f"ghzgap.{module_name}")
+        value = vars(module).get(name)
+        defined = isinstance(value, (type, types.FunctionType))
+        if value is None or (defined and value.__module__ != module.__name__):
+            misplaced.append(f"{module_name}.{name}")
+    assert misplaced == []
 
 
 #: After a bare `import ghzgap` in a fresh process, prints as JSON which
