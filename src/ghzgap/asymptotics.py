@@ -173,7 +173,10 @@ def min_trials_to_disprove(p_failure: float, confidence: float) -> int:
         return 1
     # Both logs through log1p, so p_failure far below the float spacing at 1
     # still counts; the quotient is taken exactly, so it cannot overflow.
-    ratio = Fraction(math.log1p(-confidence)) / Fraction(math.log1p(-p_failure))
+    # Below 2^-53, -p is log(1 - p) to within p relative, never worse than
+    # the float log, and nonzero where a Fraction lies below the floats.
+    log_miss = -Fraction(p_failure) if p_failure < 2**-53 else math.log1p(-p_failure)
+    ratio = Fraction(math.log1p(-confidence)) / Fraction(log_miss)
     n = max(1, math.ceil(ratio))
     # Float rounding can land the ceiling one step off an exact boundary;
     # settle it in exact rationals.

@@ -12,17 +12,18 @@ draws no trial: it follows how many of its trials sit in each of the 8
 classes through the q stations. At each station a Bin(n_c, 1/2) share of
 class c picks r and moves on to the class one r further (a fixed
 permutation of the classes); after the last station a Bin(n_c, 2 p_qm)
-share of each class has odd error parity. These q + 1 draws of an 8-vector
-give a run's failures, word trials and station r counts exactly in law, at
-a cost that does not depend on the trial count. Their order is random
-stream version STREAM_VERSION (see `_class_chain`).
+share of each class has odd error parity. These draws, one scalar binomial
+per non-empty class at each station and once more at the end, give a run's
+failures, word trials and station r counts exactly in law, at a cost that
+does not depend on the trial count. Their order is random stream version
+STREAM_VERSION (see `_class_chain`).
 
 `iter_trials` replays the same chain trial by trial: a second stream picks
 which trials of each class pick r at each station and which have odd
 error parity, each a uniform subset, so its records tally to the report.
 
-Every run builds arrays, so the module imports numpy when it is imported;
-the commands that run no trials never import this module.
+Every run draws from a numpy Generator, so the module imports numpy when
+it is imported; the commands that run no trials never import this module.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ from .strategies import (
 #: the streams change, so every such change is deliberate.
 STREAM_VERSION = 4
 
-#: Largest trial count a run accepts. Class counts are int64, and
-#: Generator.binomial draws from any int64 count in the same time, so a
-#: run's cost does not grow with its trials; 2^62 keeps every count and
-#: sum a factor 2 inside int64.
+#: Largest trial count a run accepts. Generator.binomial takes an int64
+#: count and draws from any count in about the same time, so a run's cost
+#: does not grow with its trials; 2^62 keeps every count and sum a factor 2
+#: inside int64.
 MAX_TRIALS = 1 << 62
 
 #: Largest run iter_trials replays: the replay holds arrays of one entry per
@@ -166,11 +167,11 @@ _NEXT = ([1, 2, 3, 0, 5, 6, 7, 4], [5, 6, 7, 4, 1, 2, 3, 0])
 
 
 class _Chain(NamedTuple):
-    """Class counts of one run (int64 arrays)."""
+    """Class counts of one run, as Python ints."""
 
-    picks: np.ndarray  # (q, 8): trials of each class that pick r at station k
-    counts: np.ndarray  # (8,): trials of each class after the last station
-    odd: np.ndarray  # (8,): of those, the trials with odd error parity
+    picks: list[list[int]]  # q lists of 8: trials of each class that pick r at station k
+    counts: list[int]  # 8: trials of each class after the last station
+    odd: list[int]  # 8: of those, the trials with odd error parity
 
 
 def _stream(master_seed: int, key: int) -> np.random.Generator:
@@ -185,29 +186,29 @@ def _class_chain(cfg: ExperimentConfig, t_mask: int) -> _Chain:
     Draw order of random stream version 4, from stream 0, starting with
     every trial in class 0:
 
-    1. For each station k = 0 .. q-1: picked = binomial(counts, 1/2) over
-       all 8 classes, empty ones included. Those trials pick r and move
+    1. For each station k = 0 .. q-1 and each class c = 0 .. 7 in turn:
+       picked[c] = binomial(counts[c], 1/2). Those trials pick r and move
        from class c to _NEXT[t_mask >> k & 1][c].
-    2. Only when eps > 0: odd = binomial(counts, 2 * p) with
-       p = failure_probability_closed(q, noise), the trials of each class
-       whose q independent flips are odd in number. Without errors every
-       parity is even.
+    2. For each class c in turn: odd[c] = binomial(counts[c], 2 * p) with
+       p = failure_probability_closed(q, noise), the trials of the class
+       whose q independent flips are odd in number.
+
+    A count of 0, or p = 0 (no errors), returns 0 without touching the bit
+    generator, so empty classes are skipped. Each draw is one scalar call:
+    the array form makes the same draws in the same order, at ~15x the
+    call overhead.
     """
-    rng = _stream(cfg.master_seed, 0)
-    nexts = np.array(_NEXT)
-    counts = np.zeros(8, dtype=np.int64)
-    counts[0] = cfg.trials
-    picks = np.empty((cfg.q, 8), dtype=np.int64)
+    binomial = _stream(cfg.master_seed, 0).binomial
+    counts = [cfg.trials, 0, 0, 0, 0, 0, 0, 0]
+    picks = []
     for k in range(cfg.q):
-        picked = picks[k] = rng.binomial(counts, 0.5)
-        counts -= picked
-        counts[nexts[t_mask >> k & 1]] += picked
-    noise = cfg.model.noise
-    if noise.epsilon > 0.0:
-        odd = rng.binomial(counts, 2.0 * failure_probability_closed(cfg.q, noise))
-    else:
-        odd = np.zeros(8, dtype=np.int64)
-    return _Chain(picks, counts, odd)
+        picked = [binomial(n, 0.5) if n else 0 for n in counts]
+        picks.append(picked)
+        counts = [n - m for n, m in zip(counts, picked)]
+        for c, m in zip(_NEXT[t_mask >> k & 1], picked):
+            counts[c] += m
+    p = 2.0 * failure_probability_closed(cfg.q, cfg.model.noise)
+    return _Chain(picks, counts, [binomial(n, p) if n else 0 for n in counts])
 
 
 def _class_rule(strategy: Optional[CanonicalStrategy]) -> tuple[list[int], list[int]]:
@@ -255,9 +256,8 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Expe
     checked, and the report never depended on it.
     """
     strategy = _resolve_strategy(cfg)
-    chain = _class_chain(cfg, 0 if strategy is None else strategy.t_mask)
+    picks, counts, odd = _class_chain(cfg, 0 if strategy is None else strategy.t_mask)
     _, failing = _class_rule(strategy)
-    counts, odd = chain.counts.tolist(), chain.odd.tolist()
     word_trials = sum(counts[1::2])
     failures = sum(odd[c] if failing[c] else counts[c] - odd[c] for c in range(1, 8, 2))
     low, high = wilson_interval(failures, cfg.trials, cfg.ci_level)
@@ -271,20 +271,20 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Expe
         ci_low=low,
         ci_high=high,
         theory=_theory_value(cfg, strategy),
-        station_r_counts=tuple(chain.picks.sum(axis=1).tolist()),
+        station_r_counts=tuple(map(sum, picks)),
         strategy=strategy,
     )
 
 
 def _uniform_subsets(
-    rng: np.random.Generator, classes: np.ndarray, sizes: np.ndarray
+    rng: np.random.Generator, classes: np.ndarray, sizes: list[int]
 ) -> np.ndarray:
     """Indices of ``sizes[c]`` trials drawn uniformly without replacement
     from the trials of each class c, class by class."""
     return np.concatenate(
         [
             rng.choice(np.flatnonzero(classes == c), size, replace=False, shuffle=False)
-            for c, size in enumerate(sizes.tolist())
+            for c, size in enumerate(sizes)
         ]
     )
 

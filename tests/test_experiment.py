@@ -1,5 +1,6 @@
 """Monte Carlo engine: reproducibility, tallies, and the sample-size helper."""
 
+import decimal
 import math
 import sys
 import threading
@@ -308,6 +309,13 @@ class TestSampleSizes:
         n = min_trials_to_disprove(5e-324, 0.99)
         expected = Fraction(math.log(100)) / Fraction(5e-324)
         assert abs(n - expected) <= Fraction(1, 10**9) * expected
+
+    def test_fraction_below_the_floats(self):
+        # log1p(-p) rounds to -0.0 here; -p stands in for it
+        n = min_trials_to_disprove(Fraction(1, 10**400), 0.5)
+        ctx = decimal.Context(prec=60)
+        expected = ctx.multiply(ctx.ln(2), ctx.power(10, 400))
+        assert abs(decimal.Decimal(n) - expected) <= decimal.Decimal("1e-9") * expected
 
     def test_zero_rate_has_no_finite_answer(self):
         with pytest.raises(DomainError):

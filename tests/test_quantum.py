@@ -11,6 +11,8 @@ from scipy import stats
 from ghzgap.configs import classify, enumerate_configurations, parse_configuration, Word
 from ghzgap.errors import CapacityError, DomainError
 from ghzgap.quantum import (
+    EXACT_POWER_BITS,
+    SUM_LIMIT,
     NoiseModel,
     OutcomeTuple,
     entangled_state,
@@ -118,6 +120,46 @@ class TestFailureProbability:
     def test_exact_form_checks_domain(self, q, eps):
         with pytest.raises(DomainError):
             failure_probability_exact(q, eps)
+
+    @pytest.mark.parametrize("q", [2.5, 2.0, math.inf, math.nan, Fraction(5, 2)])
+    def test_non_integral_q_rejected(self, q):
+        with pytest.raises(DomainError):
+            failure_probability_sum(q, NoiseModel(0.1))
+        with pytest.raises(DomainError):
+            failure_probability_exact(q, Fraction(1, 10))
+
+    @pytest.mark.parametrize("q, eps", [(2000, 0.1), (2000, 0.01), (100_000, 0.1)])
+    def test_sum_holds_past_the_float_range(self, q, eps):
+        # comb(2000, j) * eps**j overflows a float; the log-domain terms do not
+        got = failure_probability_sum(q, NoiseModel(eps))
+        assert got == pytest.approx(failure_probability_closed(q, NoiseModel(eps)), rel=1e-9)
+
+    def test_sum_matches_exact_form_at_large_q(self):
+        exact = float(failure_probability_exact(2000, Fraction(1, 10)))
+        assert failure_probability_sum(2000, NoiseModel(0.1)) == pytest.approx(exact, rel=1e-11)
+
+    def test_sum_capped(self):
+        for q in (SUM_LIMIT + 1, 10**400):
+            with pytest.raises(CapacityError):
+                failure_probability_sum(q, NoiseModel(0.1))
+
+    @pytest.mark.parametrize(
+        "q, eps",
+        [
+            (EXACT_POWER_BITS + 1, Fraction(0)),
+            (10**400, Fraction(1, 10)),
+            (EXACT_POWER_BITS // 4 + 1, Fraction(1, 10)),
+            (5000, Fraction(1, 10**400)),
+        ],
+    )
+    def test_exact_form_capped(self, q, eps):
+        # the power (1 - 2 eps)^q would hold about q * bits(denominator) bits
+        with pytest.raises(CapacityError):
+            failure_probability_exact(q, eps)
+
+    def test_exact_form_below_cap(self):
+        assert failure_probability_exact(EXACT_POWER_BITS, Fraction(0)) == 0
+        assert 0 < failure_probability_exact(3000, Fraction(1, 10**400)) < Fraction(1, 10**396)
 
     def test_relative_accuracy_at_tiny_eps(self):
         # 1/4 - (1/4)(1 - 2 eps)^q cancels almost every digit at eps = 1e-12;
