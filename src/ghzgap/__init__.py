@@ -66,20 +66,21 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         [
-            "NoiseModel",
             "OracleEntry",
             "OracleReport",
-            "OutcomeTuple",
             "entangled_state",
-            "failure_probability_closed",
             "failure_probability_exact",
             "failure_probability_sum",
             "joint_outcome_probabilities",
-            "parity_attenuation",
+            "minimize_bad_words_brute_force",
             "product_observable_expectation",
             "sample_outcome_batch",
             "statevector_oracle",
         ],
+        "oracles",
+    ),
+    **dict.fromkeys(
+        ["NoiseModel", "OutcomeTuple", "failure_probability_closed", "parity_attenuation"],
         "quantum",
     ),
     **dict.fromkeys(
@@ -94,7 +95,6 @@ _EXPORTS = {
             "mermin_bound",
             "mermin_sum",
             "minimize_bad_words",
-            "minimize_bad_words_brute_force",
             "predict_total",
         ],
         "strategies",

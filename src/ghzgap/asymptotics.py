@@ -15,6 +15,7 @@ the two models apart. Everything here is pure Python.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -146,6 +147,8 @@ def epsilon_threshold(q: float, delta: float) -> float:
         raise DomainError(
             f"gap target must lie in (0, 1/4] for a nonnegative threshold, got {delta}"
         )
+    if float(delta) == 0.0:
+        raise DomainError(f"gap target {delta} lies below the float range")
     return -0.5 * math.expm1(math.log(4.0 * delta) / q) + 0.0  # -0.0 becomes 0.0
 
 
@@ -195,10 +198,10 @@ def particles_in_mass(mass_kg: float, convention: str = "electrons-nucleons") ->
 
     The default counts 10 electrons plus 18 nucleons per molecule (28), the
     convention under which 4 kg lands on ~4e27. The mass and the count
-    must both be finite, and the count at least 1.
+    must both be finite floats, and the count at least 1.
     """
-    if not (math.isfinite(mass_kg) and mass_kg > 0):
-        raise DomainError(f"mass must be positive and finite, got {mass_kg} kg")
+    if not 0 < mass_kg <= sys.float_info.max:
+        raise DomainError(f"mass must be a positive finite float, got {mass_kg} kg")
     try:
         factor = CONSTITUENT_FACTORS[convention]
     except KeyError:

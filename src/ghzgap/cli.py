@@ -12,7 +12,8 @@ traceback). Each command loads only the layers it runs: ``simulate`` loads
 the Monte Carlo layer (`experiment`, and `strategies` and numpy with it),
 ``lhv optimize`` loads `strategies`, and ``classify``, ``enumerate``,
 ``gap``, ``gap sweep``, ``disprove`` and ``cat`` load neither. Only
-``simulate`` and ``lhv optimize --verify-brute-force`` load numpy.
+``lhv optimize --verify-brute-force`` loads the cross-checks (`oracles`),
+and only it and ``simulate`` load numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .asymptotics import CONSTITUENT_FACTORS, gap, gap_rows, macroscopic_report,
 from .configs import (
     ENUMERATION_LIMIT,
     Configuration,
+    _check_int_q,
     classify,
     enumerate_configurations,
     parse_configuration,
@@ -162,10 +164,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> _Report:
 
 
 def _cmd_lhv_optimize(args: argparse.Namespace) -> _Report:
-    if args.q > _LHV_OPTIMIZE_LIMIT:
-        raise CapacityError(
-            f"lhv optimize supports q <= {_LHV_OPTIMIZE_LIMIT}, got {args.q}"
-        )
+    _check_int_q(args.q, _LHV_OPTIMIZE_LIMIT)
     report = _lazy.minimize_bad_words(args.q)
     strategy = report.strategy
     fields: dict[str, Any] = {

@@ -17,10 +17,25 @@ from .errors import CapacityError, ConfigParseError, DomainError
 MAX_STATIONS = 64
 #: Cap for operations that walk all 2^(q-1) words of a given q.
 ENUMERATION_LIMIT = 24
+#: Cap for forms that build an exact integer near 2^q (512 KiB at the cap).
+#: failure_probability_exact divides it by the bit length of eps's
+#: denominator: ~10^6 stations at eps = 1/10 (0.15 s).
+EXACT_POWER_BITS = 1 << 22
 
 _LETTERS = {"l": 0, "r": 1}
 #: Binary digits to letters: bit clear is ``l``, bit set is ``r``.
 _DIGIT_LETTERS = str.maketrans("01", "lr")
+
+
+def _check_int_q(q: int, limit: int) -> int:
+    """The station-count gate: q must be an integer of at least 1
+    (DomainError) and at most `limit` (CapacityError). Returns q as an int."""
+    n = q.__index__() if hasattr(q, "__index__") else 0
+    if not 1 <= n <= limit:
+        shown = repr(q) if n.bit_length() <= 64 else f"an integer of {n.bit_length()} bits"
+        error = DomainError if n < 1 else CapacityError
+        raise error(f"station count must be an integer in [1, {limit}], got {shown}")
+    return n
 
 
 class Configuration(NamedTuple("Configuration", [("q", int), ("r_mask", int)])):
@@ -29,10 +44,9 @@ class Configuration(NamedTuple("Configuration", [("q", int), ("r_mask", int)])):
     __slots__ = ()
 
     def __new__(cls, q: int, r_mask: int) -> Configuration:
-        if not 1 <= q <= MAX_STATIONS:
-            raise CapacityError(f"station count must be between 1 and {MAX_STATIONS}, got {q}")
-        if not 0 <= r_mask < (1 << q):
-            raise DomainError(f"r_mask {r_mask:#x} has bits outside the {q} stations")
+        q = _check_int_q(q, MAX_STATIONS)
+        if not (hasattr(r_mask, "__index__") and 0 <= r_mask < (1 << q)):
+            raise DomainError(f"r_mask must be an integer in [0, 2^{q}), got {r_mask!r}")
         return super().__new__(cls, q, r_mask)
 
     @property
@@ -124,31 +138,20 @@ def classify(config: Configuration) -> ConfigurationClass:
 def enumerate_configurations(q: int) -> Iterator[Configuration]:
     """All 2^q configurations in ascending r_mask order; q is checked at
     the call, before the first configuration is asked for."""
-    _check_enumeration_capacity(q)
-    return (Configuration(q=q, r_mask=mask) for mask in range(1 << q))
+    q = _check_int_q(q, ENUMERATION_LIMIT)
+    return (Configuration._make((q, mask)) for mask in range(1 << q))
 
 
 def enumerate_words(q: int) -> Iterator[tuple[Configuration, int]]:
     """All configurations with odd r count, with eigenvalues, ascending r_mask."""
-    _check_enumeration_capacity(q)
+    q = _check_int_q(q, ENUMERATION_LIMIT)
     for mask in range(1 << q):
         r = mask.bit_count()
         if r % 2 == 1:
-            yield Configuration(q=q, r_mask=mask), word_eigenvalue(r)
+            yield Configuration._make((q, mask)), word_eigenvalue(r)
 
 
 def word_count(q: int) -> int:
-    """Number of words among the 2^q configurations: exactly 2^(q-1).
-
-    Returns an exact (arbitrary-precision) integer for any q >= 1.
-    """
-    if q < 1:
-        raise DomainError(f"station count must be at least 1, got {q}")
-    return 1 << (q - 1)
-
-
-def _check_enumeration_capacity(q: int) -> None:
-    if not 1 <= q <= ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"enumeration supports 1 <= q <= {ENUMERATION_LIMIT}, got {q}"
-        )
+    """Number of words among the 2^q configurations: exactly 2^(q-1), as
+    an exact integer for q up to EXACT_POWER_BITS."""
+    return 1 << (_check_int_q(q, EXACT_POWER_BITS) - 1)

@@ -34,7 +34,7 @@ from typing import Any, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .configs import MAX_STATIONS, Configuration, ConfigurationClass, classify
+from .configs import MAX_STATIONS, Configuration, ConfigurationClass, _check_int_q, classify
 from .errors import CapacityError, DomainError
 from .quantum import (
     NoiseModel,
@@ -98,11 +98,10 @@ class ExperimentConfig(
         cls, q: int, model: Model, trials: int, master_seed: int, ci_level: float = 0.95
     ) -> ExperimentConfig:
         # configurations are packed into one uint64 per trial
-        if not 1 <= q <= MAX_STATIONS:
-            raise DomainError(f"station count must lie in [1, {MAX_STATIONS}], got {q}")
-        if not 1 <= trials <= MAX_TRIALS:
-            raise DomainError(f"trial count must lie in [1, {MAX_TRIALS}], got {trials}")
-        if not 0 <= master_seed < (1 << 64):
+        q = _check_int_q(q, MAX_STATIONS)
+        if not (hasattr(trials, "__index__") and 1 <= trials <= MAX_TRIALS):
+            raise DomainError(f"trial count must be an integer in [1, {MAX_TRIALS}], got {trials}")
+        if not (hasattr(master_seed, "__index__") and 0 <= master_seed < (1 << 64)):
             raise DomainError("master seed must be a 64-bit nonnegative integer")
         if not 0.0 < ci_level < 1.0:
             raise DomainError(f"interval level must lie in (0, 1), got {ci_level}")
@@ -340,8 +339,8 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[f
     Preferred over the plain normal interval for stability at small counts
     and proportions near 0 or 1.
     """
-    if trials < 1:
-        raise DomainError(f"trial count must be at least 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise DomainError(f"trial count must lie in [1, {MAX_TRIALS}], got {trials}")
     if not 0 <= successes <= trials:
         raise DomainError(f"successes {successes} outside [0, {trials}]")
     if not 0.0 < level < 1.0:

@@ -12,8 +12,7 @@ A class with sign a and m disagreeing stations has Mermin sum (eigenvalue
 times prediction, summed over words) a*Im((1+i)^(q-m) (1-i)^m), which is 0
 or a signed power of two, so its bad-word count is a closed form. Because
 (1-i)/(1+i) = -i, that count repeats with period 4 in m, and the optimum is
-found among m <= 3. Word enumeration and a 4^q brute force stay as
-independent checks of both.
+found among m <= 3. Word enumeration (`bad_word_count_naive`) checks it.
 """
 
 from __future__ import annotations
@@ -23,14 +22,14 @@ from typing import NamedTuple, Optional
 
 from .configs import (
     ENUMERATION_LIMIT,
+    EXACT_POWER_BITS,
+    MAX_STATIONS,
     Configuration,
+    _check_int_q,
     enumerate_words,
     word_count,
 )
-from .errors import CapacityError, DomainError
-
-#: Raw strategy spaces up to this q (4^q entries) stay brute-forceable.
-BRUTE_FORCE_LIMIT = 8
+from .errors import DomainError
 
 
 class DeterministicStrategy(
@@ -41,6 +40,7 @@ class DeterministicStrategy(
     __slots__ = ()
 
     def __new__(cls, q: int, answers: tuple[tuple[int, int], ...]) -> DeterministicStrategy:
+        q = _check_int_q(q, MAX_STATIONS)
         if q != len(answers):
             raise DomainError(f"expected {q} answer pairs, got {len(answers)}")
         for k, (a, b) in enumerate(answers):
@@ -51,6 +51,7 @@ class DeterministicStrategy(
     @classmethod
     def from_masks(cls, q: int, a_mask: int, b_mask: int) -> "DeterministicStrategy":
         """Build from sign bit masks (bit k set means station k+1 answers -1)."""
+        q = _check_int_q(q, MAX_STATIONS)
         return cls(
             q=q,
             answers=tuple(
@@ -84,10 +85,11 @@ class CanonicalStrategy(
     __slots__ = ()
 
     def __new__(cls, q: int, a_sign: int, t_mask: int) -> CanonicalStrategy:
+        q = _check_int_q(q, EXACT_POWER_BITS)
         if a_sign not in (+1, -1):
             raise DomainError(f"a_sign must be +1 or -1, got {a_sign}")
-        if not 0 <= t_mask < (1 << q):
-            raise DomainError(f"t_mask {t_mask:#x} has bits outside the {q} stations")
+        if not (hasattr(t_mask, "__index__") and 0 <= t_mask < (1 << q)):
+            raise DomainError(f"t_mask must be an integer in [0, 2^{q}), got {t_mask!r}")
         return super().__new__(cls, q, a_sign, t_mask)
 
 
@@ -129,10 +131,7 @@ def bad_word_count_naive(
     The enumeration is deliberately direct; it is the reference the
     closed-form counter is checked against. Capped at q <= 24.
     """
-    if strategy.q > ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"naive counting supports q <= {ENUMERATION_LIMIT}, got {strategy.q}"
-        )
+    _check_int_q(strategy.q, ENUMERATION_LIMIT)
     bad: list[Configuration] = []
     count = 0
     for config, eigenvalue in enumerate_words(strategy.q):
@@ -159,12 +158,16 @@ def bad_word_count_analytic(q: int, a_sign: int, m: int) -> int:
     (q - 2m) mod 8, and the bad words are half of 2^(q-1) minus it.
     Exact integer arithmetic, a few shifts.
     """
+    q = _check_int_q(q, EXACT_POWER_BITS)
     if a_sign not in (+1, -1):
         raise DomainError(f"a_sign must be +1 or -1, got {a_sign}")
-    if not 0 <= m <= q:
-        raise DomainError(f"m must be between 0 and q={q}, got {m}")
-    if q < 1:
-        raise DomainError(f"station count must be at least 1, got {q}")
+    if not (hasattr(m, "__index__") and 0 <= m <= q):
+        raise DomainError(f"m must be an integer between 0 and q={q}, got {m!r}")
+    return _bad_words(q, a_sign, m)
+
+
+def _bad_words(q: int, a_sign: int, m: int) -> int:
+    """`bad_word_count_analytic` of arguments already checked."""
     phase = (q - 2 * m) % 8
     sine_sign = 0 if phase % 4 == 0 else (1 if phase < 4 else -1)
     mermin = (a_sign * sine_sign) << (q // 2)
@@ -179,58 +182,19 @@ def minimize_bad_words(q: int) -> BadWordReport:
     every value. Ties break deterministically: smallest m first, then
     a_sign = +1, with the t_mask realized on the lowest m stations.
     """
-    if q < 1:
-        raise DomainError(f"station count must be at least 1, got {q}")
+    q = _check_int_q(q, EXACT_POWER_BITS)
     best: Optional[tuple[int, int, int]] = None
     for m in range(min(q, 3) + 1):
         for a_sign in (+1, -1):
-            count = bad_word_count_analytic(q, a_sign, m)
+            count = _bad_words(q, a_sign, m)
             if best is None or count < best[0]:
                 best = (count, m, a_sign)
     count, m, a_sign = best
-    strategy = CanonicalStrategy(q=q, a_sign=a_sign, t_mask=(1 << m) - 1)
+    strategy = CanonicalStrategy._make((q, a_sign, (1 << m) - 1))
     return BadWordReport(
         strategy=strategy,
         bad_count=count,
         probability=Fraction(count, 1 << q),
-    )
-
-
-def minimize_bad_words_brute_force(q: int) -> BadWordReport:
-    """Minimum bad-word count over all 4^q raw strategies, evaluated directly.
-
-    Every (a, b) answer table is scored against every word without going
-    through the canonical reduction, so this is an independent check of the
-    closed-form minimizer. Vectorized; q <= 8. It is the one function here
-    that uses numpy, imported on its first call.
-    """
-    import numpy as np
-
-    if not 1 <= q <= BRUTE_FORCE_LIMIT:
-        raise CapacityError(
-            f"brute force supports 1 <= q <= {BRUTE_FORCE_LIMIT}, got {q}"
-        )
-    masks = np.arange(1 << q, dtype=np.uint32)
-    r = np.bitwise_count(masks)
-    word_masks = masks[r % 2 == 1]
-    eigen_bits = ((np.bitwise_count(word_masks) - 1) >> 1) & 1
-
-    station_bits = (1 << q) - 1
-    # parity of a answers on l stations, per (a_mask, word)
-    l_part = np.bitwise_count(masks[:, None] & ~word_masks[None, :] & station_bits) & 1
-    # parity of b answers on r stations, per (b_mask, word)
-    r_part = np.bitwise_count(masks[:, None] & word_masks[None, :]) & 1
-    # predicted sign bit for every (a_mask, b_mask, word)
-    prediction = l_part[:, None, :] ^ r_part[None, :, :]
-    bad_counts = (prediction != eigen_bits[None, None, :]).sum(axis=2)
-
-    flat = int(np.argmin(bad_counts))
-    a_mask, b_mask = divmod(flat, 1 << q)
-    winner = DeterministicStrategy.from_masks(q, a_mask, b_mask)
-    return BadWordReport(
-        strategy=canonicalize(winner),
-        bad_count=int(bad_counts.flat[flat]),
-        probability=Fraction(int(bad_counts.flat[flat]), 1 << q),
     )
 
 
@@ -240,8 +204,7 @@ def mermin_bound(q: int) -> int:
     Exact integer 2^(q-2) - 2^floor((q-2)/2), which vanishes at q = 2;
     q = 1 returns 0 by the same cancellation (the formal value 1/2 - 1/2).
     """
-    if q < 1:
-        raise DomainError(f"station count must be at least 1, got {q}")
+    q = _check_int_q(q, EXACT_POWER_BITS)
     if q == 1:
         return 0
     return (1 << (q - 2)) - (1 << ((q - 2) // 2))

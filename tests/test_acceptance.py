@@ -32,15 +32,15 @@ from ghzgap.experiment import (
     QuantumModel,
     run_experiment,
 )
-from ghzgap.quantum import (
-    NoiseModel,
-    failure_probability_closed,
+from ghzgap.oracles import (
     failure_probability_exact,
     failure_probability_sum,
     joint_outcome_probabilities,
+    minimize_bad_words_brute_force,
     sample_outcome_batch,
     statevector_oracle,
 )
+from ghzgap.quantum import NoiseModel, failure_probability_closed
 from ghzgap.strategies import (
     DeterministicStrategy,
     bad_word_count_naive,
@@ -48,7 +48,6 @@ from ghzgap.strategies import (
     max_classical_mermin_sum,
     mermin_bound,
     minimize_bad_words,
-    minimize_bad_words_brute_force,
 )
 
 

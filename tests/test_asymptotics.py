@@ -15,12 +15,8 @@ from ghzgap.asymptotics import (
     REFERENCE_EPSILON,
 )
 from ghzgap.errors import DomainError
-from ghzgap.quantum import (
-    NoiseModel,
-    failure_probability_closed,
-    failure_probability_exact,
-    parity_attenuation,
-)
+from ghzgap.oracles import failure_probability_exact
+from ghzgap.quantum import NoiseModel, failure_probability_closed, parity_attenuation
 from ghzgap.strategies import mermin_bound
 
 

@@ -32,7 +32,8 @@ import pytest
 from scipy import stats
 
 from ghzgap.experiment import ExperimentConfig, LhvModel, QuantumModel, run_experiment
-from ghzgap.quantum import NoiseModel, failure_probability_exact
+from ghzgap.oracles import failure_probability_exact
+from ghzgap.quantum import NoiseModel
 from ghzgap.strategies import minimize_bad_words
 
 SEEDS = 64

@@ -866,7 +866,9 @@ def _startup_report(commands):
     return json.loads(result.stdout)
 
 
-_LAYERS = {"ghzgap.experiment", "ghzgap.strategies"}
+#: The modules that only some commands load: the Monte Carlo and strategy
+#: layers, and the cross-checks.
+_LAYERS = {"ghzgap.experiment", "ghzgap.oracles", "ghzgap.strategies"}
 
 
 class TestStartupPath:
@@ -894,19 +896,25 @@ class TestStartupPath:
         assert modules[" ".join(lhv)] & _LAYERS == {"ghzgap.strategies"}
 
     @pytest.mark.parametrize(
-        "argv, layer",
+        "argv, layer, oracles",
         [
-            (["simulate", "--q", "3", "--model", "qm", "--trials", "10", "--seed", "1"], "experiment"),
-            (["lhv", "optimize", "--q", "4", "--verify-brute-force"], "strategies"),
+            (
+                ["simulate", "--q", "3", "--model", "qm", "--trials", "10", "--seed", "1"],
+                "experiment",
+                False,
+            ),
+            (["lhv", "optimize", "--q", "4", "--verify-brute-force"], "strategies", True),
         ],
         ids=["simulate", "lhv-brute-force"],
     )
-    def test_array_commands_load_numpy(self, argv, layer):
+    def test_array_commands_load_numpy(self, argv, layer, oracles):
+        # Only the brute-force check loads the cross-checks module.
         report = _startup_report([argv])
         assert report["import ghzgap"] == [0, [], []]
         code, loaded, modules = report[" ".join(argv)]
         assert code == 0 and "numpy" in loaded
         assert f"ghzgap.{layer}" in modules
+        assert ("ghzgap.oracles" in modules) is oracles
 
 
 class TestConsoleScript:

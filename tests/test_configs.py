@@ -62,7 +62,7 @@ class TestConfiguration:
             Configuration(q=2, r_mask=0b100)
 
     def test_q_zero_rejected(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(DomainError):
             Configuration(q=0, r_mask=0)
 
     def test_q_over_limit_rejected(self):

@@ -40,7 +40,7 @@ class TestValidation:
     def test_q_bounds(self):
         with pytest.raises(DomainError):
             qm_config(q=0)
-        with pytest.raises(DomainError):
+        with pytest.raises(CapacityError):
             qm_config(q=MAX_STATIONS + 1)
         assert qm_config(q=MAX_STATIONS).q == 64
 

@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -160,10 +161,11 @@ def test_lazy_package_surface():
 #: One bad value for each check the validating types run, as
 #: (constructor, arguments, error class).
 _BAD_VALUES = {
-    "configuration-q-low": (Configuration, (0, 0), CapacityError),
+    "configuration-q-low": (Configuration, (0, 0), DomainError),
     "configuration-q-high": (Configuration, (65, 0), CapacityError),
     "configuration-mask-high": (Configuration, (3, 8), DomainError),
     "configuration-mask-negative": (Configuration, (3, -1), DomainError),
+    "configuration-mask-nan": (Configuration, (3, math.nan), DomainError),
     "word-eigenvalue": (Word, (0,), DomainError),
     "noise-negative": (NoiseModel, (-0.1,), DomainError),
     "noise-above-half": (NoiseModel, (0.6,), DomainError),
@@ -172,7 +174,9 @@ _BAD_VALUES = {
     "outcome-result": (OutcomeTuple, ((1, 0),), DomainError),
     "experiment-q": (ExperimentConfig, (0, QuantumModel(), 10, 1), DomainError),
     "experiment-trials": (ExperimentConfig, (3, QuantumModel(), 0, 1), DomainError),
+    "experiment-trials-fraction": (ExperimentConfig, (3, QuantumModel(), 10.5, 1), DomainError),
     "experiment-seed": (ExperimentConfig, (3, QuantumModel(), 10, 1 << 64), DomainError),
+    "experiment-seed-fraction": (ExperimentConfig, (3, QuantumModel(), 10, 2.5), DomainError),
     "experiment-ci-level": (ExperimentConfig, (3, QuantumModel(), 10, 1, 1.0), DomainError),
     "experiment-strategy-q": (
         ExperimentConfig,
@@ -183,6 +187,7 @@ _BAD_VALUES = {
     "deterministic-answer": (DeterministicStrategy, (1, ((1, 0),)), DomainError),
     "canonical-sign": (CanonicalStrategy, (3, 0, 0), DomainError),
     "canonical-mask": (CanonicalStrategy, (3, 1, 8), DomainError),
+    "canonical-mask-nan": (CanonicalStrategy, (3, 1, math.nan), DomainError),
 }
 
 
@@ -190,6 +195,103 @@ _BAD_VALUES = {
 def test_validating_types_reject_bad_values(make, args, error):
     with pytest.raises(error):
         make(*args)
+
+
+#: Bad arguments other than a station count, as (function, arguments, error
+#: class): none may escape as OverflowError, a math error or a wrong answer.
+_BAD_CALLS = {
+    "analytic-m-fraction": (ghzgap.bad_word_count_analytic, (5, 1, 2.5), DomainError),
+    "particles-mass-huge": (ghzgap.particles_in_mass, (10**400,), DomainError),
+    "wilson-trials-huge": (ghzgap.wilson_interval, (1, 10**400), DomainError),
+    "threshold-delta-tiny": (ghzgap.epsilon_threshold, (100, Fraction(1, 10**400)), DomainError),
+    "macroscopic-delta-tiny": (ghzgap.macroscopic_report, (4, Fraction(1, 10**400)), DomainError),
+}
+
+
+@pytest.mark.parametrize("call, args, error", _BAD_CALLS.values(), ids=_BAD_CALLS)
+def test_functions_reject_bad_arguments(call, args, error):
+    with pytest.raises(error):
+        call(*args)
+
+
+#: Hostile station counts, and what each gate does with them: the integer
+#: gate (`configs._check_int_q`) and the real-q check (`quantum._check_q`).
+#: None means the call answers. Every value is refused before anything of
+#: size 2^q is built.
+_HOSTILE_Q = {
+    "nan": (math.nan, DomainError, DomainError),
+    "inf": (math.inf, DomainError, DomainError),
+    "-inf": (-math.inf, DomainError, DomainError),
+    "-0.0": (-0.0, DomainError, DomainError),
+    "2.5": (2.5, DomainError, None),
+    "10**400": (10**400, CapacityError, DomainError),
+    "10**5000": (10**5000, CapacityError, DomainError),  # beyond int-to-text conversion
+    "-10**5000": (-(10**5000), DomainError, DomainError),
+    "1/10**400": (Fraction(1, 10**400), DomainError, DomainError),
+    "True": (True, None, None),
+}
+
+#: Every public callable that takes a station count, called with q.
+_INTEGER_Q_CALLS = {
+    "Configuration": lambda q: Configuration(q, 0),
+    "ExperimentConfig": lambda q: ExperimentConfig(q, QuantumModel(), 10, 1),
+    "DeterministicStrategy": lambda q: DeterministicStrategy(q, ((1, 1),)),
+    "DeterministicStrategy.from_masks": lambda q: DeterministicStrategy.from_masks(q, 0, 0),
+    "CanonicalStrategy": lambda q: CanonicalStrategy(q, 1, 0),
+    "word_count": ghzgap.word_count,
+    "enumerate_configurations": ghzgap.enumerate_configurations,
+    "enumerate_words": lambda q: next(ghzgap.enumerate_words(q)),
+    "bad_word_count_analytic": lambda q: ghzgap.bad_word_count_analytic(q, 1, 0),
+    "minimize_bad_words": ghzgap.minimize_bad_words,
+    "mermin_bound": ghzgap.mermin_bound,
+    "max_classical_mermin_sum": ghzgap.max_classical_mermin_sum,
+    "minimize_bad_words_brute_force": ghzgap.minimize_bad_words_brute_force,
+    "entangled_state": ghzgap.entangled_state,
+    "statevector_oracle": ghzgap.statevector_oracle,
+    "failure_probability_sum": lambda q: ghzgap.failure_probability_sum(q, NoiseModel(0.1)),
+    "failure_probability_exact": lambda q: ghzgap.failure_probability_exact(q, Fraction(1, 10)),
+}
+_REAL_Q_CALLS = {
+    "parity_attenuation": lambda q: ghzgap.parity_attenuation(q, NoiseModel(0.1)),
+    "failure_probability_closed": lambda q: ghzgap.failure_probability_closed(q, NoiseModel(0.1)),
+    "gap_asymptotic": lambda q: ghzgap.gap_asymptotic(q, NoiseModel(0.1)),
+    "gap": lambda q: ghzgap.gap(q, NoiseModel(0.1)),
+    "epsilon_threshold": lambda q: ghzgap.epsilon_threshold(q, 0.01),
+}
+_STATION_CASES = {
+    f"{name}-{label}": (call, q, errors[0 if integer else 1])
+    for integer, calls in ((True, _INTEGER_Q_CALLS), (False, _REAL_Q_CALLS))
+    for name, call in calls.items()
+    for label, (q, *errors) in _HOSTILE_Q.items()
+}
+
+
+@pytest.mark.parametrize("call, q, error", _STATION_CASES.values(), ids=_STATION_CASES)
+def test_station_counts_are_gated(call, q, error):
+    if error is None:
+        call(q)
+    else:
+        with pytest.raises(error):
+            call(q)
+
+
+def test_no_module_imports_the_oracles():
+    # The cross-checks stay off every command's path by construction: no
+    # module of the package imports `oracles`; only the package's table of
+    # lazy names points at it.
+    importers = []
+    for path in sorted(pathlib.Path(ghzgap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("oracles" in name.split(".") for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+    assert "oracles" in ghzgap._EXPORTS.values()
 
 
 def _instances():

@@ -10,22 +10,24 @@ from scipy import stats
 
 from ghzgap.configs import classify, enumerate_configurations, parse_configuration, Word
 from ghzgap.errors import CapacityError, DomainError
-from ghzgap.quantum import (
-    EXACT_POWER_BITS,
+from ghzgap.configs import EXACT_POWER_BITS
+from ghzgap.oracles import (
     SUM_LIMIT,
-    NoiseModel,
-    OutcomeTuple,
     entangled_state,
-    failure_probability_closed,
     failure_probability_exact,
     failure_probability_sum,
     joint_outcome_probabilities,
-    parity_attenuation,
     product_observable_expectation,
     sample_outcome_batch,
+    statevector_oracle,
+)
+from ghzgap.quantum import (
+    NoiseModel,
+    OutcomeTuple,
+    failure_probability_closed,
+    parity_attenuation,
     sample_parity_tuples,
     sample_result_bits,
-    statevector_oracle,
 )
 
 EPS_GRID = (0.0, 1e-6, 0.01, 0.1, 0.25, 0.5)
@@ -102,6 +104,11 @@ class TestFailureProbability:
             0.122
         )
         assert failure_probability_exact(5, Fraction(0)) == 0
+
+    def test_exact_form_takes_a_float_as_its_exact_rational(self):
+        got = failure_probability_exact(3, 0.1)
+        assert type(got) is Fraction
+        assert got == Fraction(1, 4) - Fraction(1, 4) * (1 - 2 * Fraction(0.1)) ** 3
 
     def test_q_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -14,8 +14,8 @@ from ghzgap.configs import (
     word_eigenvalue,
 )
 from ghzgap.errors import CapacityError, DomainError
+from ghzgap.oracles import BRUTE_FORCE_LIMIT, minimize_bad_words_brute_force
 from ghzgap.strategies import (
-    BRUTE_FORCE_LIMIT,
     CanonicalStrategy,
     DeterministicStrategy,
     bad_word_count_analytic,
@@ -25,7 +25,6 @@ from ghzgap.strategies import (
     mermin_bound,
     mermin_sum,
     minimize_bad_words,
-    minimize_bad_words_brute_force,
     predict_total,
 )
 
