@@ -72,7 +72,7 @@ _LHV_OPTIMIZE_LIMIT = 14_000
 _PREFIX_STATIONS = (ENUMERATION_LIMIT + 1) // 2
 
 #: `gap sweep` writes at most this many rows, (q range) x (eps count): rows
-#: stream in constant memory, and 2^20 of them take ~4 s as CSV, ~7 s as JSON.
+#: stream in constant memory, and 2^20 of them take ~3 s as CSV or JSON.
 _GAP_SWEEP_LIMIT = 1 << 20
 
 #: Namespace entries that are not parameters of the command that ran: the

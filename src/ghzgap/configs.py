@@ -73,9 +73,9 @@ class Word(NamedTuple("Word", [("eigenvalue", int)])):
     kind = "word"
 
     def __new__(cls, eigenvalue: int) -> Word:
-        if eigenvalue not in (+1, -1):
-            raise DomainError(f"eigenvalue must be +1 or -1, got {eigenvalue}")
-        return super().__new__(cls, eigenvalue)
+        if not (hasattr(eigenvalue, "__index__") and eigenvalue in (+1, -1)):
+            raise DomainError(f"eigenvalue must be the integer +1 or -1, got {eigenvalue}")
+        return super().__new__(cls, eigenvalue.__index__())
 
 
 class String(NamedTuple):
@@ -122,8 +122,8 @@ def word_eigenvalue(r_count: int) -> int:
     Defined only for odd r_count, where the nominally imaginary unit raised
     to (r_count - 1) is real.
     """
-    if r_count % 2 != 1:
-        raise DomainError(f"eigenvalue is defined for odd r counts, got {r_count}")
+    if not (hasattr(r_count, "__index__") and r_count % 2 == 1):
+        raise DomainError(f"eigenvalue is defined for odd integer r counts, got {r_count}")
     return +1 if r_count % 4 == 1 else -1
 
 

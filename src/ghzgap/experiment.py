@@ -339,10 +339,10 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[f
     Preferred over the plain normal interval for stability at small counts
     and proportions near 0 or 1.
     """
-    if not 1 <= trials <= MAX_TRIALS:
-        raise DomainError(f"trial count must lie in [1, {MAX_TRIALS}], got {trials}")
-    if not 0 <= successes <= trials:
-        raise DomainError(f"successes {successes} outside [0, {trials}]")
+    if not (hasattr(trials, "__index__") and 1 <= trials <= MAX_TRIALS):
+        raise DomainError(f"trial count must be an integer in [1, {MAX_TRIALS}], got {trials}")
+    if not (hasattr(successes, "__index__") and 0 <= successes <= trials):
+        raise DomainError(f"successes must be an integer in [0, {trials}], got {successes}")
     if not 0.0 < level < 1.0:
         raise DomainError(f"interval level must lie in (0, 1), got {level}")
     z = NormalDist().inv_cdf(0.5 + level / 2.0)

@@ -1,8 +1,12 @@
 """Machine-readable report emission: JSON, CSV, and run manifests.
 
-Both writers are the standard library's: a float is written as its
-``repr``, the shortest text that parses back to the identical bit pattern,
-and a non-finite float is refused rather than written to JSON. Reports
+Both writers write what the standard library's `json` and `csv` modules
+write: a float is written as its ``repr``, the shortest text that parses back
+to the identical bit pattern, and a non-finite float is refused rather than
+written to JSON. A batch of table rows whose cells are all ints and finite
+floats (every `gap sweep` row) is filled into a row template, the text of one
+row with ``%r`` for each cell; any other batch goes through the `json`
+encoder or `csv.writer`, which write the same text for such rows. Reports
 embed a manifest (command, parameter echo, seed, version, timestamp, and
 for seeded runs the random-stream environment) so a payload can always be
 traced back to the invocation that produced it.
@@ -18,14 +22,16 @@ in constant memory.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
+import math
 import os
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from .errors import DomainError
 
@@ -43,6 +49,11 @@ SPLICE = "#"
 #: and one replace of `_ROW_BOUNDARY` writes the lines between two rows.
 _ROW_SEPARATOR = ",\n      "
 _ROW_BOUNDARY = "}" + _ROW_SEPARATOR + "{"
+
+#: The cell types whose `repr` is their text in both formats. Subclasses
+#: are not among them: a bool is `true` in JSON, and numpy's float64 has a
+#: repr of its own.
+_PLAIN_CELLS = frozenset((int, float))
 
 
 def _fraction_text(value: Any) -> str:
@@ -99,6 +110,46 @@ def _encode_csv(batch: Iterable[Sequence[Any]]) -> str:
     return buf.getvalue()
 
 
+def _plain(cells: tuple[Any, ...]) -> bool:
+    """Whether every one of `cells` is of `_PLAIN_CELLS` and finite: a cell
+    that both writers write as its `repr`."""
+    if not _PLAIN_CELLS.issuperset(map(type, cells)):
+        return False
+    try:
+        # A nan or an infinity makes the sum one; so may finite floats near
+        # the top of the range, which then take the general encoder.
+        return math.isfinite(sum(cells))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _batch_encoder(fmt: str, columns: Sequence[str]) -> Callable[[list[Sequence[Any]]], str]:
+    """The `fmt` ("json" or "csv") writer's encoder of a batch of rows of
+    `columns`, built once per table.
+
+    A batch whose rows all have one cell per column, each an int or a finite
+    float, is filled into the row template (the text of one row, ``%r`` for
+    each cell) repeated once per row, by one ``%``; any other batch goes to
+    the format's general encoder, which gives the same text where both apply.
+    """
+    if fmt == "json":
+        keys = [json.dumps(column).replace("%", "%%") for column in columns]
+        row = "{\n      " + _ROW_SEPARATOR.join(f"{key}: %r" for key in keys) + "\n    }"
+        sep, general = ",\n    ", functools.partial(_encode_rows, columns)
+    else:
+        row, sep, general = ",".join(["%r"] * len(columns)) + "\n", "", _encode_csv
+    width = {len(columns)}
+
+    def encode_batch(batch: list[Sequence[Any]]) -> str:
+        if set(map(len, batch)) == width:
+            cells = tuple(itertools.chain.from_iterable(batch))
+            if _plain(cells):
+                return sep.join([row] * len(batch)) % cells
+        return general(batch)
+
+    return encode_batch
+
+
 class EncodedRows:
     """A table's rows already in the text one format's writer gives them, as
     blocks of whole rows, and the names of their `columns`."""
@@ -107,26 +158,20 @@ class EncodedRows:
         self.columns, self.blocks = columns, blocks
 
 
-def _encode(fmt: str, columns: list[str], batch: list[Sequence[Any]]) -> str:
-    """The `fmt` ("json" or "csv") writer's block of the rows of `batch`."""
-    return _encode_rows(columns, batch) if fmt == "json" else _encode_csv(batch)
-
-
 def encode(fmt: str, columns: list[str], rows: Iterable[Sequence[Any]]) -> EncodedRows:
     """`rows`, tuples of cells in `columns` order, for the `fmt` writer,
     which has the next BATCH_ROWS of them encoded each time it asks for a
     block. No batch is kept once encoded, so the writer holds one at a time."""
     it = iter(rows)
     batches = iter(lambda: list(itertools.islice(it, BATCH_ROWS)), [])
-    blocks = map(_encode, itertools.repeat(fmt), itertools.repeat(columns), batches)
-    return EncodedRows(columns, blocks)
+    return EncodedRows(columns, map(_batch_encoder(fmt, columns), batches))
 
 
 def fragments(fmt: str, columns: list[str], rows: list[Sequence[Any]]) -> list[str]:
     """The `fmt` writer's block of `rows`, tuples of cells in `columns`
     order, cut at each SPLICE: joined with a text, the pieces are the block
     of the same rows with that text in place of SPLICE."""
-    return _encode(fmt, columns, rows).split(SPLICE)
+    return _batch_encoder(fmt, columns)(rows).split(SPLICE)
 
 
 def _write_blocks(

@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 
 from ghzgap import cli
+from ghzgap.asymptotics import gap_rows
 from ghzgap.cli import main
 from ghzgap.configs import Word, classify, enumerate_configurations
 from ghzgap.reporting import BATCH_ROWS, dumps_csv, dumps_json
@@ -342,6 +343,20 @@ class TestGap:
             for column in ("p_qm", "p_classical_exact", "gap_exact", "gap_asymptotic"):
                 assert float(csv_row[column]) == json_row[column]
 
+    @staticmethod
+    def assert_sweep_is_whole_text(capsys, q_max, eps_list, rows):
+        """`gap sweep` over q = 2..q_max and `eps_list` writes `rows`, dicts
+        of its columns, as the whole-text writers do, in CSV and JSON."""
+        argv = ["gap", "sweep", "--q-min", "2", "--q-max", str(q_max)]
+        argv += ["--eps-list", *map(repr, eps_list)]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out == dumps_csv(cli._GAP_COLUMNS, rows)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        manifest = json.loads(out)["manifest"]
+        assert out == dumps_json({"manifest": manifest, "rows": rows}) + "\n"
+
     # 8997 rows, three blocks: parsing, as above, would not see where two meet.
     def test_sweep_bytes_match_whole_text(self, capsys):
         eps_list = [0.01, 0.1, 0.3]
@@ -355,14 +370,15 @@ class TestGap:
                     "gap_exact": report.gap_exact, "gap_asymptotic": report.gap_asymptotic,
                 })
         assert len(rows) > 2 * BATCH_ROWS
-        argv = ["gap", "sweep", "--q-min", "2", "--q-max", "3000", "--eps-list", *map(str, eps_list)]
-        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
-        assert code == 0
-        assert out == dumps_csv(list(rows[0]), rows)
-        code, out, _ = run_cli(capsys, *argv, "--format", "json")
-        assert code == 0
-        manifest = json.loads(out)["manifest"]
-        assert out == dumps_json({"manifest": manifest, "rows": rows}) + "\n"
+        self.assert_sweep_is_whole_text(capsys, 3000, eps_list, rows)
+
+    # The ends of the eps range: p_qm -0.0 at eps 0, subnormal and zero gaps
+    # at 1e-300 and 0.5.
+    def test_sweep_is_whole_text_of_gap_rows(self, capsys):
+        eps_list = [0.0, 1e-300, 1e-12, 0.01, 0.2, 0.5]
+        noises = [cli.NoiseModel(eps) for eps in eps_list]
+        rows = [dict(zip(cli._GAP_COLUMNS, row)) for row in gap_rows(range(2, 301), noises)]
+        self.assert_sweep_is_whole_text(capsys, 300, eps_list, rows)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 1000, 10**6])
     def test_sweep_rows_are_point_reports(self, capsys, q):

@@ -167,6 +167,7 @@ _BAD_VALUES = {
     "configuration-mask-negative": (Configuration, (3, -1), DomainError),
     "configuration-mask-nan": (Configuration, (3, math.nan), DomainError),
     "word-eigenvalue": (Word, (0,), DomainError),
+    "word-eigenvalue-float": (Word, (1.0,), DomainError),
     "noise-negative": (NoiseModel, (-0.1,), DomainError),
     "noise-above-half": (NoiseModel, (0.6,), DomainError),
     "noise-nan": (NoiseModel, (math.nan,), DomainError),
@@ -203,6 +204,9 @@ _BAD_CALLS = {
     "analytic-m-fraction": (ghzgap.bad_word_count_analytic, (5, 1, 2.5), DomainError),
     "particles-mass-huge": (ghzgap.particles_in_mass, (10**400,), DomainError),
     "wilson-trials-huge": (ghzgap.wilson_interval, (1, 10**400), DomainError),
+    "wilson-successes-fraction": (ghzgap.wilson_interval, (1.5, 10), DomainError),
+    "wilson-trials-fraction": (ghzgap.wilson_interval, (1, 10.5), DomainError),
+    "eigenvalue-r-count-float": (ghzgap.word_eigenvalue, (3.0,), DomainError),
     "threshold-delta-tiny": (ghzgap.epsilon_threshold, (100, Fraction(1, 10**400)), DomainError),
     "macroscopic-delta-tiny": (ghzgap.macroscopic_report, (4, Fraction(1, 10**400)), DomainError),
 }

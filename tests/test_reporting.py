@@ -4,11 +4,14 @@ streamed writers that match the whole-text ones byte for byte."""
 import io
 import itertools
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from ghzgap import reporting
 from ghzgap.errors import DomainError
 from ghzgap.reporting import BATCH_ROWS, dumps_csv, dumps_json, encode, write_csv, write_json
 
@@ -89,12 +92,37 @@ _values = st.one_of(
     st.booleans(),
 )
 
-#: Column names and a few distinct rows of cells in their order, repeated
-#: to each tested length.
-_row_pools = st.lists(st.text(max_size=8), min_size=1, max_size=5, unique=True).flatmap(
-    lambda columns: st.tuples(
-        st.just(columns), st.lists(st.tuples(*[_values] * len(columns)), min_size=1, max_size=4)
+
+def _pools(names, values):
+    """Column names and a few distinct rows of cells in their order, repeated
+    to each tested length."""
+    return st.lists(names, min_size=1, max_size=5, unique=True).flatmap(
+        lambda columns: st.tuples(
+            st.just(columns), st.lists(st.tuples(*[values] * len(columns)), min_size=1, max_size=4)
+        )
     )
+
+
+_row_pools = _pools(st.text(max_size=8), _values)
+
+#: Cells the row template writes: ints and finite floats, with a negative
+#: zero, the ends of the binary64 range and an int past 64 bits.
+_plain_values = st.one_of(
+    st.sampled_from([0, -0.0, 5e-324, 1e308, -1e308, 2**64 + 1, -(2**70)]),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+#: Column names with a JSON escape, the template's own `%`, text outside
+#: ASCII, and the text of a non-finite float.
+_plain_pools = _pools(
+    st.one_of(
+        st.sampled_from(
+            ['say "hi"', "back\\slash", "100%", "%r", "%%s", "Schrödinger ✓", "inf", "nan"]
+        ),
+        st.text(max_size=8),
+    ),
+    _plain_values,
 )
 
 _ROW_COUNTS = [0, 1, BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1]
@@ -126,23 +154,93 @@ def assert_same_text(got, want):
         assert len(got) == len(want)
 
 
+def assert_json_is_whole_text(pool, count, scalar):
+    rows = _rows(pool, count)
+    fields = {"manifest": {"command": "enumerate", "parameters": {"q": 3}}, "x": scalar}
+    out = io.StringIO()
+    write_json(out, {**fields, "rows": encode("json", pool[0], iter(rows))})
+    assert_same_text(out.getvalue(), dumps_json({**fields, "rows": _dicts(pool, rows)}) + "\n")
+
+
+def assert_csv_is_whole_text(pool, count):
+    rows = _rows(pool, count)
+    out = io.StringIO()
+    write_csv(out, encode("csv", pool[0], iter(rows)))
+    assert_same_text(out.getvalue(), dumps_csv(pool[0], _dicts(pool, rows)))
+
+
 class TestStreamedWriters:
     @_streamed
     @given(pool=_row_pools, count=st.sampled_from(_ROW_COUNTS), scalar=_values)
     def test_json_matches_whole_text(self, pool, count, scalar):
-        rows = _rows(pool, count)
-        fields = {"manifest": {"command": "enumerate", "parameters": {"q": 3}}, "x": scalar}
-        out = io.StringIO()
-        write_json(out, {**fields, "rows": encode("json", pool[0], iter(rows))})
-        assert_same_text(out.getvalue(), dumps_json({**fields, "rows": _dicts(pool, rows)}) + "\n")
+        assert_json_is_whole_text(pool, count, scalar)
 
     @_streamed
     @given(pool=_row_pools, count=st.sampled_from(_ROW_COUNTS))
     def test_csv_matches_whole_text(self, pool, count):
-        rows = _rows(pool, count)
+        assert_csv_is_whole_text(pool, count)
+
+    @_streamed
+    @given(pool=_plain_pools, count=st.sampled_from(_ROW_COUNTS), scalar=_plain_values)
+    def test_plain_json_matches_whole_text(self, pool, count, scalar):
+        assert_json_is_whole_text(pool, count, scalar)
+
+    @_streamed
+    @given(pool=_plain_pools, count=st.sampled_from(_ROW_COUNTS))
+    def test_plain_csv_matches_whole_text(self, pool, count):
+        assert_csv_is_whole_text(pool, count)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_plain_rows_take_the_row_template(self, monkeypatch, fmt):
+        columns = ["q", 'say "hi"', "100%", "Schrödinger", "inf", "nan"]
+        cells = [(3, -0.0, 5e-324, 1e300, 2**64 + 1, 0.1), (-(2**70), 0.0, -1.5, 7, 2, 1e-300)]
+        pool = (columns, cells)
+        rows = _rows(pool, BATCH_ROWS + 1)
+        dicts = _dicts(pool, rows)
+        want = dumps_json({"rows": dicts}) + "\n" if fmt == "json" else dumps_csv(columns, dicts)
+        general = []  # what each call of a general encoder was given
+        for name in ("_encode_rows", "_encode_csv"):
+            encoder = getattr(reporting, name)
+            monkeypatch.setattr(reporting, name, lambda *a, f=encoder: general.append(a) or f(*a))
         out = io.StringIO()
-        write_csv(out, encode("csv", pool[0], iter(rows)))
-        assert_same_text(out.getvalue(), dumps_csv(pool[0], _dicts(pool, rows)))
+        if fmt == "json":
+            write_json(out, {"rows": encode("json", columns, iter(rows))})
+        else:
+            write_csv(out, encode("csv", columns, iter(rows)))
+        assert_same_text(out.getvalue(), want)
+        assert general == ([] if fmt == "json" else [([columns],)])  # only the CSV header
+
+    # A cell of any other type, or a non-finite float, sends its batch to the
+    # general encoder, which never writes True, None, 'x', Fraction(3, 8) or
+    # np.float64(0.1) in JSON (the CSV reference writes a bool as True).
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("position", [0, BATCH_ROWS])
+    @pytest.mark.parametrize(
+        "cell", [True, None, "x", Fraction(3, 8), np.float64(0.1), np.float64(math.inf)], ids=repr
+    )
+    def test_other_cells_match_whole_text(self, fmt, position, cell):
+        rows = [(3, 0.25)] * (BATCH_ROWS + 1)
+        rows[position] = (4, cell)
+        pool = (["q", "p"], rows)
+        if fmt == "csv":
+            assert_csv_is_whole_text(pool, len(rows))
+        elif isinstance(cell, float) and not math.isfinite(cell):
+            out = io.StringIO()
+            with pytest.raises(DomainError):
+                write_json(out, {"rows": encode("json", pool[0], iter(rows))})
+        else:
+            assert_json_is_whole_text(pool, len(rows), 0)
+
+    # Column names that hold "inf" and "nan", so that finding either text in
+    # a block would not tell a non-finite cell.
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_cell_refused_before_any_write(self, value):
+        rows = [(1, 0.5)] * BATCH_ROWS
+        rows[-1] = (1, value)
+        out = io.StringIO()
+        with pytest.raises(DomainError):
+            write_json(out, {"q": 3, "rows": encode("json", ["inf", "nan"], iter(rows))})
+        assert out.getvalue() == ""
 
     def test_payload_without_rows_is_whole_text(self):
         out = io.StringIO()
