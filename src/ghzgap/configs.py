@@ -38,6 +38,14 @@ def _check_int_q(q: int, limit: int) -> int:
     return n
 
 
+def _check_sign(value: int, name: str) -> int:
+    """The sign gate: `value`, called `name` in the message, must be the
+    integer +1 or -1 (DomainError). Returns it as an int."""
+    if not (hasattr(value, "__index__") and value in (+1, -1)):
+        raise DomainError(f"{name} must be the integer +1 or -1, got {value!r}")
+    return value.__index__()
+
+
 class Configuration(NamedTuple("Configuration", [("q", int), ("r_mask", int)])):
     """Bit-packed choice of settings: bit k set means station k+1 applies ``r``."""
 
@@ -73,9 +81,7 @@ class Word(NamedTuple("Word", [("eigenvalue", int)])):
     kind = "word"
 
     def __new__(cls, eigenvalue: int) -> Word:
-        if not (hasattr(eigenvalue, "__index__") and eigenvalue in (+1, -1)):
-            raise DomainError(f"eigenvalue must be the integer +1 or -1, got {eigenvalue}")
-        return super().__new__(cls, eigenvalue.__index__())
+        return super().__new__(cls, _check_sign(eigenvalue, "eigenvalue"))
 
 
 class String(NamedTuple):

@@ -78,9 +78,10 @@ def sample_outcome_batch(
     config: Configuration, noise: NoiseModel, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """`size` independent draws for one configuration, as a (size, q) sign matrix."""
-    if size < 1:
-        raise DomainError(f"sample size must be at least 1, got {size}")
-    r = np.full(size, config.r_count, dtype=np.int64)
+    n = size.__index__() if hasattr(size, "__index__") else 0
+    if n < 1:
+        raise DomainError(f"sample size must be an integer of at least 1, got {size!r}")
+    r = np.full(n, config.r_count, dtype=np.int64)
     bits = _sample_from_r_counts(r, config.q, noise, rng)
     return 1 - 2 * bits.astype(np.int8)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from .configs import _check_sign
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -42,9 +43,7 @@ class OutcomeTuple(NamedTuple("OutcomeTuple", [("results", tuple[int, ...])])):
     def __new__(cls, results: tuple[int, ...]) -> OutcomeTuple:
         if not results:
             raise DomainError("an outcome needs at least one station result")
-        for k, s in enumerate(results):
-            if s not in (+1, -1):
-                raise DomainError(f"results must be +1 or -1, station {k + 1} has {s}")
+        results = tuple(_check_sign(s, f"station {k + 1}'s result") for k, s in enumerate(results))
         return super().__new__(cls, results)
 
     @property

@@ -2,11 +2,12 @@
 
 Both writers write what the standard library's `json` and `csv` modules
 write: a float is written as its ``repr``, the shortest text that parses back
-to the identical bit pattern, and a non-finite float is refused rather than
-written to JSON. A batch of table rows whose cells are all ints and finite
-floats (every `gap sweep` row) is filled into a row template, the text of one
-row with ``%r`` for each cell; any other batch goes through the `json`
-encoder or `csv.writer`, which write the same text for such rows. Reports
+to the identical bit pattern; JSON refuses a non-finite float, CSV writes it
+as ``nan`` or ``inf``. A batch of table rows is filled into a row template,
+the text of one row with a slot for each cell: in JSON every batch, its cells
+encoded by one `json` encoder pass; in CSV a batch whose cells are all ints
+and floats (every `gap sweep` row), each cell its ``repr``, while any other
+goes through `csv.writer`, which writes the same text for such rows. Reports
 embed a manifest (command, parameter echo, seed, version, timestamp, and
 for seeded runs the random-stream environment) so a payload can always be
 traced back to the invocation that produced it.
@@ -22,11 +23,9 @@ in constant memory.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
-import math
 import os
 import time
 from datetime import datetime, timezone
@@ -43,16 +42,8 @@ BATCH_ROWS = 4096
 #: Where `fragments` cuts an encoded row: neither writer escapes or quotes it.
 SPLICE = "#"
 
-#: A table report's rows are flat objects one level inside the payload, so
-#: indent=2 puts each key at six spaces. The C encoder (used only when
-#: indent is None) with this item separator writes the keys' line breaks,
-#: and one replace of `_ROW_BOUNDARY` writes the lines between two rows.
-_ROW_SEPARATOR = ",\n      "
-_ROW_BOUNDARY = "}" + _ROW_SEPARATOR + "{"
-
-#: The cell types whose `repr` is their text in both formats. Subclasses
-#: are not among them: a bool is `true` in JSON, and numpy's float64 has a
-#: repr of its own.
+#: The cell types whose `repr` is their CSV text. Subclasses are not among
+#: them: numpy's float64, for one, has a repr of its own.
 _PLAIN_CELLS = frozenset((int, float))
 
 
@@ -62,9 +53,9 @@ def _fraction_text(value: Any) -> str:
     raise DomainError(f"cannot serialize {type(value).__name__} to JSON")
 
 
-_ROW_ENCODER = json.JSONEncoder(
-    separators=(_ROW_SEPARATOR, ": "), allow_nan=False, default=_fraction_text
-)
+#: Encodes a list of cells as dumps_json writes each cell, one a line
+#: between the list's brackets: an encoded string escapes every newline.
+_CELL_ENCODER = json.JSONEncoder(separators=("\n", ": "), allow_nan=False, default=_fraction_text)
 
 
 def dumps_json(payload: Any) -> str:
@@ -89,20 +80,6 @@ def dumps_csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
     return _encode_csv([columns, *([row.get(c) for c in columns] for row in rows)])
 
 
-def _encode_rows(columns: Sequence[str], batch: list[Sequence[Any]]) -> str:
-    """The rows of `batch`, as objects of their `columns`, as dumps_json
-    writes them inside a list that is a top-level value, without the list's
-    brackets and outer line breaks."""
-    try:
-        text = _ROW_ENCODER.encode([dict(zip(columns, row)) for row in batch])
-    except ValueError as exc:
-        raise DomainError(f"cannot serialize to JSON: {exc}") from exc
-    # An encoded string escapes every newline, so each raw newline in the
-    # text is a separator and the boundary cannot occur inside a value.
-    body = text[2:-2].replace(_ROW_BOUNDARY, "\n    },\n    {\n      ")
-    return "{\n      " + body + "\n    }"
-
-
 def _encode_csv(batch: Iterable[Sequence[Any]]) -> str:
     """The rows of `batch` as CSV lines of their cells."""
     buf = io.StringIO()
@@ -110,42 +87,47 @@ def _encode_csv(batch: Iterable[Sequence[Any]]) -> str:
     return buf.getvalue()
 
 
-def _plain(cells: tuple[Any, ...]) -> bool:
-    """Whether every one of `cells` is of `_PLAIN_CELLS` and finite: a cell
-    that both writers write as its `repr`."""
-    if not _PLAIN_CELLS.issuperset(map(type, cells)):
-        return False
+def _json_cells(cells: tuple[Any, ...]) -> tuple[str, ...]:
+    """The JSON text of each of `cells`, which must all be scalars."""
     try:
-        # A nan or an infinity makes the sum one; so may finite floats near
-        # the top of the range, which then take the general encoder.
-        return math.isfinite(sum(cells))
-    except OverflowError:  # an int beyond the float range
-        return False
+        text = _CELL_ENCODER.encode(cells)
+    except ValueError as exc:
+        raise DomainError(f"cannot serialize to JSON: {exc}") from exc
+    # A scalar's text starts with none of "[{", so a line that does starts
+    # a list or an object cell.
+    if text[1] in "[{" or "\n[" in text or "\n{" in text:
+        raise DomainError("a table cell must be a scalar, not a list or an object")
+    return tuple(text[1:-1].split("\n"))
 
 
 def _batch_encoder(fmt: str, columns: Sequence[str]) -> Callable[[list[Sequence[Any]]], str]:
     """The `fmt` ("json" or "csv") writer's encoder of a batch of rows of
     `columns`, built once per table.
 
-    A batch whose rows all have one cell per column, each an int or a finite
-    float, is filled into the row template (the text of one row, ``%r`` for
-    each cell) repeated once per row, by one ``%``; any other batch goes to
-    the format's general encoder, which gives the same text where both apply.
+    A row must have one cell per column (DomainError). A batch is filled into
+    the row template (the text of one row, a slot for each cell) repeated once
+    per row, by one ``%``. In JSON a slot takes its cell's text from
+    `_json_cells`; in CSV it is ``%r``, taken only by batches of ints and
+    floats, and any other batch goes to `csv.writer`, which gives the same
+    text where both apply.
     """
+    width = {len(columns)}
     if fmt == "json":
         keys = [json.dumps(column).replace("%", "%%") for column in columns]
-        row = "{\n      " + _ROW_SEPARATOR.join(f"{key}: %r" for key in keys) + "\n    }"
-        sep, general = ",\n    ", functools.partial(_encode_rows, columns)
+        row = "{\n      " + ",\n      ".join(f"{key}: %s" for key in keys) + "\n    }"
+        sep = ",\n    "
     else:
-        row, sep, general = ",".join(["%r"] * len(columns)) + "\n", "", _encode_csv
-    width = {len(columns)}
+        row, sep = ",".join(["%r"] * len(columns)) + "\n", ""
 
     def encode_batch(batch: list[Sequence[Any]]) -> str:
-        if set(map(len, batch)) == width:
-            cells = tuple(itertools.chain.from_iterable(batch))
-            if _plain(cells):
-                return sep.join([row] * len(batch)) % cells
-        return general(batch)
+        if not width.issuperset(map(len, batch)):
+            raise DomainError(f"every table row must have {len(columns)} cells, one per column")
+        cells = tuple(itertools.chain.from_iterable(batch))
+        if fmt == "json":
+            cells = _json_cells(cells)
+        elif not _PLAIN_CELLS.issuperset(map(type, cells)):
+            return _encode_csv(batch)
+        return sep.join([row] * len(batch)) % cells
 
     return encode_batch
 

@@ -26,6 +26,7 @@ from .configs import (
     MAX_STATIONS,
     Configuration,
     _check_int_q,
+    _check_sign,
     enumerate_words,
     word_count,
 )
@@ -43,10 +44,11 @@ class DeterministicStrategy(
         q = _check_int_q(q, MAX_STATIONS)
         if q != len(answers):
             raise DomainError(f"expected {q} answer pairs, got {len(answers)}")
+        pairs = []
         for k, (a, b) in enumerate(answers):
-            if a not in (+1, -1) or b not in (+1, -1):
-                raise DomainError(f"answers must be +1 or -1, station {k + 1} has {(a, b)}")
-        return super().__new__(cls, q, answers)
+            name = f"station {k + 1}'s answer"
+            pairs.append((_check_sign(a, name), _check_sign(b, name)))
+        return super().__new__(cls, q, tuple(pairs))
 
     @classmethod
     def from_masks(cls, q: int, a_mask: int, b_mask: int) -> "DeterministicStrategy":
@@ -86,8 +88,7 @@ class CanonicalStrategy(
 
     def __new__(cls, q: int, a_sign: int, t_mask: int) -> CanonicalStrategy:
         q = _check_int_q(q, EXACT_POWER_BITS)
-        if a_sign not in (+1, -1):
-            raise DomainError(f"a_sign must be +1 or -1, got {a_sign}")
+        a_sign = _check_sign(a_sign, "a_sign")
         if not (hasattr(t_mask, "__index__") and 0 <= t_mask < (1 << q)):
             raise DomainError(f"t_mask must be an integer in [0, 2^{q}), got {t_mask!r}")
         return super().__new__(cls, q, a_sign, t_mask)
@@ -159,8 +160,7 @@ def bad_word_count_analytic(q: int, a_sign: int, m: int) -> int:
     Exact integer arithmetic, a few shifts.
     """
     q = _check_int_q(q, EXACT_POWER_BITS)
-    if a_sign not in (+1, -1):
-        raise DomainError(f"a_sign must be +1 or -1, got {a_sign}")
+    a_sign = _check_sign(a_sign, "a_sign")
     if not (hasattr(m, "__index__") and 0 <= m <= q):
         raise DomainError(f"m must be an integer between 0 and q={q}, got {m!r}")
     return _bad_words(q, a_sign, m)

@@ -12,6 +12,7 @@ import sys
 import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ghzgap
@@ -173,6 +174,7 @@ _BAD_VALUES = {
     "noise-nan": (NoiseModel, (math.nan,), DomainError),
     "outcome-empty": (OutcomeTuple, ((),), DomainError),
     "outcome-result": (OutcomeTuple, ((1, 0),), DomainError),
+    "outcome-result-float": (OutcomeTuple, ((1.0, -1),), DomainError),
     "experiment-q": (ExperimentConfig, (0, QuantumModel(), 10, 1), DomainError),
     "experiment-trials": (ExperimentConfig, (3, QuantumModel(), 0, 1), DomainError),
     "experiment-trials-fraction": (ExperimentConfig, (3, QuantumModel(), 10.5, 1), DomainError),
@@ -186,7 +188,9 @@ _BAD_VALUES = {
     ),
     "deterministic-count": (DeterministicStrategy, (2, ((1, 1),)), DomainError),
     "deterministic-answer": (DeterministicStrategy, (1, ((1, 0),)), DomainError),
+    "deterministic-answer-float": (DeterministicStrategy, (2, ((1.0, 1), (1, -1))), DomainError),
     "canonical-sign": (CanonicalStrategy, (3, 0, 0), DomainError),
+    "canonical-sign-float": (CanonicalStrategy, (3, 1.0, 0), DomainError),
     "canonical-mask": (CanonicalStrategy, (3, 1, 8), DomainError),
     "canonical-mask-nan": (CanonicalStrategy, (3, 1, math.nan), DomainError),
 }
@@ -202,6 +206,12 @@ def test_validating_types_reject_bad_values(make, args, error):
 #: class): none may escape as OverflowError, a math error or a wrong answer.
 _BAD_CALLS = {
     "analytic-m-fraction": (ghzgap.bad_word_count_analytic, (5, 1, 2.5), DomainError),
+    "analytic-sign-float": (ghzgap.bad_word_count_analytic, (3, 1.0, 0), DomainError),
+    "sample-size-fraction": (
+        ghzgap.sample_outcome_batch,
+        (Configuration(3, 1), NoiseModel(0.0), np.random.default_rng(0), 2.5),
+        DomainError,
+    ),
     "particles-mass-huge": (ghzgap.particles_in_mass, (10**400,), DomainError),
     "wilson-trials-huge": (ghzgap.wilson_interval, (1, 10**400), DomainError),
     "wilson-successes-fraction": (ghzgap.wilson_interval, (1.5, 10), DomainError),

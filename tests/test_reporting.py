@@ -190,6 +190,8 @@ class TestStreamedWriters:
     def test_plain_csv_matches_whole_text(self, pool, count):
         assert_csv_is_whole_text(pool, count)
 
+    # The JSON writer encodes the cells of each batch in one pass, and a CSV
+    # batch of ints and floats never reaches csv.writer.
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_plain_rows_take_the_row_template(self, monkeypatch, fmt):
         columns = ["q", 'say "hi"', "100%", "Schrödinger", "inf", "nan"]
@@ -198,21 +200,22 @@ class TestStreamedWriters:
         rows = _rows(pool, BATCH_ROWS + 1)
         dicts = _dicts(pool, rows)
         want = dumps_json({"rows": dicts}) + "\n" if fmt == "json" else dumps_csv(columns, dicts)
-        general = []  # what each call of a general encoder was given
-        for name in ("_encode_rows", "_encode_csv"):
-            encoder = getattr(reporting, name)
-            monkeypatch.setattr(reporting, name, lambda *a, f=encoder: general.append(a) or f(*a))
+        name = "_json_cells" if fmt == "json" else "_encode_csv"
+        calls = []  # what each call of that encoder was given
+        encoder = getattr(reporting, name)
+        monkeypatch.setattr(reporting, name, lambda a: calls.append(a) or encoder(a))
         out = io.StringIO()
         if fmt == "json":
             write_json(out, {"rows": encode("json", columns, iter(rows))})
+            assert [len(a) for a in calls] == [BATCH_ROWS * len(columns), len(columns)]
         else:
             write_csv(out, encode("csv", columns, iter(rows)))
+            assert calls == [[columns]]  # only the header
         assert_same_text(out.getvalue(), want)
-        assert general == ([] if fmt == "json" else [([columns],)])  # only the CSV header
 
-    # A cell of any other type, or a non-finite float, sends its batch to the
-    # general encoder, which never writes True, None, 'x', Fraction(3, 8) or
-    # np.float64(0.1) in JSON (the CSV reference writes a bool as True).
+    # A cell of any other type sends its CSV batch to csv.writer; JSON writes
+    # True, None, 'x', Fraction(3, 8) and np.float64(0.1) as dumps_json does
+    # and refuses np.float64(inf).
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("position", [0, BATCH_ROWS])
     @pytest.mark.parametrize(
@@ -240,6 +243,29 @@ class TestStreamedWriters:
         out = io.StringIO()
         with pytest.raises(DomainError):
             write_json(out, {"q": 3, "rows": encode("json", ["inf", "nan"], iter(rows))})
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("row", [(1,), (1, 0.5, 2)], ids=["short", "long"])
+    def test_wrong_width_row_refused_before_any_write(self, fmt, row):
+        rows = [(1, 0.5)] * BATCH_ROWS
+        rows[-1] = row
+        out = io.StringIO()
+        with pytest.raises(DomainError):
+            if fmt == "json":
+                write_json(out, {"q": 3, "rows": encode("json", ["q", "p"], iter(rows))})
+            else:
+                write_csv(out, encode("csv", ["q", "p"], iter(rows)))
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("row, column", [(0, 0), (BATCH_ROWS - 1, 0), (BATCH_ROWS - 1, 1)])
+    @pytest.mark.parametrize("cell", [[], [2], [2, 3], {}, {"a": 1}, (2, 3)], ids=repr)
+    def test_container_cell_refused_before_any_write(self, row, column, cell):
+        rows = [[1, 0.5] for _ in range(BATCH_ROWS)]
+        rows[row][column] = cell
+        out = io.StringIO()
+        with pytest.raises(DomainError):
+            write_json(out, {"q": 3, "rows": encode("json", ["q", "p"], iter(rows))})
         assert out.getvalue() == ""
 
     def test_payload_without_rows_is_whole_text(self):
