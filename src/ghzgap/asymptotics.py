@@ -19,9 +19,10 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .configs import _shown
 from .errors import DomainError
-from .quantum import NoiseModel, _check_q, _log_attenuation, parity_attenuation
-from .quantum import failure_probability_closed  # noqa: F401  (bench/spans.py traces it here)
+from .quantum import NoiseModel, _check_q, _log_attenuation, failure_probability_closed
+from .quantum import parity_attenuation
 
 
 def __getattr__(name: str):
@@ -120,18 +121,16 @@ def gap_rows(qs: Iterable[int], noises: Sequence[NoiseModel]) -> Iterator[tuple]
 def gap(q: float, noise: NoiseModel) -> GapReport:
     """Full gap report at one point.
 
-    Integer q ≥ 2 fills the exact classical probability and exact gap, as
-    the `gap_rows` row at (q, eps); any real q ≥ 1 (e.g. 4e27) fills the
-    asymptotic fields only. q must be finite, and an integer q must fit the
-    float range.
+    Integer q ≥ 2 (anything with __index__ but a bool, reported as an int)
+    fills the exact classical probability and exact gap, as the `gap_rows`
+    row at (q, eps); any real q ≥ 1 (e.g. 4e27) fills the asymptotic fields
+    only. q must be finite, and an integer q must fit the float range.
     """
-    if isinstance(q, int) and not isinstance(q, bool):
-        q, eps, p_qm, p_classical, gap_exact, asymptotic = next(gap_rows((q,), (noise,)))
+    if hasattr(q, "__index__") and not isinstance(q, bool):
+        q, eps, p_qm, p_classical, gap_exact, asymptotic = next(gap_rows([q.__index__()], [noise]))
     else:
-        log_attenuation = _log_attenuation(q, noise)
         eps, p_classical, gap_exact = noise.epsilon, None, None
-        asymptotic = 0.25 * math.exp(log_attenuation)
-        p_qm = -0.25 * math.expm1(log_attenuation)
+        p_qm, asymptotic = failure_probability_closed(q, noise), gap_asymptotic(q, noise)
     return GapReport(q, eps, p_qm, p_classical, 0.25, gap_exact, asymptotic)
 
 
@@ -145,10 +144,10 @@ def epsilon_threshold(q: float, delta: float) -> float:
     _check_q(q)
     if not 0.0 < delta <= 0.25:
         raise DomainError(
-            f"gap target must lie in (0, 1/4] for a nonnegative threshold, got {delta}"
+            f"gap target must lie in (0, 1/4] for a nonnegative threshold, got {_shown(delta)}"
         )
     if float(delta) == 0.0:
-        raise DomainError(f"gap target {delta} lies below the float range")
+        raise DomainError(f"gap target {_shown(delta)} lies below the float range")
     return -0.5 * math.expm1(math.log(4.0 * delta) / q) + 0.0  # -0.0 becomes 0.0
 
 
@@ -168,10 +167,10 @@ def min_trials_to_disprove(p_failure: float, confidence: float) -> int:
     """
     if not 0.0 < p_failure <= 1.0:
         raise DomainError(
-            f"failure probability must lie in (0, 1] for a finite answer, got {p_failure}"
+            f"failure probability must lie in (0, 1] for a finite answer, got {_shown(p_failure)}"
         )
     if not 0.0 < confidence < 1.0:
-        raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
+        raise DomainError(f"confidence must lie in (0, 1), got {_shown(confidence)}")
     if p_failure == 1.0:
         return 1
     # Both logs through log1p, so p_failure far below the float spacing at 1
@@ -201,7 +200,7 @@ def particles_in_mass(mass_kg: float, convention: str = "electrons-nucleons") ->
     must both be finite floats, and the count at least 1.
     """
     if not 0 < mass_kg <= sys.float_info.max:
-        raise DomainError(f"mass must be a positive finite float, got {mass_kg} kg")
+        raise DomainError(f"mass must be a positive finite float, got {_shown(mass_kg)} kg")
     try:
         factor = CONSTITUENT_FACTORS[convention]
     except KeyError:
@@ -209,9 +208,9 @@ def particles_in_mass(mass_kg: float, convention: str = "electrons-nucleons") ->
         raise DomainError(f"unknown convention {convention!r}; options: {options}")
     count = (mass_kg / WATER_MOLAR_MASS_KG) * AVOGADRO * factor
     if not math.isfinite(count):
-        raise DomainError(f"mass {mass_kg} kg has a constituent count beyond the float range")
+        raise DomainError(f"mass {_shown(mass_kg)} kg: constituent count beyond the float range")
     if count < 1.0:
-        raise DomainError(f"mass {mass_kg} kg holds fewer than one constituent")
+        raise DomainError(f"mass {_shown(mass_kg)} kg holds fewer than one constituent")
     return count
 
 

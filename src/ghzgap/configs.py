@@ -27,22 +27,38 @@ _LETTERS = {"l": 0, "r": 1}
 _DIGIT_LETTERS = str.maketrans("01", "lr")
 
 
-def _check_int_q(q: int, limit: int) -> int:
-    """The station-count gate: q must be an integer of at least 1
-    (DomainError) and at most `limit` (CapacityError). Returns q as an int."""
-    n = q.__index__() if hasattr(q, "__index__") else 0
-    if not 1 <= n <= limit:
-        shown = repr(q) if n.bit_length() <= 64 else f"an integer of {n.bit_length()} bits"
-        error = DomainError if n < 1 else CapacityError
-        raise error(f"station count must be an integer in [1, {limit}], got {shown}")
+def _shown(value: object) -> str:
+    """`value` as a message names it: an integer past 64 bits by its bit length,
+    anything else by its repr, or by its type where that is past int-to-text."""
+    n = value.__index__() if hasattr(value, "__index__") else 0
+    if n.bit_length() > 64:
+        return f"an integer of {n.bit_length()} bits"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to write out"
+
+
+def _check_int(value: int, name: str, low: int, high: int, above: type = DomainError) -> int:
+    """The integer gate: `value` (`name` in the message) as an int in [low, high];
+    an integer above `high` raises `above`, any other value DomainError."""
+    n = value.__index__() if hasattr(value, "__index__") else low - 1
+    if not low <= n <= high:
+        error = DomainError if n < low else above
+        raise error(f"{name} must be an integer in [{low}, {_shown(high)}], got {_shown(value)}")
     return n
+
+
+def _check_int_q(q: int, limit: int) -> int:
+    """The station-count gate: `_check_int` from 1, CapacityError above `limit`."""
+    return _check_int(q, "station count", 1, limit, CapacityError)
 
 
 def _check_sign(value: int, name: str) -> int:
     """The sign gate: `value`, called `name` in the message, must be the
     integer +1 or -1 (DomainError). Returns it as an int."""
     if not (hasattr(value, "__index__") and value in (+1, -1)):
-        raise DomainError(f"{name} must be the integer +1 or -1, got {value!r}")
+        raise DomainError(f"{name} must be the integer +1 or -1, got {_shown(value)}")
     return value.__index__()
 
 
@@ -53,9 +69,7 @@ class Configuration(NamedTuple("Configuration", [("q", int), ("r_mask", int)])):
 
     def __new__(cls, q: int, r_mask: int) -> Configuration:
         q = _check_int_q(q, MAX_STATIONS)
-        if not (hasattr(r_mask, "__index__") and 0 <= r_mask < (1 << q)):
-            raise DomainError(f"r_mask must be an integer in [0, 2^{q}), got {r_mask!r}")
-        return super().__new__(cls, q, r_mask)
+        return super().__new__(cls, q, _check_int(r_mask, "r_mask", 0, (1 << q) - 1))
 
     @property
     def r_count(self) -> int:
@@ -129,7 +143,7 @@ def word_eigenvalue(r_count: int) -> int:
     to (r_count - 1) is real.
     """
     if not (hasattr(r_count, "__index__") and r_count % 2 == 1):
-        raise DomainError(f"eigenvalue is defined for odd integer r counts, got {r_count}")
+        raise DomainError(f"eigenvalue is defined for odd integer r counts, got {_shown(r_count)}")
     return +1 if r_count % 4 == 1 else -1
 
 

@@ -34,7 +34,8 @@ from typing import Any, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .configs import MAX_STATIONS, Configuration, ConfigurationClass, _check_int_q, classify
+from .configs import MAX_STATIONS, Configuration, ConfigurationClass, classify
+from .configs import _check_int, _check_int_q, _shown
 from .errors import CapacityError, DomainError
 from .quantum import (
     NoiseModel,
@@ -99,12 +100,10 @@ class ExperimentConfig(
     ) -> ExperimentConfig:
         # configurations are packed into one uint64 per trial
         q = _check_int_q(q, MAX_STATIONS)
-        if not (hasattr(trials, "__index__") and 1 <= trials <= MAX_TRIALS):
-            raise DomainError(f"trial count must be an integer in [1, {MAX_TRIALS}], got {trials}")
-        if not (hasattr(master_seed, "__index__") and 0 <= master_seed < (1 << 64)):
-            raise DomainError("master seed must be a 64-bit nonnegative integer")
+        trials = _check_int(trials, "trial count", 1, MAX_TRIALS)
+        master_seed = _check_int(master_seed, "master seed", 0, (1 << 64) - 1)
         if not 0.0 < ci_level < 1.0:
-            raise DomainError(f"interval level must lie in (0, 1), got {ci_level}")
+            raise DomainError(f"interval level must lie in (0, 1), got {_shown(ci_level)}")
         if isinstance(model, LhvModel) and model.strategy is not None and model.strategy.q != q:
             raise DomainError(f"strategy is for q={model.strategy.q}, experiment has q={q}")
         return super().__new__(cls, q, model, trials, master_seed, ci_level)
@@ -339,12 +338,10 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[f
     Preferred over the plain normal interval for stability at small counts
     and proportions near 0 or 1.
     """
-    if not (hasattr(trials, "__index__") and 1 <= trials <= MAX_TRIALS):
-        raise DomainError(f"trial count must be an integer in [1, {MAX_TRIALS}], got {trials}")
-    if not (hasattr(successes, "__index__") and 0 <= successes <= trials):
-        raise DomainError(f"successes must be an integer in [0, {trials}], got {successes}")
+    trials = _check_int(trials, "trial count", 1, MAX_TRIALS)
+    successes = _check_int(successes, "successes", 0, trials)
     if not 0.0 < level < 1.0:
-        raise DomainError(f"interval level must lie in (0, 1), got {level}")
+        raise DomainError(f"interval level must lie in (0, 1), got {_shown(level)}")
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     p = successes / trials
     denom = 1.0 + z * z / trials

@@ -19,20 +19,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .configs import (
-    EXACT_POWER_BITS,
-    Configuration,
-    Word,
-    _check_int_q,
-    classify,
-    enumerate_configurations,
-)
-from .errors import DomainError
+from .configs import EXACT_POWER_BITS, Configuration, Word, classify, enumerate_configurations
+from .configs import _check_int, _check_int_q, _shown
+from .errors import CapacityError, DomainError
 from .quantum import NoiseModel, _sample_from_r_counts
 from .strategies import BadWordReport, DeterministicStrategy, canonicalize
 
 #: failure_probability_sum adds q/2 terms: ~0.4 s at this q.
 SUM_LIMIT = 10**6
+
+#: sample_outcome_batch draws at most this many rows (64 MB of bits at q = 64).
+SAMPLE_LIMIT = 1 << 20
 
 #: State-vector construction stays affordable up to this q.
 ORACLE_LIMIT = 8
@@ -68,7 +65,7 @@ def failure_probability_exact(q: int, epsilon: Fraction) -> Fraction:
     denominator has q times the bits of eps's, which EXACT_POWER_BITS caps.
     """
     if not 0 <= epsilon <= Fraction(1, 2):
-        raise DomainError(f"error probability must lie in [0, 1/2], got {epsilon}")
+        raise DomainError(f"error probability must lie in [0, 1/2], got {_shown(epsilon)}")
     epsilon = Fraction(epsilon)
     q = _check_int_q(q, EXACT_POWER_BITS // epsilon.denominator.bit_length())
     return Fraction(1, 4) - Fraction(1, 4) * (1 - 2 * epsilon) ** q
@@ -78,9 +75,7 @@ def sample_outcome_batch(
     config: Configuration, noise: NoiseModel, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """`size` independent draws for one configuration, as a (size, q) sign matrix."""
-    n = size.__index__() if hasattr(size, "__index__") else 0
-    if n < 1:
-        raise DomainError(f"sample size must be an integer of at least 1, got {size!r}")
+    n = _check_int(size, "sample size", 1, SAMPLE_LIMIT, CapacityError)
     r = np.full(n, config.r_count, dtype=np.int64)
     bits = _sample_from_r_counts(r, config.q, noise, rng)
     return 1 - 2 * bits.astype(np.int8)

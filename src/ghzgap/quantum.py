@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .configs import _check_sign
+from .configs import _check_sign, _shown
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -31,7 +31,7 @@ class NoiseModel(NamedTuple("NoiseModel", [("epsilon", float)])):
 
     def __new__(cls, epsilon: float = 0.0) -> NoiseModel:
         if not 0.0 <= epsilon <= 0.5:
-            raise DomainError(f"error probability must lie in [0, 1/2], got {epsilon}")
+            raise DomainError(f"error probability must lie in [0, 1/2], got {_shown(epsilon)}")
         return super().__new__(cls, epsilon + 0.0)  # -0.0 becomes 0.0
 
 
@@ -65,7 +65,7 @@ def _check_q(q: float) -> None:
     if not finite:
         raise DomainError(f"station count q must be finite, got {q!r}")
     if q < 1:
-        raise DomainError(f"station count must be at least 1, got {q}")
+        raise DomainError(f"station count must be at least 1, got {_shown(q)}")
 
 
 def _log_attenuation(q: float, noise: NoiseModel) -> float:

@@ -97,7 +97,7 @@ def _json_cells(cells: tuple[Any, ...]) -> tuple[str, ...]:
     # a list or an object cell.
     if text[1] in "[{" or "\n[" in text or "\n{" in text:
         raise DomainError("a table cell must be a scalar, not a list or an object")
-    return tuple(text[1:-1].split("\n"))
+    return tuple(text[1:-1].split("\n")) if cells else ()
 
 
 def _batch_encoder(fmt: str, columns: Sequence[str]) -> Callable[[list[Sequence[Any]]], str]:

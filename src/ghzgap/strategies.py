@@ -25,6 +25,7 @@ from .configs import (
     EXACT_POWER_BITS,
     MAX_STATIONS,
     Configuration,
+    _check_int,
     _check_int_q,
     _check_sign,
     enumerate_words,
@@ -42,18 +43,22 @@ class DeterministicStrategy(
 
     def __new__(cls, q: int, answers: tuple[tuple[int, int], ...]) -> DeterministicStrategy:
         q = _check_int_q(q, MAX_STATIONS)
-        if q != len(answers):
-            raise DomainError(f"expected {q} answer pairs, got {len(answers)}")
+        if not (isinstance(answers, (tuple, list)) and len(answers) == q):
+            raise DomainError(f"answers must be a tuple or list of {q} answer pairs")
         pairs = []
-        for k, (a, b) in enumerate(answers):
+        for k, pair in enumerate(answers):
             name = f"station {k + 1}'s answer"
-            pairs.append((_check_sign(a, name), _check_sign(b, name)))
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                raise DomainError(f"{name}s must be a pair (a, b) of +1 or -1")
+            pairs.append((_check_sign(pair[0], name), _check_sign(pair[1], name)))
         return super().__new__(cls, q, tuple(pairs))
 
     @classmethod
     def from_masks(cls, q: int, a_mask: int, b_mask: int) -> "DeterministicStrategy":
-        """Build from sign bit masks (bit k set means station k+1 answers -1)."""
+        """Build from sign bit masks in [0, 2^q) (bit k set: station k+1 answers -1)."""
         q = _check_int_q(q, MAX_STATIONS)
+        a_mask = _check_int(a_mask, "a_mask", 0, (1 << q) - 1)
+        b_mask = _check_int(b_mask, "b_mask", 0, (1 << q) - 1)
         return cls(
             q=q,
             answers=tuple(
@@ -89,9 +94,7 @@ class CanonicalStrategy(
     def __new__(cls, q: int, a_sign: int, t_mask: int) -> CanonicalStrategy:
         q = _check_int_q(q, EXACT_POWER_BITS)
         a_sign = _check_sign(a_sign, "a_sign")
-        if not (hasattr(t_mask, "__index__") and 0 <= t_mask < (1 << q)):
-            raise DomainError(f"t_mask must be an integer in [0, 2^{q}), got {t_mask!r}")
-        return super().__new__(cls, q, a_sign, t_mask)
+        return super().__new__(cls, q, a_sign, _check_int(t_mask, "t_mask", 0, (1 << q) - 1))
 
 
 class BadWordReport(NamedTuple):
@@ -160,10 +163,7 @@ def bad_word_count_analytic(q: int, a_sign: int, m: int) -> int:
     Exact integer arithmetic, a few shifts.
     """
     q = _check_int_q(q, EXACT_POWER_BITS)
-    a_sign = _check_sign(a_sign, "a_sign")
-    if not (hasattr(m, "__index__") and 0 <= m <= q):
-        raise DomainError(f"m must be an integer between 0 and q={q}, got {m!r}")
-    return _bad_words(q, a_sign, m)
+    return _bad_words(q, _check_sign(a_sign, "a_sign"), _check_int(m, "m", 0, q))
 
 
 def _bad_words(q: int, a_sign: int, m: int) -> int:

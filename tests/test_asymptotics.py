@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -73,6 +74,20 @@ class TestGap:
         assert report.p_classical_exact is None
         assert report.gap_exact is None
         assert report.gap_asymptotic == pytest.approx(0.25 * math.exp(-4.8), rel=1e-6)
+
+    def test_index_q_takes_the_integer_path(self):
+        # a numpy integer q is an integer q: same row, q reported as an int
+        noise = NoiseModel(0.01)
+        report = gap(np.int64(10), noise)
+        assert report == gap(10, noise) and type(report.q) is int
+        assert report.p_classical_exact is not None
+
+    def test_real_q_fields_match_the_integer_row(self):
+        # the real-q path takes the same closed forms, bit for bit
+        for eps in (0.0, 1e-300, 1e-12, 0.01, 0.3, 0.5):
+            for q in (2, 3, 10, 1000, 10**6):
+                exact, real = gap(q, NoiseModel(eps)), gap(float(q), NoiseModel(eps))
+                assert (real.p_qm, real.gap_asymptotic) == (exact.p_qm, exact.gap_asymptotic)
 
     def test_rational_identity(self):
         # the discrepancy between exact and asymptotic gap is exactly the

@@ -159,6 +159,10 @@ def test_lazy_package_surface():
     assert set(report["star"]) == PUBLIC_NAMES
 
 
+#: An int past int-to-text conversion: a message that echoes it must name it
+#: another way (`configs._shown`).
+_HUGE = 10**5000
+
 #: One bad value for each check the validating types run, as
 #: (constructor, arguments, error class).
 _BAD_VALUES = {
@@ -167,20 +171,48 @@ _BAD_VALUES = {
     "configuration-mask-high": (Configuration, (3, 8), DomainError),
     "configuration-mask-negative": (Configuration, (3, -1), DomainError),
     "configuration-mask-nan": (Configuration, (3, math.nan), DomainError),
+    "configuration-mask-huge": (Configuration, (3, _HUGE), DomainError),
+    "configuration-mask-huge-negative": (Configuration, (3, -_HUGE), DomainError),
     "word-eigenvalue": (Word, (0,), DomainError),
     "word-eigenvalue-float": (Word, (1.0,), DomainError),
+    "word-eigenvalue-huge": (Word, (_HUGE,), DomainError),
     "noise-negative": (NoiseModel, (-0.1,), DomainError),
     "noise-above-half": (NoiseModel, (0.6,), DomainError),
     "noise-nan": (NoiseModel, (math.nan,), DomainError),
+    "noise-huge": (NoiseModel, (_HUGE,), DomainError),
+    "noise-huge-negative": (NoiseModel, (-_HUGE,), DomainError),
     "outcome-empty": (OutcomeTuple, ((),), DomainError),
     "outcome-result": (OutcomeTuple, ((1, 0),), DomainError),
     "outcome-result-float": (OutcomeTuple, ((1.0, -1),), DomainError),
+    "outcome-result-huge": (OutcomeTuple, ((1, _HUGE),), DomainError),
     "experiment-q": (ExperimentConfig, (0, QuantumModel(), 10, 1), DomainError),
     "experiment-trials": (ExperimentConfig, (3, QuantumModel(), 0, 1), DomainError),
     "experiment-trials-fraction": (ExperimentConfig, (3, QuantumModel(), 10.5, 1), DomainError),
+    "experiment-trials-huge": (ExperimentConfig, (3, QuantumModel(), _HUGE, 1), DomainError),
+    "experiment-trials-huge-negative": (
+        ExperimentConfig,
+        (3, QuantumModel(), -_HUGE, 1),
+        DomainError,
+    ),
     "experiment-seed": (ExperimentConfig, (3, QuantumModel(), 10, 1 << 64), DomainError),
     "experiment-seed-fraction": (ExperimentConfig, (3, QuantumModel(), 10, 2.5), DomainError),
+    "experiment-seed-huge": (ExperimentConfig, (3, QuantumModel(), 10, _HUGE), DomainError),
+    "experiment-seed-huge-negative": (
+        ExperimentConfig,
+        (3, QuantumModel(), 10, -_HUGE),
+        DomainError,
+    ),
     "experiment-ci-level": (ExperimentConfig, (3, QuantumModel(), 10, 1, 1.0), DomainError),
+    "experiment-ci-level-huge": (
+        ExperimentConfig,
+        (3, QuantumModel(), 10, 1, _HUGE),
+        DomainError,
+    ),
+    "experiment-ci-level-huge-negative": (
+        ExperimentConfig,
+        (3, QuantumModel(), 10, 1, -_HUGE),
+        DomainError,
+    ),
     "experiment-strategy-q": (
         ExperimentConfig,
         (3, LhvModel(CanonicalStrategy(4, 1, 0)), 10, 1),
@@ -189,10 +221,20 @@ _BAD_VALUES = {
     "deterministic-count": (DeterministicStrategy, (2, ((1, 1),)), DomainError),
     "deterministic-answer": (DeterministicStrategy, (1, ((1, 0),)), DomainError),
     "deterministic-answer-float": (DeterministicStrategy, (2, ((1.0, 1), (1, -1))), DomainError),
+    "deterministic-pair-scalar": (DeterministicStrategy, (1, (1,)), DomainError),
+    "deterministic-pair-long": (DeterministicStrategy, (1, ((1, 1, 1),)), DomainError),
+    "deterministic-pair-short": (DeterministicStrategy, (2, ((1, -1), (1,))), DomainError),
+    "deterministic-answers-int": (DeterministicStrategy, (2, 5), DomainError),
+    "deterministic-mask-negative": (DeterministicStrategy.from_masks, (2, -1, 0), DomainError),
+    "deterministic-mask-high": (DeterministicStrategy.from_masks, (2, 7, 0), DomainError),
+    "deterministic-b-mask-high": (DeterministicStrategy.from_masks, (2, 0, 4), DomainError),
+    "deterministic-mask-float": (DeterministicStrategy.from_masks, (2, 1.0, 0), DomainError),
     "canonical-sign": (CanonicalStrategy, (3, 0, 0), DomainError),
     "canonical-sign-float": (CanonicalStrategy, (3, 1.0, 0), DomainError),
     "canonical-mask": (CanonicalStrategy, (3, 1, 8), DomainError),
     "canonical-mask-nan": (CanonicalStrategy, (3, 1, math.nan), DomainError),
+    "canonical-mask-huge": (CanonicalStrategy, (3, 1, _HUGE), DomainError),
+    "canonical-mask-huge-negative": (CanonicalStrategy, (3, 1, -_HUGE), DomainError),
 }
 
 
@@ -207,18 +249,66 @@ def test_validating_types_reject_bad_values(make, args, error):
 _BAD_CALLS = {
     "analytic-m-fraction": (ghzgap.bad_word_count_analytic, (5, 1, 2.5), DomainError),
     "analytic-sign-float": (ghzgap.bad_word_count_analytic, (3, 1.0, 0), DomainError),
+    "analytic-m-huge": (ghzgap.bad_word_count_analytic, (5, 1, _HUGE), DomainError),
+    "analytic-m-huge-negative": (ghzgap.bad_word_count_analytic, (5, 1, -_HUGE), DomainError),
     "sample-size-fraction": (
         ghzgap.sample_outcome_batch,
         (Configuration(3, 1), NoiseModel(0.0), np.random.default_rng(0), 2.5),
         DomainError,
     ),
+    "sample-size-over-cap": (
+        ghzgap.sample_outcome_batch,
+        (Configuration(3, 1), NoiseModel(0.0), np.random.default_rng(0), (1 << 20) + 1),
+        CapacityError,
+    ),
+    "sample-size-huge": (
+        ghzgap.sample_outcome_batch,
+        (Configuration(3, 1), NoiseModel(0.0), np.random.default_rng(0), _HUGE),
+        CapacityError,
+    ),
+    "sample-size-huge-negative": (
+        ghzgap.sample_outcome_batch,
+        (Configuration(3, 1), NoiseModel(0.0), np.random.default_rng(0), -_HUGE),
+        DomainError,
+    ),
+    "exact-epsilon-huge": (ghzgap.failure_probability_exact, (3, _HUGE), DomainError),
+    "exact-epsilon-huge-negative": (ghzgap.failure_probability_exact, (3, -_HUGE), DomainError),
     "particles-mass-huge": (ghzgap.particles_in_mass, (10**400,), DomainError),
+    "particles-mass-huger": (ghzgap.particles_in_mass, (_HUGE,), DomainError),
+    "particles-mass-huge-negative": (ghzgap.particles_in_mass, (-_HUGE,), DomainError),
+    "particles-mass-tiny": (ghzgap.particles_in_mass, (Fraction(1, _HUGE),), DomainError),
+    # a value within the float range, in terms past int-to-text conversion,
+    # whose constituent count is not
+    "particles-mass-count-huge": (
+        ghzgap.particles_in_mass,
+        (Fraction(_HUGE + 1, 10**4700),),
+        DomainError,
+    ),
     "wilson-trials-huge": (ghzgap.wilson_interval, (1, 10**400), DomainError),
+    "wilson-trials-huger": (ghzgap.wilson_interval, (1, _HUGE), DomainError),
+    "wilson-trials-huge-negative": (ghzgap.wilson_interval, (1, -_HUGE), DomainError),
     "wilson-successes-fraction": (ghzgap.wilson_interval, (1.5, 10), DomainError),
+    "wilson-successes-huge": (ghzgap.wilson_interval, (_HUGE, 10), DomainError),
+    "wilson-successes-huge-negative": (ghzgap.wilson_interval, (-_HUGE, 10), DomainError),
     "wilson-trials-fraction": (ghzgap.wilson_interval, (1, 10.5), DomainError),
+    "wilson-level-huge": (ghzgap.wilson_interval, (1, 10, _HUGE), DomainError),
+    "wilson-level-huge-negative": (ghzgap.wilson_interval, (1, 10, -_HUGE), DomainError),
     "eigenvalue-r-count-float": (ghzgap.word_eigenvalue, (3.0,), DomainError),
+    "eigenvalue-r-count-huge": (ghzgap.word_eigenvalue, (_HUGE,), DomainError),
     "threshold-delta-tiny": (ghzgap.epsilon_threshold, (100, Fraction(1, 10**400)), DomainError),
+    "threshold-delta-tinier": (ghzgap.epsilon_threshold, (100, Fraction(1, _HUGE)), DomainError),
+    "threshold-delta-huge": (ghzgap.epsilon_threshold, (100, _HUGE), DomainError),
+    "threshold-delta-huge-negative": (ghzgap.epsilon_threshold, (100, -_HUGE), DomainError),
     "macroscopic-delta-tiny": (ghzgap.macroscopic_report, (4, Fraction(1, 10**400)), DomainError),
+    "macroscopic-delta-huge": (ghzgap.macroscopic_report, (4, _HUGE), DomainError),
+    "disprove-p-huge": (ghzgap.min_trials_to_disprove, (_HUGE, 0.5), DomainError),
+    "disprove-p-huge-negative": (ghzgap.min_trials_to_disprove, (-_HUGE, 0.5), DomainError),
+    "disprove-confidence-huge": (ghzgap.min_trials_to_disprove, (0.5, _HUGE), DomainError),
+    "disprove-confidence-huge-negative": (
+        ghzgap.min_trials_to_disprove,
+        (0.5, -_HUGE),
+        DomainError,
+    ),
 }
 
 
@@ -242,6 +332,7 @@ _HOSTILE_Q = {
     "10**5000": (10**5000, CapacityError, DomainError),  # beyond int-to-text conversion
     "-10**5000": (-(10**5000), DomainError, DomainError),
     "1/10**400": (Fraction(1, 10**400), DomainError, DomainError),
+    "1/10**5000": (Fraction(1, 10**5000), DomainError, DomainError),  # beyond its repr
     "True": (True, None, None),
 }
 
@@ -287,6 +378,20 @@ def test_station_counts_are_gated(call, q, error):
     else:
         with pytest.raises(error):
             call(q)
+
+
+def test_validating_records_store_exact_ints():
+    # each integer field holds what the gate returns, not the caller's object
+    cfg = ExperimentConfig(3, QuantumModel(), np.int64(10), np.uint64(1))
+    values = {
+        "r_mask": Configuration(3, True).r_mask,
+        "t_mask": CanonicalStrategy(3, 1, np.int64(5)).t_mask,
+        "trials": cfg.trials,
+        "master_seed": cfg.master_seed,
+        "report trials": ghzgap.run_experiment(cfg).trials,
+    }
+    assert {name: type(value) for name, value in values.items()} == dict.fromkeys(values, int)
+    assert (cfg.trials, cfg.master_seed, values["r_mask"]) == (10, 1, 1)
 
 
 def test_no_module_imports_the_oracles():

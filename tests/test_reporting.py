@@ -295,3 +295,11 @@ class TestStreamedWriters:
             with pytest.raises(LookupError):
                 write(out)
             assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fragments_of_no_rows_are_the_empty_block(self, fmt):
+        # no rows encode to no text, so there is nothing to cut
+        assert reporting.fragments(fmt, ["a", "b"], []) == [""]
+        rows = [("a#b", 1), ("c", 2)]
+        whole = next(encode(fmt, ["a", "b"], rows).blocks)
+        assert "#".join(reporting.fragments(fmt, ["a", "b"], rows)) == whole
