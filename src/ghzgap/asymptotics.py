@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .configs import _shown
@@ -165,6 +164,8 @@ def min_trials_to_disprove(p_failure: float, confidence: float) -> int:
     been seen with the requested confidence, assuming each trial fails with
     probability p_failure.
     """
+    from fractions import Fraction  # only `disprove` loads it, not `gap` or `cat`
+
     if not 0.0 < p_failure <= 1.0:
         raise DomainError(
             f"failure probability must lie in (0, 1] for a finite answer, got {_shown(p_failure)}"

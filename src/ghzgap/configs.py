@@ -9,6 +9,7 @@ coin). Station 1 is the leftmost letter in text form and bit 0 internally.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, NamedTuple, Union
 
 from .errors import CapacityError, ConfigParseError, DomainError
@@ -27,10 +28,19 @@ _LETTERS = {"l": 0, "r": 1}
 _DIGIT_LETTERS = str.maketrans("01", "lr")
 
 
+def _index(value: object, default: int) -> int:
+    """`value` as an exact int if it is an integer, else `default`: a float,
+    an array of any size or anything else that `operator.index` refuses."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return default
+
+
 def _shown(value: object) -> str:
     """`value` as a message names it: an integer past 64 bits by its bit length,
     anything else by its repr, or by its type where that is past int-to-text."""
-    n = value.__index__() if hasattr(value, "__index__") else 0
+    n = _index(value, 0)
     if n.bit_length() > 64:
         return f"an integer of {n.bit_length()} bits"
     try:
@@ -42,7 +52,7 @@ def _shown(value: object) -> str:
 def _check_int(value: int, name: str, low: int, high: int, above: type = DomainError) -> int:
     """The integer gate: `value` (`name` in the message) as an int in [low, high];
     an integer above `high` raises `above`, any other value DomainError."""
-    n = value.__index__() if hasattr(value, "__index__") else low - 1
+    n = _index(value, low - 1)
     if not low <= n <= high:
         error = DomainError if n < low else above
         raise error(f"{name} must be an integer in [{low}, {_shown(high)}], got {_shown(value)}")
@@ -57,9 +67,10 @@ def _check_int_q(q: int, limit: int) -> int:
 def _check_sign(value: int, name: str) -> int:
     """The sign gate: `value`, called `name` in the message, must be the
     integer +1 or -1 (DomainError). Returns it as an int."""
-    if not (hasattr(value, "__index__") and value in (+1, -1)):
+    n = _index(value, 0)
+    if n not in (+1, -1):
         raise DomainError(f"{name} must be the integer +1 or -1, got {_shown(value)}")
-    return value.__index__()
+    return n
 
 
 class Configuration(NamedTuple("Configuration", [("q", int), ("r_mask", int)])):
@@ -142,9 +153,10 @@ def word_eigenvalue(r_count: int) -> int:
     Defined only for odd r_count, where the nominally imaginary unit raised
     to (r_count - 1) is real.
     """
-    if not (hasattr(r_count, "__index__") and r_count % 2 == 1):
+    r = _index(r_count, 0)
+    if r % 2 != 1:
         raise DomainError(f"eigenvalue is defined for odd integer r counts, got {_shown(r_count)}")
-    return +1 if r_count % 4 == 1 else -1
+    return +1 if r % 4 == 1 else -1
 
 
 def classify(config: Configuration) -> ConfigurationClass:

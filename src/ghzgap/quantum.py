@@ -30,7 +30,9 @@ class NoiseModel(NamedTuple("NoiseModel", [("epsilon", float)])):
     __slots__ = ()
 
     def __new__(cls, epsilon: float = 0.0) -> NoiseModel:
-        if not 0.0 <= epsilon <= 0.5:
+        # An array is no probability, whatever its size: its comparisons
+        # give arrays, and a one-element array's would pass.
+        if getattr(epsilon, "ndim", 0) or not 0.0 <= epsilon <= 0.5:
             raise DomainError(f"error probability must lie in [0, 1/2], got {_shown(epsilon)}")
         return super().__new__(cls, epsilon + 0.0)  # -0.0 becomes 0.0
 

@@ -22,14 +22,11 @@ in constant memory.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
 import os
 import time
-from datetime import datetime, timezone
-from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from .errors import DomainError
@@ -48,6 +45,8 @@ _PLAIN_CELLS = frozenset((int, float))
 
 
 def _fraction_text(value: Any) -> str:
+    from fractions import Fraction  # only a report that holds one loads it
+
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     raise DomainError(f"cannot serialize {type(value).__name__} to JSON")
@@ -82,6 +81,8 @@ def dumps_csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
 
 def _encode_csv(batch: Iterable[Sequence[Any]]) -> str:
     """The rows of `batch` as CSV lines of their cells."""
+    import csv  # only CSV reports load it
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(batch)
     return buf.getvalue()
@@ -193,6 +194,11 @@ def write_csv(out: TextIO, rows: EncodedRows) -> None:
     _write_blocks(out, header, rows.blocks, "", "", header)
 
 
+#: The first and last second of the years 1 to 9999, the dates that the
+#: manifest's four-digit timestamp can write.
+_FIRST_EPOCH, _LAST_EPOCH = -62135596800, 253402300799
+
+
 def _timestamp() -> str:
     """Current UTC time, or the SOURCE_DATE_EPOCH instant when that is set.
 
@@ -209,10 +215,13 @@ def _timestamp() -> str:
             ) from exc
     else:
         epoch = int(time.time())
-    try:
-        return datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
-    except (ValueError, OverflowError, OSError) as exc:
-        raise DomainError(f"SOURCE_DATE_EPOCH {epoch} is not a representable date: {exc}") from exc
+    if not _FIRST_EPOCH <= epoch <= _LAST_EPOCH:
+        raise DomainError(
+            f"SOURCE_DATE_EPOCH {epoch} is not a representable date: "
+            "it lies outside 0001-01-01T00:00:00 to 9999-12-31T23:59:59 UTC"
+        )
+    # Not strftime: glibc's "%Y" writes year 1 as "1", not "0001".
+    return "%04d-%02d-%02dT%02d:%02d:%02d+00:00" % time.gmtime(epoch)[:6]
 
 
 def build_manifest(

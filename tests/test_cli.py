@@ -97,9 +97,10 @@ class TestEnumerate:
         assert code == 3
         assert "error" in err
 
-    # Both sides of the 12-station prefix table that `enumerate` builds its
-    # items from; the golden reports pin only q = 3 and 4.
-    @pytest.mark.parametrize("q", [1, 2, 11, 12, 13, 15])
+    # Both sides of the 8-station prefix table that `enumerate` builds its
+    # items from, and 8 to 128 blocks of it; the golden reports pin only
+    # q = 3 and 4.
+    @pytest.mark.parametrize("q", [1, 2, 7, 8, 9, 10, 11, 12, 13, 15])
     @pytest.mark.parametrize("words_only", [False, True], ids=["all", "words-only"])
     def test_items_match_library(self, capsys, q, words_only):
         expected = []  # (configuration, kind, eigenvalue) by the library
@@ -122,9 +123,10 @@ class TestEnumerate:
             for text, kind, eigenvalue in expected
         )
 
-    # Two and four blocks of 2^12 rows (2^11 with --words-only): parsing the
-    # JSON, as above, would not see the whitespace where two blocks meet.
-    @pytest.mark.parametrize("q", [13, 14])
+    # Four blocks of 2^8 rows (2^7 with --words-only) at q = 10, and 32 and
+    # 64 of them at q = 13 and 14: parsing the JSON, as above, would not see
+    # the whitespace where two blocks meet.
+    @pytest.mark.parametrize("q", [10, 13, 14])
     @pytest.mark.parametrize("words_only", [False, True], ids=["all", "words-only"])
     def test_bytes_match_whole_text(self, capsys, q, words_only):
         items = []
@@ -686,10 +688,11 @@ class TestWriteErrors:
         "argv, read",
         [
             (["enumerate", "--q", "16"], 100),
-            (["enumerate", "--q", "12", "--format", "csv"], 100),  # one write
+            # one write: 4096 rows, one batch of ~290 kB, past a 64 KiB pipe buffer
+            (["gap", "sweep", "--q-min", "2", "--q-max", "4097", "--format", "csv"], 100),
             (["classify", "--config", "rrr"], 0),
         ],
-        ids=["enumerate-mid-stream", "enumerate-csv-one-write", "classify-before-output"],
+        ids=["enumerate-mid-stream", "sweep-csv-one-write", "classify-before-output"],
     )
     def test_reader_closing_early_exits_3_unbuffered(self, argv, read):
         # Unbuffered stdout writes straight to the pipe: the part of a large
@@ -769,9 +772,9 @@ class TestStreamingMemory:
     not grow with its row count."""
 
     def test_enumerate(self, monkeypatch):
-        # Above 12 stations, the table `enumerate` builds its items from stays
-        # the same size. At q = 12 --words-only writes 2048 rows, half a
-        # batch, so its pair starts at q = 13, where both runs fill batches.
+        # From 8 stations up, the table `enumerate` builds its items from
+        # stays the same size, and each block it writes is 2^8 rows (2^7
+        # with --words-only), so q and q + 4 peak alike.
         for options, q in [([], 12), (["--words-only"], 13), (["--format", "csv"], 12)]:
             argv = ["enumerate", *options, "--q"]
             small, small_size = traced_peak(monkeypatch, argv + [str(q)])
@@ -887,7 +890,48 @@ def _startup_report(commands):
 _LAYERS = {"ghzgap.experiment", "ghzgap.oracles", "ghzgap.strategies"}
 
 
+#: Runs cli.main on argv[1:] in a fresh process, stdout discarded, and prints
+#: the exit code and which of the standard library modules that only some
+#: commands need are loaded.
+_STDLIB_PROBE = """
+import contextlib, io, sys
+from ghzgap import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted({"csv", "datetime", "decimal", "fractions"} & set(sys.modules)))
+"""
+
+#: What each command loads of those: `csv` for a CSV report only, `fractions`
+#: (and `decimal` with it) for exact rationals only, `datetime` never.
+_STDLIB_BY_COMMAND = {
+    "classify --config rrl": [],
+    "enumerate --q 4": [],
+    "enumerate --q 4 --format csv": ["csv"],
+    "gap --q 10 --eps 0.01": [],
+    "gap sweep --q-min 2 --q-max 5 --format json": [],
+    "gap sweep --q-min 2 --q-max 5": ["csv"],
+    "cat --mass-kg 4": [],
+    "disprove --p-failure 0.125 --confidence 0.99": ["decimal", "fractions"],
+    "lhv optimize --q 8": ["decimal", "fractions"],
+}
+
+
 class TestStartupPath:
+    def test_commands_load_only_the_stdlib_they_use(self):
+        # One fresh process per command, all started at once.
+        children = {
+            command: subprocess.Popen(
+                [sys.executable, "-c", _STDLIB_PROBE, *command.split()],
+                stdout=subprocess.PIPE, text=True,
+            )
+            for command in _STDLIB_BY_COMMAND
+        }
+        loaded = {
+            command: child.communicate(timeout=60)[0].split()
+            for command, child in children.items()
+        }
+        assert loaded == {command: ["0", *names] for command, names in _STDLIB_BY_COMMAND.items()}
+
     def test_closed_form_commands_never_load_numpy(self):
         # The closed-form commands come first: submodules stay loaded, so
         # each entry lists what it and the commands before it loaded.

@@ -173,14 +173,18 @@ _BAD_VALUES = {
     "configuration-mask-nan": (Configuration, (3, math.nan), DomainError),
     "configuration-mask-huge": (Configuration, (3, _HUGE), DomainError),
     "configuration-mask-huge-negative": (Configuration, (3, -_HUGE), DomainError),
+    "configuration-mask-array": (Configuration, (3, np.array([1, 2])), DomainError),
     "word-eigenvalue": (Word, (0,), DomainError),
     "word-eigenvalue-float": (Word, (1.0,), DomainError),
     "word-eigenvalue-huge": (Word, (_HUGE,), DomainError),
+    "word-eigenvalue-array": (Word, (np.array([1, 1]),), DomainError),
     "noise-negative": (NoiseModel, (-0.1,), DomainError),
     "noise-above-half": (NoiseModel, (0.6,), DomainError),
     "noise-nan": (NoiseModel, (math.nan,), DomainError),
     "noise-huge": (NoiseModel, (_HUGE,), DomainError),
     "noise-huge-negative": (NoiseModel, (-_HUGE,), DomainError),
+    "noise-array": (NoiseModel, (np.array([0.1, 0.2]),), DomainError),
+    "noise-array-one": (NoiseModel, (np.array([0.1]),), DomainError),
     "outcome-empty": (OutcomeTuple, ((),), DomainError),
     "outcome-result": (OutcomeTuple, ((1, 0),), DomainError),
     "outcome-result-float": (OutcomeTuple, ((1.0, -1),), DomainError),
@@ -295,6 +299,7 @@ _BAD_CALLS = {
     "wilson-level-huge-negative": (ghzgap.wilson_interval, (1, 10, -_HUGE), DomainError),
     "eigenvalue-r-count-float": (ghzgap.word_eigenvalue, (3.0,), DomainError),
     "eigenvalue-r-count-huge": (ghzgap.word_eigenvalue, (_HUGE,), DomainError),
+    "eigenvalue-r-count-array": (ghzgap.word_eigenvalue, (np.array([3, 5]),), DomainError),
     "threshold-delta-tiny": (ghzgap.epsilon_threshold, (100, Fraction(1, 10**400)), DomainError),
     "threshold-delta-tinier": (ghzgap.epsilon_threshold, (100, Fraction(1, _HUGE)), DomainError),
     "threshold-delta-huge": (ghzgap.epsilon_threshold, (100, _HUGE), DomainError),

@@ -5,11 +5,12 @@ import io
 import itertools
 import json
 import math
+from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from ghzgap import reporting
 from ghzgap.errors import DomainError
@@ -303,3 +304,30 @@ class TestStreamedWriters:
         rows = [("a#b", 1), ("c", 2)]
         whole = next(encode(fmt, ["a", "b"], rows).blocks)
         assert "#".join(reporting.fragments(fmt, ["a", "b"], rows)) == whole
+
+
+#: The first and last second of the years 1 to 9999, by `datetime`.
+_FIRST_EPOCH = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+_LAST_EPOCH = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
+
+
+class TestTimestamp:
+    @settings(max_examples=300, deadline=None)
+    @given(epoch=st.integers(_FIRST_EPOCH, _LAST_EPOCH))
+    @example(epoch=_FIRST_EPOCH)
+    @example(epoch=_LAST_EPOCH)
+    @example(epoch=-1)
+    def test_matches_datetime_isoformat(self, epoch):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("SOURCE_DATE_EPOCH", str(epoch))
+            timestamp = reporting._timestamp()
+        assert timestamp == datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
+
+    @pytest.mark.parametrize(
+        "epoch", [_FIRST_EPOCH - 1, _LAST_EPOCH + 1, -(10**30), 10**30], ids=str
+    )
+    def test_epoch_outside_the_years_1_to_9999_refused(self, monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", str(epoch))
+        with pytest.raises(DomainError) as info:
+            reporting._timestamp()
+        assert str(info.value).startswith(f"SOURCE_DATE_EPOCH {epoch} ")
