@@ -56,8 +56,6 @@ _EXPORTS = {
             "ExperimentReport",
             "LhvModel",
             "QuantumModel",
-            "TrialRecord",
-            "iter_trials",
             "run_experiment",
             "stream_environment",
             "wilson_interval",
@@ -66,12 +64,18 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         [
+            "DeterministicStrategy",
             "OracleEntry",
             "OracleReport",
+            "OutcomeTuple",
+            "TrialRecord",
+            "canonicalize",
             "entangled_state",
             "failure_probability_exact",
             "failure_probability_sum",
+            "iter_trials",
             "joint_outcome_probabilities",
+            "mermin_sum",
             "minimize_bad_words_brute_force",
             "product_observable_expectation",
             "sample_outcome_batch",
@@ -80,20 +84,17 @@ _EXPORTS = {
         "oracles",
     ),
     **dict.fromkeys(
-        ["NoiseModel", "OutcomeTuple", "failure_probability_closed", "parity_attenuation"],
+        ["NoiseModel", "failure_probability_closed", "parity_attenuation"],
         "quantum",
     ),
     **dict.fromkeys(
         [
             "BadWordReport",
             "CanonicalStrategy",
-            "DeterministicStrategy",
             "bad_word_count_analytic",
             "bad_word_count_naive",
-            "canonicalize",
             "max_classical_mermin_sum",
             "mermin_bound",
-            "mermin_sum",
             "minimize_bad_words",
             "predict_total",
         ],

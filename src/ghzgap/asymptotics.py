@@ -18,7 +18,7 @@ import math
 import sys
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .configs import _shown
+from .configs import _index, _real, _shown
 from .errors import DomainError
 from .quantum import NoiseModel, _check_q, _log_attenuation, failure_probability_closed
 from .quantum import parity_attenuation
@@ -120,13 +120,13 @@ def gap_rows(qs: Iterable[int], noises: Sequence[NoiseModel]) -> Iterator[tuple]
 def gap(q: float, noise: NoiseModel) -> GapReport:
     """Full gap report at one point.
 
-    Integer q ≥ 2 (anything with __index__ but a bool, reported as an int)
+    Integer q ≥ 2 (anything `operator.index` takes but a bool, reported as an int)
     fills the exact classical probability and exact gap, as the `gap_rows`
     row at (q, eps); any real q ≥ 1 (e.g. 4e27) fills the asymptotic fields
     only. q must be finite, and an integer q must fit the float range.
     """
-    if hasattr(q, "__index__") and not isinstance(q, bool):
-        q, eps, p_qm, p_classical, gap_exact, asymptotic = next(gap_rows([q.__index__()], [noise]))
+    if (n := _index(q, None)) is not None and not isinstance(q, bool):
+        q, eps, p_qm, p_classical, gap_exact, asymptotic = next(gap_rows([n], [noise]))
     else:
         eps, p_classical, gap_exact = noise.epsilon, None, None
         p_qm, asymptotic = failure_probability_closed(q, noise), gap_asymptotic(q, noise)
@@ -141,7 +141,7 @@ def epsilon_threshold(q: float, delta: float) -> float:
     precision. delta = 1/4 returns +0.0; larger delta has no solution.
     """
     _check_q(q)
-    if not 0.0 < delta <= 0.25:
+    if not 0.0 < _real(delta) <= 0.25:
         raise DomainError(
             f"gap target must lie in (0, 1/4] for a nonnegative threshold, got {_shown(delta)}"
         )
@@ -166,11 +166,11 @@ def min_trials_to_disprove(p_failure: float, confidence: float) -> int:
     """
     from fractions import Fraction  # only `disprove` loads it, not `gap` or `cat`
 
-    if not 0.0 < p_failure <= 1.0:
+    if not 0.0 < _real(p_failure) <= 1.0:
         raise DomainError(
             f"failure probability must lie in (0, 1] for a finite answer, got {_shown(p_failure)}"
         )
-    if not 0.0 < confidence < 1.0:
+    if not 0.0 < _real(confidence) < 1.0:
         raise DomainError(f"confidence must lie in (0, 1), got {_shown(confidence)}")
     if p_failure == 1.0:
         return 1
@@ -200,7 +200,7 @@ def particles_in_mass(mass_kg: float, convention: str = "electrons-nucleons") ->
     convention under which 4 kg lands on ~4e27. The mass and the count
     must both be finite floats, and the count at least 1.
     """
-    if not 0 < mass_kg <= sys.float_info.max:
+    if not 0 < _real(mass_kg) <= sys.float_info.max:
         raise DomainError(f"mass must be a positive finite float, got {_shown(mass_kg)} kg")
     try:
         factor = CONSTITUENT_FACTORS[convention]

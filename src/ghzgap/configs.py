@@ -37,6 +37,18 @@ def _index(value: object, default: int) -> int:
         return default
 
 
+def _real(value: object) -> object:
+    """`value` if it orders against floats as one number, else NaN, which every
+    range check refuses: an array of any size (its comparisons give arrays,
+    and a one-element array's would pass), a string or None."""
+    try:
+        if not getattr(value, "ndim", 0) and (value < 0.0) in (False, True):
+            return value
+    except TypeError:  # no order against floats
+        pass
+    return float("nan")
+
+
 def _shown(value: object) -> str:
     """`value` as a message names it: an integer past 64 bits by its bit length,
     anything else by its repr, or by its type where that is past int-to-text."""

@@ -18,10 +18,6 @@ failures, word trials and station r counts exactly in law, at a cost that
 does not depend on the trial count. Their order is random stream version
 STREAM_VERSION (see `_class_chain`).
 
-`iter_trials` replays the same chain trial by trial: a second stream picks
-which trials of each class pick r at each station and which have odd
-error parity, each a uniform subset, so its records tally to the report.
-
 Every run draws from a numpy Generator, so the module imports numpy when
 it is imported; the commands that run no trials never import this module.
 """
@@ -30,26 +26,15 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import Any, Iterator, NamedTuple, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .configs import MAX_STATIONS, Configuration, ConfigurationClass, classify
-from .configs import _check_int, _check_int_q, _shown
-from .errors import CapacityError, DomainError
-from .quantum import (
-    NoiseModel,
-    OutcomeTuple,
-    failure_probability_closed,
-    parity_attenuation,
-    sample_parity_tuples,
-    sample_result_bits,  # noqa: F401  (re-exported: callers look it up here)
-)
-from .strategies import (
-    CanonicalStrategy,
-    bad_word_count_analytic,
-    minimize_bad_words,
-)
+from .configs import MAX_STATIONS, _check_int, _check_int_q, _real, _shown
+from .errors import DomainError
+from .quantum import NoiseModel, failure_probability_closed, parity_attenuation
+from .quantum import sample_result_bits  # noqa: F401  (re-exported: callers look it up here)
+from .strategies import CanonicalStrategy, bad_word_count_analytic, minimize_bad_words
 
 #: Version of the seed -> draws contract: bumped whenever the draw order or
 #: the streams change, so every such change is deliberate.
@@ -60,10 +45,6 @@ STREAM_VERSION = 4
 #: does not grow with its trials; 2^62 keeps every count and sum a factor 2
 #: inside int64.
 MAX_TRIALS = 1 << 62
-
-#: Largest run iter_trials replays: the replay holds arrays of one entry per
-#: trial, and q result bits per trial for the quantum model (64 MB at q = 64).
-REPLAY_LIMIT = 1 << 20
 
 
 class QuantumModel(NamedTuple):
@@ -98,25 +79,16 @@ class ExperimentConfig(
     def __new__(
         cls, q: int, model: Model, trials: int, master_seed: int, ci_level: float = 0.95
     ) -> ExperimentConfig:
-        # configurations are packed into one uint64 per trial
+        # The 64-station cap serves only `oracles.iter_trials`, which packs each
+        # trial's configuration into one uint64; ROADMAP item 7 lifts it for runs.
         q = _check_int_q(q, MAX_STATIONS)
         trials = _check_int(trials, "trial count", 1, MAX_TRIALS)
         master_seed = _check_int(master_seed, "master seed", 0, (1 << 64) - 1)
-        if not 0.0 < ci_level < 1.0:
+        if not 0.0 < _real(ci_level) < 1.0:
             raise DomainError(f"interval level must lie in (0, 1), got {_shown(ci_level)}")
         if isinstance(model, LhvModel) and model.strategy is not None and model.strategy.q != q:
             raise DomainError(f"strategy is for q={model.strategy.q}, experiment has q={q}")
         return super().__new__(cls, q, model, trials, master_seed, ci_level)
-
-
-class TrialRecord(NamedTuple):
-    """One trial, for inspection; aggregate runs only keep the tallies."""
-
-    index: int
-    configuration: Configuration
-    config_class: ConfigurationClass
-    outcome: Union[OutcomeTuple, int]
-    failure: bool
 
 
 class ExperimentReport(NamedTuple):
@@ -173,7 +145,7 @@ class _Chain(NamedTuple):
 
 
 def _stream(master_seed: int, key: int) -> np.random.Generator:
-    """The run's stream ``key``: 0 draws the class chain, 1 the replay."""
+    """The run's stream ``key``: 0 draws the class chain, 1 `iter_trials`' replay."""
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(key,))
     return np.random.Generator(np.random.PCG64DXSM(seq))
 
@@ -274,64 +246,6 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Expe
     )
 
 
-def _uniform_subsets(
-    rng: np.random.Generator, classes: np.ndarray, sizes: list[int]
-) -> np.ndarray:
-    """Indices of ``sizes[c]`` trials drawn uniformly without replacement
-    from the trials of each class c, class by class."""
-    return np.concatenate(
-        [
-            rng.choice(np.flatnonzero(classes == c), size, replace=False, shuffle=False)
-            for c, size in enumerate(sizes)
-        ]
-    )
-
-
-def iter_trials(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
-    """Replay the run trial by trial, yielding exactly the draws a report sums.
-
-    The replay draws the run's class chain, then, from the run's second
-    stream (spawn key (1,)), which of each class's trials pick r at each
-    station and which have odd error parity, each a uniform subset of the
-    class. So the records' tallies equal run_experiment's for the same
-    configuration. A quantum trial's result tuple is uniform over the
-    tuples of its total's parity (over all tuples for a string), drawn
-    next from the same stream. Runs above REPLAY_LIMIT trials raise
-    CapacityError before anything is drawn.
-    """
-    if cfg.trials > REPLAY_LIMIT:
-        raise CapacityError(
-            f"iter_trials replays at most {REPLAY_LIMIT} trials, got {cfg.trials}"
-        )
-    strategy = _resolve_strategy(cfg)
-    t_mask = 0 if strategy is None else strategy.t_mask
-    chain = _class_chain(cfg, t_mask)
-    rng = _stream(cfg.master_seed, 1)
-    nexts = np.array(_NEXT)
-    classes = np.zeros(cfg.trials, dtype=np.intp)
-    masks = np.zeros(cfg.trials, dtype=np.uint64)
-    for k in range(cfg.q):
-        moved = _uniform_subsets(rng, classes, chain.picks[k])
-        masks[moved] |= np.uint64(1 << k)
-        classes[moved] = nexts[t_mask >> k & 1][classes[moved]]
-    odd = np.zeros(cfg.trials, dtype=np.intp)
-    odd[_uniform_subsets(rng, classes, chain.odd)] = 1
-    predicted, failing = (np.array(rule)[classes] for rule in _class_rule(strategy))
-    parity = predicted ^ odd
-    failures = (failing == odd).tolist()
-    if isinstance(cfg.model, QuantumModel):
-        bits = sample_parity_tuples(cfg.q, parity.astype(np.uint8), classes & 1 == 1, rng)
-        signs = 1 - 2 * bits.view(np.int8)
-        outcomes = (OutcomeTuple._make((tuple(row.tolist()),)) for row in signs)
-    else:
-        outcomes = (1 - 2 * parity).tolist()
-    # The records are built from the run's own arrays (masks below 2^q,
-    # results +1 or -1), so they skip the validating constructors.
-    for index, (mask, outcome, failure) in enumerate(zip(masks.tolist(), outcomes, failures)):
-        configuration = Configuration._make((cfg.q, mask))
-        yield TrialRecord(index, configuration, classify(configuration), outcome, failure)
-
-
 def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
@@ -340,7 +254,7 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[f
     """
     trials = _check_int(trials, "trial count", 1, MAX_TRIALS)
     successes = _check_int(successes, "successes", 0, trials)
-    if not 0.0 < level < 1.0:
+    if not 0.0 < _real(level) < 1.0:
         raise DomainError(f"interval level must lie in (0, 1), got {_shown(level)}")
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     p = successes / trials

@@ -1,29 +1,42 @@
-"""Independent cross-checks of the closed forms.
+"""Independent cross-checks of the closed forms and the class chain.
 
-Each function here recomputes by another route what the library states in
-closed form: the quantum failure probability as the odd-error binomial sum
-and in exact rationals, outcome draws for one configuration, the word/string
-taxonomy and the sampling law from a 2^q state vector (small q only), and
-the classical optimum from a 4^q brute force over raw answer tables.
+Each name here recomputes by another route what the library states in
+closed form, or holds what such a check walks: the quantum failure
+probability as the odd-error binomial sum and in exact rationals; outcome
+draws and records (`OutcomeTuple`) for one configuration; the word/string
+taxonomy and the sampling law from a 2^q state vector (small q only); the
+4^q raw answer tables (`DeterministicStrategy`), their reduction
+(`canonicalize`), a class's Mermin sum, and the classical optimum by brute
+force over the raw tables; and the trial-by-trial replay of a run.
+
+`iter_trials` replays the class chain of `experiment` trial by trial: a
+second stream picks which trials of each class pick r at each station and
+which have odd error parity, each a uniform subset, so its records tally to
+the report.
 
 No module of the package imports this one. The package's lazy names reach
 it, and of the commands only ``lhv optimize --verify-brute-force`` does.
-It imports numpy when it is imported.
+It imports numpy when it is imported, and the Monte Carlo layer only when
+`iter_trials` runs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from .configs import EXACT_POWER_BITS, Configuration, Word, classify, enumerate_configurations
-from .configs import _check_int, _check_int_q, _shown
+from .configs import EXACT_POWER_BITS, MAX_STATIONS, Configuration, ConfigurationClass, Word
+from .configs import classify, enumerate_configurations, word_count
+from .configs import _check_int, _check_int_q, _check_sign, _shown
 from .errors import CapacityError, DomainError
-from .quantum import NoiseModel, _sample_from_r_counts
-from .strategies import BadWordReport, DeterministicStrategy, canonicalize
+from .quantum import NoiseModel, _sample_from_r_counts, sample_parity_tuples
+from .strategies import BadWordReport, CanonicalStrategy, bad_word_count_analytic
+
+if TYPE_CHECKING:
+    from .experiment import ExperimentConfig
 
 #: failure_probability_sum adds q/2 terms: ~0.4 s at this q.
 SUM_LIMIT = 10**6
@@ -36,6 +49,10 @@ ORACLE_LIMIT = 8
 
 #: Raw strategy spaces up to this q (4^q entries) stay brute-forceable.
 BRUTE_FORCE_LIMIT = 8
+
+#: Largest run iter_trials replays: the replay holds arrays of one entry per
+#: trial, and q result bits per trial for the quantum model (64 MB at q = 64).
+REPLAY_LIMIT = 1 << 20
 
 
 def failure_probability_sum(q: int, noise: NoiseModel) -> float:
@@ -69,6 +86,27 @@ def failure_probability_exact(q: int, epsilon: Fraction) -> Fraction:
     epsilon = Fraction(epsilon)
     q = _check_int_q(q, EXACT_POWER_BITS // epsilon.denominator.bit_length())
     return Fraction(1, 4) - Fraction(1, 4) * (1 - 2 * epsilon) ** q
+
+
+class OutcomeTuple(NamedTuple("OutcomeTuple", [("results", tuple[int, ...])])):
+    """The q per-station results of one observation, each +1 or -1."""
+
+    __slots__ = ()
+
+    def __new__(cls, results: tuple[int, ...]) -> OutcomeTuple:
+        if not results:
+            raise DomainError("an outcome needs at least one station result")
+        results = tuple(_check_sign(s, f"station {k + 1}'s result") for k, s in enumerate(results))
+        return super().__new__(cls, results)
+
+    @property
+    def q(self) -> int:
+        return len(self.results)
+
+    @property
+    def total(self) -> int:
+        """Product of the per-station results."""
+        return math.prod(self.results)
 
 
 def sample_outcome_batch(
@@ -193,6 +231,65 @@ def statevector_oracle(q: int) -> OracleReport:
     )
 
 
+class DeterministicStrategy(
+    NamedTuple("DeterministicStrategy", [("q", int), ("answers", tuple[tuple[int, int], ...])])
+):
+    """Per-station answer table: ``answers[k] = (a, b)`` for settings l and r."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, answers: tuple[tuple[int, int], ...]) -> DeterministicStrategy:
+        q = _check_int_q(q, MAX_STATIONS)
+        if not (isinstance(answers, (tuple, list)) and len(answers) == q):
+            raise DomainError(f"answers must be a tuple or list of {q} answer pairs")
+        pairs = []
+        for k, pair in enumerate(answers):
+            name = f"station {k + 1}'s answer"
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                raise DomainError(f"{name}s must be a pair (a, b) of +1 or -1")
+            pairs.append((_check_sign(pair[0], name), _check_sign(pair[1], name)))
+        return super().__new__(cls, q, tuple(pairs))
+
+    @classmethod
+    def from_masks(cls, q: int, a_mask: int, b_mask: int) -> "DeterministicStrategy":
+        """Build from sign bit masks in [0, 2^q) (bit k set: station k+1 answers -1)."""
+        q = _check_int_q(q, MAX_STATIONS)
+        a_mask = _check_int(a_mask, "a_mask", 0, (1 << q) - 1)
+        b_mask = _check_int(b_mask, "b_mask", 0, (1 << q) - 1)
+        signs = [(1 - 2 * (a_mask >> k & 1), 1 - 2 * (b_mask >> k & 1)) for k in range(q)]
+        return cls(q, tuple(signs))
+
+    def predict_total(self, config: Configuration) -> int:
+        """Product of the per-station answers selected by `config`."""
+        if config.q != self.q:
+            raise DomainError(f"strategy has {self.q} stations, configuration has {config.q}")
+        total = 1
+        for k, (a, b) in enumerate(self.answers):
+            total *= b if config.r_mask >> k & 1 else a
+        return total
+
+
+def canonicalize(strategy: DeterministicStrategy) -> CanonicalStrategy:
+    """Reduce a raw strategy to its canonical class."""
+    a_sign = 1
+    t_mask = 0
+    for k, (a, b) in enumerate(strategy.answers):
+        a_sign *= a
+        if a * b == -1:
+            t_mask |= 1 << k
+    return CanonicalStrategy(q=strategy.q, a_sign=a_sign, t_mask=t_mask)
+
+
+def mermin_sum(strategy: CanonicalStrategy) -> int:
+    """Sum over words of eigenvalue times predicted total.
+
+    Each word adds +1 when predicted and -1 when missed, so the sum is the
+    word count minus twice the closed-form bad-word count.
+    """
+    bad = bad_word_count_analytic(strategy.q, strategy.a_sign, strategy.t_mask.bit_count())
+    return word_count(strategy.q) - 2 * bad
+
+
 def minimize_bad_words_brute_force(q: int) -> BadWordReport:
     """Minimum bad-word count over all 4^q raw strategies, evaluated directly.
 
@@ -223,3 +320,76 @@ def minimize_bad_words_brute_force(q: int) -> BadWordReport:
         bad_count=int(bad_counts.flat[flat]),
         probability=Fraction(int(bad_counts.flat[flat]), 1 << q),
     )
+
+
+class TrialRecord(NamedTuple):
+    """One trial, for inspection; aggregate runs only keep the tallies."""
+
+    index: int
+    configuration: Configuration
+    config_class: ConfigurationClass
+    outcome: OutcomeTuple | int
+    failure: bool
+
+
+def _uniform_subsets(
+    rng: np.random.Generator, classes: np.ndarray, sizes: list[int]
+) -> np.ndarray:
+    """Indices of ``sizes[c]`` trials drawn uniformly without replacement
+    from the trials of each class c, class by class."""
+    return np.concatenate(
+        [
+            rng.choice(np.flatnonzero(classes == c), size, replace=False, shuffle=False)
+            for c, size in enumerate(sizes)
+        ]
+    )
+
+
+def iter_trials(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
+    """Replay the run trial by trial, yielding exactly the draws a report sums.
+
+    The replay draws the run's class chain, then, from the run's second
+    stream (spawn key (1,)), which of each class's trials pick r at each
+    station and which have odd error parity, each a uniform subset of the
+    class. So the records' tallies equal run_experiment's for the same
+    configuration. A quantum trial's result tuple is uniform over the
+    tuples of its total's parity (over all tuples for a string), drawn
+    next from the same stream. Runs above REPLAY_LIMIT trials raise
+    CapacityError before anything is drawn. Each trial's configuration is
+    packed into one uint64, so the replay stops at q = 64 even where ROADMAP
+    item 7 lifts that cap for runs.
+    """
+    # Imported on call: `lhv optimize --verify-brute-force` loads this module,
+    # and it runs no trials.
+    from .experiment import _NEXT, QuantumModel, _class_chain, _class_rule, _resolve_strategy
+    from .experiment import _stream
+
+    if cfg.trials > REPLAY_LIMIT:
+        raise CapacityError(f"iter_trials replays at most {REPLAY_LIMIT} trials, got {cfg.trials}")
+    strategy = _resolve_strategy(cfg)
+    t_mask = 0 if strategy is None else strategy.t_mask
+    chain = _class_chain(cfg, t_mask)
+    rng = _stream(cfg.master_seed, 1)
+    nexts = np.array(_NEXT)
+    classes = np.zeros(cfg.trials, dtype=np.intp)
+    masks = np.zeros(cfg.trials, dtype=np.uint64)
+    for k in range(cfg.q):
+        moved = _uniform_subsets(rng, classes, chain.picks[k])
+        masks[moved] |= np.uint64(1 << k)
+        classes[moved] = nexts[t_mask >> k & 1][classes[moved]]
+    odd = np.zeros(cfg.trials, dtype=np.intp)
+    odd[_uniform_subsets(rng, classes, chain.odd)] = 1
+    predicted, failing = (np.array(rule)[classes] for rule in _class_rule(strategy))
+    parity = predicted ^ odd
+    failures = (failing == odd).tolist()
+    if isinstance(cfg.model, QuantumModel):
+        bits = sample_parity_tuples(cfg.q, parity.astype(np.uint8), classes & 1 == 1, rng)
+        signs = 1 - 2 * bits.view(np.int8)
+        outcomes = (OutcomeTuple._make((tuple(row.tolist()),)) for row in signs)
+    else:
+        outcomes = (1 - 2 * parity).tolist()
+    # The records are built from the run's own arrays (masks below 2^q,
+    # results +1 or -1), so they skip the validating constructors.
+    for index, (mask, outcome, failure) in enumerate(zip(masks.tolist(), outcomes, failures)):
+        configuration = Configuration._make((cfg.q, mask))
+        yield TrialRecord(index, configuration, classify(configuration), outcome, failure)

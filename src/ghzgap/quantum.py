@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .configs import _check_sign, _shown
+from .configs import _real, _shown
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -30,38 +30,15 @@ class NoiseModel(NamedTuple("NoiseModel", [("epsilon", float)])):
     __slots__ = ()
 
     def __new__(cls, epsilon: float = 0.0) -> NoiseModel:
-        # An array is no probability, whatever its size: its comparisons
-        # give arrays, and a one-element array's would pass.
-        if getattr(epsilon, "ndim", 0) or not 0.0 <= epsilon <= 0.5:
+        if not 0.0 <= _real(epsilon) <= 0.5:
             raise DomainError(f"error probability must lie in [0, 1/2], got {_shown(epsilon)}")
         return super().__new__(cls, epsilon + 0.0)  # -0.0 becomes 0.0
-
-
-class OutcomeTuple(NamedTuple("OutcomeTuple", [("results", tuple[int, ...])])):
-    """The q per-station results of one observation, each +1 or -1."""
-
-    __slots__ = ()
-
-    def __new__(cls, results: tuple[int, ...]) -> OutcomeTuple:
-        if not results:
-            raise DomainError("an outcome needs at least one station result")
-        results = tuple(_check_sign(s, f"station {k + 1}'s result") for k, s in enumerate(results))
-        return super().__new__(cls, results)
-
-    @property
-    def q(self) -> int:
-        return len(self.results)
-
-    @property
-    def total(self) -> int:
-        """Product of the per-station results."""
-        return math.prod(self.results)
 
 
 def _check_q(q: float) -> None:
     """q must be finite, fit the float range, and be at least 1."""
     try:
-        finite = math.isfinite(q)
+        finite = math.isfinite(_real(q))
     except OverflowError:  # an int too large to convert
         raise DomainError("station count q exceeds the float range") from None
     if not finite:

@@ -3,10 +3,10 @@
 A deterministic strategy fixes, per station, the result it would report for
 either setting. Its predictions on every configuration depend only on two
 aggregates (the product of the ``l`` answers and the set of stations whose two
-answers disagree), so the 4^q raw strategies collapse to 2^(q+1) canonical
-classes. A word whose predicted total differs from its eigenvalue is a bad
-word; the minimal bad-word count over all strategies is the classical floor
-on the failure rate.
+answers disagree), so the 4^q raw strategies (`oracles.DeterministicStrategy`)
+collapse to 2^(q+1) canonical classes. A word whose predicted total differs
+from its eigenvalue is a bad word; the minimal bad-word count over all
+strategies is the classical floor on the failure rate.
 
 A class with sign a and m disagreeing stations has Mermin sum (eigenvalue
 times prediction, summed over words) a*Im((1+i)^(q-m) (1-i)^m), which is 0
@@ -20,63 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .configs import (
-    ENUMERATION_LIMIT,
-    EXACT_POWER_BITS,
-    MAX_STATIONS,
-    Configuration,
-    _check_int,
-    _check_int_q,
-    _check_sign,
-    enumerate_words,
-    word_count,
-)
+from .configs import ENUMERATION_LIMIT, EXACT_POWER_BITS, Configuration, enumerate_words
+from .configs import _check_int, _check_int_q, _check_sign, word_count
 from .errors import DomainError
-
-
-class DeterministicStrategy(
-    NamedTuple("DeterministicStrategy", [("q", int), ("answers", tuple[tuple[int, int], ...])])
-):
-    """Per-station answer table: ``answers[k] = (a, b)`` for settings l and r."""
-
-    __slots__ = ()
-
-    def __new__(cls, q: int, answers: tuple[tuple[int, int], ...]) -> DeterministicStrategy:
-        q = _check_int_q(q, MAX_STATIONS)
-        if not (isinstance(answers, (tuple, list)) and len(answers) == q):
-            raise DomainError(f"answers must be a tuple or list of {q} answer pairs")
-        pairs = []
-        for k, pair in enumerate(answers):
-            name = f"station {k + 1}'s answer"
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
-                raise DomainError(f"{name}s must be a pair (a, b) of +1 or -1")
-            pairs.append((_check_sign(pair[0], name), _check_sign(pair[1], name)))
-        return super().__new__(cls, q, tuple(pairs))
-
-    @classmethod
-    def from_masks(cls, q: int, a_mask: int, b_mask: int) -> "DeterministicStrategy":
-        """Build from sign bit masks in [0, 2^q) (bit k set: station k+1 answers -1)."""
-        q = _check_int_q(q, MAX_STATIONS)
-        a_mask = _check_int(a_mask, "a_mask", 0, (1 << q) - 1)
-        b_mask = _check_int(b_mask, "b_mask", 0, (1 << q) - 1)
-        return cls(
-            q=q,
-            answers=tuple(
-                (1 - 2 * (a_mask >> k & 1), 1 - 2 * (b_mask >> k & 1))
-                for k in range(q)
-            ),
-        )
-
-    def predict_total(self, config: Configuration) -> int:
-        """Product of the per-station answers selected by `config`."""
-        if config.q != self.q:
-            raise DomainError(
-                f"strategy has {self.q} stations, configuration has {config.q}"
-            )
-        total = 1
-        for k, (a, b) in enumerate(self.answers):
-            total *= b if config.r_mask >> k & 1 else a
-        return total
 
 
 class CanonicalStrategy(
@@ -104,17 +50,6 @@ class BadWordReport(NamedTuple):
     bad_count: int
     probability: Fraction
     bad_words: Optional[tuple[Configuration, ...]] = None
-
-
-def canonicalize(strategy: DeterministicStrategy) -> CanonicalStrategy:
-    """Reduce a raw strategy to its canonical class."""
-    a_sign = 1
-    t_mask = 0
-    for k, (a, b) in enumerate(strategy.answers):
-        a_sign *= a
-        if a * b == -1:
-            t_mask |= 1 << k
-    return CanonicalStrategy(q=strategy.q, a_sign=a_sign, t_mask=t_mask)
 
 
 def predict_total(strategy: CanonicalStrategy, config: Configuration) -> int:
@@ -210,19 +145,7 @@ def mermin_bound(q: int) -> int:
     return (1 << (q - 2)) - (1 << ((q - 2) // 2))
 
 
-def mermin_sum(strategy: CanonicalStrategy) -> int:
-    """Sum over words of eigenvalue times predicted total.
-
-    Each word adds +1 when predicted and -1 when missed, so the sum is the
-    word count minus twice the closed-form bad-word count.
-    """
-    bad = bad_word_count_analytic(
-        strategy.q, strategy.a_sign, strategy.t_mask.bit_count()
-    )
-    return word_count(strategy.q) - 2 * bad
-
-
 def max_classical_mermin_sum(q: int) -> int:
-    """Largest mermin_sum any deterministic strategy can reach."""
+    """Largest `oracles.mermin_sum` any deterministic strategy can reach."""
     return word_count(q) - 2 * mermin_bound(q)
 

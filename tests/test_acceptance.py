@@ -33,6 +33,8 @@ from ghzgap.experiment import (
     run_experiment,
 )
 from ghzgap.oracles import (
+    DeterministicStrategy,
+    canonicalize,
     failure_probability_exact,
     failure_probability_sum,
     joint_outcome_probabilities,
@@ -42,9 +44,7 @@ from ghzgap.oracles import (
 )
 from ghzgap.quantum import NoiseModel, failure_probability_closed
 from ghzgap.strategies import (
-    DeterministicStrategy,
     bad_word_count_naive,
-    canonicalize,
     max_classical_mermin_sum,
     mermin_bound,
     minimize_bad_words,

@@ -968,13 +968,15 @@ class TestStartupPath:
         ids=["simulate", "lhv-brute-force"],
     )
     def test_array_commands_load_numpy(self, argv, layer, oracles):
-        # Only the brute-force check loads the cross-checks module.
+        # Only the brute-force check loads the cross-checks module, and it
+        # does not load the Monte Carlo layer with them.
         report = _startup_report([argv])
         assert report["import ghzgap"] == [0, [], []]
         code, loaded, modules = report[" ".join(argv)]
         assert code == 0 and "numpy" in loaded
         assert f"ghzgap.{layer}" in modules
         assert ("ghzgap.oracles" in modules) is oracles
+        assert ("ghzgap.experiment" in modules) is not oracles
 
 
 class TestConsoleScript:

@@ -16,15 +16,14 @@ from ghzgap.configs import MAX_STATIONS, Word
 from ghzgap.errors import CapacityError, DomainError
 from ghzgap.experiment import (
     MAX_TRIALS,
-    REPLAY_LIMIT,
     ExperimentConfig,
     LhvModel,
     QuantumModel,
-    iter_trials,
     run_experiment,
     wilson_interval,
 )
-from ghzgap.quantum import NoiseModel, OutcomeTuple
+from ghzgap.oracles import REPLAY_LIMIT, OutcomeTuple, iter_trials
+from ghzgap.quantum import NoiseModel
 from ghzgap.strategies import CanonicalStrategy, minimize_bad_words
 
 

@@ -122,6 +122,29 @@ def test_export_table_names_the_defining_module():
     assert misplaced == []
 
 
+#: The cross-checks that `oracles` holds alone, after they left the modules
+#: on the command path.
+_ORACLE_ONLY_NAMES = (
+    "DeterministicStrategy",
+    "OutcomeTuple",
+    "REPLAY_LIMIT",
+    "TrialRecord",
+    "canonicalize",
+    "iter_trials",
+    "mermin_sum",
+)
+
+
+def test_cross_checks_have_one_home():
+    oracles = importlib.import_module("ghzgap.oracles")
+    for module_name in ("quantum", "experiment", "strategies"):
+        module = importlib.import_module(f"ghzgap.{module_name}")
+        assert [name for name in _ORACLE_ONLY_NAMES if hasattr(module, name)] == [], module_name
+    public = [name for name in _ORACLE_ONLY_NAMES if name in PUBLIC_NAMES]
+    assert {ghzgap._EXPORTS[name] for name in public} == {"oracles"}
+    assert all(getattr(ghzgap, name) is getattr(oracles, name) for name in public)
+
+
 #: After a bare `import ghzgap` in a fresh process, prints as JSON which
 #: submodules are loaded, `dir` and `__all__`, whether a name reached through
 #: its submodule is the one the package gives, the error an unknown name
@@ -185,6 +208,7 @@ _BAD_VALUES = {
     "noise-huge-negative": (NoiseModel, (-_HUGE,), DomainError),
     "noise-array": (NoiseModel, (np.array([0.1, 0.2]),), DomainError),
     "noise-array-one": (NoiseModel, (np.array([0.1]),), DomainError),
+    "noise-string": (NoiseModel, ("0.1",), DomainError),
     "outcome-empty": (OutcomeTuple, ((),), DomainError),
     "outcome-result": (OutcomeTuple, ((1, 0),), DomainError),
     "outcome-result-float": (OutcomeTuple, ((1.0, -1),), DomainError),
@@ -215,6 +239,11 @@ _BAD_VALUES = {
     "experiment-ci-level-huge-negative": (
         ExperimentConfig,
         (3, QuantumModel(), 10, 1, -_HUGE),
+        DomainError,
+    ),
+    "experiment-ci-level-array": (
+        ExperimentConfig,
+        (3, QuantumModel(), 10, 1, np.array([0.9, 0.95])),
         DomainError,
     ),
     "experiment-strategy-q": (
@@ -297,6 +326,7 @@ _BAD_CALLS = {
     "wilson-trials-fraction": (ghzgap.wilson_interval, (1, 10.5), DomainError),
     "wilson-level-huge": (ghzgap.wilson_interval, (1, 10, _HUGE), DomainError),
     "wilson-level-huge-negative": (ghzgap.wilson_interval, (1, 10, -_HUGE), DomainError),
+    "wilson-level-array": (ghzgap.wilson_interval, (1, 10, np.array([0.9, 0.95])), DomainError),
     "eigenvalue-r-count-float": (ghzgap.word_eigenvalue, (3.0,), DomainError),
     "eigenvalue-r-count-huge": (ghzgap.word_eigenvalue, (_HUGE,), DomainError),
     "eigenvalue-r-count-array": (ghzgap.word_eigenvalue, (np.array([3, 5]),), DomainError),
@@ -304,14 +334,39 @@ _BAD_CALLS = {
     "threshold-delta-tinier": (ghzgap.epsilon_threshold, (100, Fraction(1, _HUGE)), DomainError),
     "threshold-delta-huge": (ghzgap.epsilon_threshold, (100, _HUGE), DomainError),
     "threshold-delta-huge-negative": (ghzgap.epsilon_threshold, (100, -_HUGE), DomainError),
+    "threshold-delta-array": (
+        ghzgap.epsilon_threshold,
+        (100, np.array([0.01, 0.02])),
+        DomainError,
+    ),
     "macroscopic-delta-tiny": (ghzgap.macroscopic_report, (4, Fraction(1, 10**400)), DomainError),
     "macroscopic-delta-huge": (ghzgap.macroscopic_report, (4, _HUGE), DomainError),
+    "macroscopic-delta-array": (
+        ghzgap.macroscopic_report,
+        (4.0, np.array([0.01, 0.02])),
+        DomainError,
+    ),
+    "gap-q-array": (ghzgap.gap, (np.array([3, 4]), NoiseModel(0.1)), DomainError),
+    "gap-q-array-one": (ghzgap.gap, (np.array([3]), NoiseModel(0.1)), DomainError),
+    "gap-asymptotic-q-array": (
+        ghzgap.gap_asymptotic,
+        (np.array([3.0, 4.0]), NoiseModel(0.1)),
+        DomainError,
+    ),
+    "gap-asymptotic-q-string": (ghzgap.gap_asymptotic, ("3", NoiseModel(0.1)), DomainError),
+    "particles-mass-array": (ghzgap.particles_in_mass, (np.array([1.0, 2.0]),), DomainError),
     "disprove-p-huge": (ghzgap.min_trials_to_disprove, (_HUGE, 0.5), DomainError),
     "disprove-p-huge-negative": (ghzgap.min_trials_to_disprove, (-_HUGE, 0.5), DomainError),
     "disprove-confidence-huge": (ghzgap.min_trials_to_disprove, (0.5, _HUGE), DomainError),
     "disprove-confidence-huge-negative": (
         ghzgap.min_trials_to_disprove,
         (0.5, -_HUGE),
+        DomainError,
+    ),
+    "disprove-p-array": (ghzgap.min_trials_to_disprove, (np.array([0.1, 0.2]), 0.9), DomainError),
+    "disprove-confidence-array": (
+        ghzgap.min_trials_to_disprove,
+        (0.5, np.array([0.9, 0.95])),
         DomainError,
     ),
 }

@@ -13,6 +13,7 @@ from ghzgap.errors import CapacityError, DomainError
 from ghzgap.configs import EXACT_POWER_BITS
 from ghzgap.oracles import (
     SUM_LIMIT,
+    OutcomeTuple,
     entangled_state,
     failure_probability_exact,
     failure_probability_sum,
@@ -23,7 +24,6 @@ from ghzgap.oracles import (
 )
 from ghzgap.quantum import (
     NoiseModel,
-    OutcomeTuple,
     failure_probability_closed,
     parity_attenuation,
     sample_parity_tuples,

@@ -14,16 +14,19 @@ from ghzgap.configs import (
     word_eigenvalue,
 )
 from ghzgap.errors import CapacityError, DomainError
-from ghzgap.oracles import BRUTE_FORCE_LIMIT, minimize_bad_words_brute_force
+from ghzgap.oracles import (
+    BRUTE_FORCE_LIMIT,
+    DeterministicStrategy,
+    canonicalize,
+    mermin_sum,
+    minimize_bad_words_brute_force,
+)
 from ghzgap.strategies import (
     CanonicalStrategy,
-    DeterministicStrategy,
     bad_word_count_analytic,
     bad_word_count_naive,
-    canonicalize,
     max_classical_mermin_sum,
     mermin_bound,
-    mermin_sum,
     minimize_bad_words,
     predict_total,
 )
