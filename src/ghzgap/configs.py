@@ -38,13 +38,18 @@ def _index(value: object, default: int) -> int:
 
 
 def _real(value: object) -> object:
-    """`value` if it orders against floats as one number, else NaN, which every
-    range check refuses: an array of any size (its comparisons give arrays,
-    and a one-element array's would pass), a string or None."""
+    """`value` if it orders against floats as one number and combines with
+    them, else NaN, which every range check refuses: an array of any size
+    (its comparisons give arrays, and a one-element array's would pass), a
+    string, None or a Decimal (it orders against floats but does not add)."""
     try:
         if not getattr(value, "ndim", 0) and (value < 0.0) in (False, True):
+            try:
+                value + 0.0
+            except OverflowError:  # an int or Fraction past the float range
+                pass
             return value
-    except TypeError:  # no order against floats
+    except TypeError:  # no order against floats, or no sum with one
         pass
     return float("nan")
 

@@ -36,13 +36,14 @@ class NoiseModel(NamedTuple("NoiseModel", [("epsilon", float)])):
 
 
 def _check_q(q: float) -> None:
-    """q must be finite, fit the float range, and be at least 1."""
+    """q must be a finite real number (`configs._real`), fit the float
+    range, and be at least 1."""
     try:
         finite = math.isfinite(_real(q))
     except OverflowError:  # an int too large to convert
         raise DomainError("station count q exceeds the float range") from None
     if not finite:
-        raise DomainError(f"station count q must be finite, got {q!r}")
+        raise DomainError(f"station count q must be finite and real, got {_shown(q)}")
     if q < 1:
         raise DomainError(f"station count must be at least 1, got {_shown(q)}")
 

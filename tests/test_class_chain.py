@@ -6,7 +6,10 @@ Generator.binomial call over the 8-vector of class counts per station, then
 one for the parities) as a test-only reference, and checks that the
 production chain draws exactly the same numbers over a wider grid: small
 and large q, trial counts up to 2^62, eps down to 1e-300 and masks that are
-empty, canonical or random.
+empty, canonical or random, or hold one bit: bit 0, bit q-1 or a random one.
+The chain draws 4 classes up to the station of t_mask's lowest set bit and
+8 from there on, so the one-bit masks put that switch first, last and in
+between.
 """
 
 import random
@@ -19,7 +22,9 @@ from ghzgap.experiment import (
     ExperimentConfig,
     LhvModel,
     QuantumModel,
+    _FAILING,
     _class_chain,
+    _class_rule,
     _stream,
     run_experiment,
 )
@@ -29,7 +34,7 @@ from ghzgap.strategies import CanonicalStrategy, minimize_bad_words
 QS = (1, 2, 3, 4, 10, 33, 64)
 TRIALS = (1, 7, 69857, 1 << 40, 1 << 62)
 EPSILONS = (0.0, 1e-300, 0.01, 0.5)
-MASKS = ("empty", "canonical", "random")
+MASKS = ("empty", "canonical", "random", "low", "high", "one")
 
 #: Where a trial of class c goes when it picks r, for t_mask bit 0 and 1.
 NEXT = np.array([[1, 2, 3, 0, 5, 6, 7, 4], [5, 6, 7, 4, 1, 2, 3, 0]])
@@ -58,6 +63,12 @@ def _mask(q, kind, rnd):
         return 0
     if kind == "canonical":
         return minimize_bad_words(q).strategy.t_mask
+    if kind == "low":
+        return 1
+    if kind == "high":
+        return 1 << q - 1
+    if kind == "one":
+        return 1 << rnd.randrange(q)
     return rnd.getrandbits(q)
 
 
@@ -86,6 +97,12 @@ def test_chain_matches_reference(q, kind):
         chain = _class_chain(cfg, t_mask)
         assert (chain.picks, chain.counts, chain.odd) == (picks, counts, odd), cfg
         assert all(type(n) is int for n in (*chain.counts, *chain.odd, *chain.picks[-1]))
+
+
+def test_failing_tables_are_the_rule():
+    # run_experiment reads the rule from a table built once per a_sign
+    strategies = {None: None, +1: CanonicalStrategy(4, +1, 6), -1: CanonicalStrategy(4, -1, 9)}
+    assert _FAILING == {sign: _class_rule(strategy)[1] for sign, strategy in strategies.items()}
 
 
 @pytest.mark.parametrize("kind", MASKS)

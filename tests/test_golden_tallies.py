@@ -3,15 +3,19 @@
 The file pins the random stream: any change to the draws of a run makes
 these tests fail, so a new stream must come with a new STREAM_VERSION and
 regenerated goldens (`PYTHONPATH=src python tests/test_golden_tallies.py`).
-Its header is the stream_environment() block of the stream it pins.
+Its header is the stream_environment() block of the stream it pins. The
+regenerator refuses to rewrite a tally under the file's own stream_version:
+it exits non-zero and names the first case whose tallies changed.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from ghzgap.experiment import (
+    STREAM_VERSION,
     ExperimentConfig,
     LhvModel,
     QuantumModel,
@@ -85,8 +89,25 @@ def test_seed_pins_tallies(case):
     assert _tallies(_report(case)) == expected
 
 
+def _first_changed(cases):
+    """The first case whose tallies differ from the golden file's at the
+    same stream version, or None: only a new stream may change them."""
+    golden = _golden() if GOLDEN_PATH.exists() else None
+    if golden is None or golden["environment"]["stream_version"] != STREAM_VERSION:
+        return None
+    pinned = {_key(c): c for c in golden["cases"]}
+    return next((c for c in cases if pinned.get(_key(c), c) != c), None)
+
+
 if __name__ == "__main__":
     cases = [{**case, **_tallies(_report(case))} for case in _cases()]
+    changed = _first_changed(cases)
+    if changed is not None:
+        sys.exit(
+            f"tallies of {changed['model']} q={changed['q']} eps={changed['eps']} "
+            f"seed={changed['seed']} differ from {GOLDEN_PATH.name} at stream_version "
+            f"{STREAM_VERSION}: a new stream needs a new STREAM_VERSION"
+        )
     body = ",\n".join(json.dumps(c) for c in cases)  # one case per line
     environment = json.dumps(stream_environment())
     GOLDEN_PATH.write_text(f'{{"environment": {environment}, "cases": [\n{body}\n]}}\n')

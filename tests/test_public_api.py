@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import types
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +210,7 @@ _BAD_VALUES = {
     "noise-array": (NoiseModel, (np.array([0.1, 0.2]),), DomainError),
     "noise-array-one": (NoiseModel, (np.array([0.1]),), DomainError),
     "noise-string": (NoiseModel, ("0.1",), DomainError),
+    "noise-decimal": (NoiseModel, (Decimal("0.1"),), DomainError),
     "outcome-empty": (OutcomeTuple, ((),), DomainError),
     "outcome-result": (OutcomeTuple, ((1, 0),), DomainError),
     "outcome-result-float": (OutcomeTuple, ((1.0, -1),), DomainError),
@@ -244,6 +246,11 @@ _BAD_VALUES = {
     "experiment-ci-level-array": (
         ExperimentConfig,
         (3, QuantumModel(), 10, 1, np.array([0.9, 0.95])),
+        DomainError,
+    ),
+    "experiment-ci-level-decimal": (
+        ExperimentConfig,
+        (3, QuantumModel(), 1000, 1, Decimal("0.9")),
         DomainError,
     ),
     "experiment-strategy-q": (
@@ -361,6 +368,20 @@ _BAD_CALLS = {
     "disprove-confidence-huge-negative": (
         ghzgap.min_trials_to_disprove,
         (0.5, -_HUGE),
+        DomainError,
+    ),
+    "disprove-p-decimal": (ghzgap.min_trials_to_disprove, (Decimal("0.1"), 0.9), DomainError),
+    "disprove-confidence-decimal": (
+        ghzgap.min_trials_to_disprove,
+        (0.1, Decimal("0.9")),
+        DomainError,
+    ),
+    "threshold-delta-decimal": (ghzgap.epsilon_threshold, (100, Decimal("0.01")), DomainError),
+    "particles-mass-decimal": (ghzgap.particles_in_mass, (Decimal("4"),), DomainError),
+    "wilson-level-decimal": (ghzgap.wilson_interval, (1, 10, Decimal("0.9")), DomainError),
+    "gap-asymptotic-q-decimal": (
+        ghzgap.gap_asymptotic,
+        (Decimal("100"), NoiseModel(0.1)),
         DomainError,
     ),
     "disprove-p-array": (ghzgap.min_trials_to_disprove, (np.array([0.1, 0.2]), 0.9), DomainError),
