@@ -16,7 +16,7 @@ share of each class has odd error parity. These draws, one scalar binomial
 per non-empty class at each station and once more at the end, give a run's
 failures, word trials and station r counts exactly in law, at a cost that
 does not depend on the trial count. Their order is random stream version
-STREAM_VERSION (see `_class_chain`).
+STREAM_VERSION (see `_class_chain`); its seed map is `_stream`'s.
 
 Every run draws from a numpy Generator, so the module imports numpy when
 it is imported; the commands that run no trials never import this module.
@@ -25,10 +25,12 @@ it is imported; the commands that run no trials never import this module.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .configs import MAX_STATIONS, _check_int, _check_int_q, _real, _shown
 from .errors import DomainError
@@ -38,7 +40,7 @@ from .strategies import CanonicalStrategy, bad_word_count_analytic, minimize_bad
 
 #: Version of the seed -> draws contract: bumped whenever the draw order or
 #: the streams change, so every such change is deliberate.
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 #: Largest trial count a run accepts. Generator.binomial takes an int64
 #: count and draws from any count in about the same time, so a run's cost
@@ -144,16 +146,55 @@ class _Chain(NamedTuple):
     odd: list[int]  # 8: of those, the trials with odd error parity
 
 
+_M64 = (1 << 64) - 1
+
+
+class _SeedWords(ISeedSequence):
+    """Four fixed 64-bit words, handed to a bit generator as its seed.
+
+    numpy seeds a bit generator from any ISeedSequence by asking it for
+    words. This one serves only PCG64DXSM's request, generate_state(4,
+    np.uint64), whose words 0-1 become the initial state and 2-3 the
+    stream selector; any other request raises ValueError. It is built anew
+    for each stream and keeps nothing the generator could share.
+    """
+
+    def __init__(self, words: list[int]) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError(f"serves 4 uint64 words, asked for {n_words} of {dtype}")
+        return np.array(self.words, dtype=np.uint64)
+
+
 def _stream(master_seed: int, key: int) -> np.random.Generator:
-    """The run's stream ``key``: 0 draws the class chain, 1 `iter_trials`' replay."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(key,))
-    return np.random.Generator(np.random.PCG64DXSM(seq))
+    """The run's stream ``key``: 0 draws the class chain, 1 `iter_trials`' replay.
+
+    Seed map of random stream version 5: the first four outputs of
+    SplitMix64 started at ``master_seed`` (x += 0x9E3779B97F4A7C15, then the
+    finalizer z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9,
+    z = (z ^ z >> 27) * 0x94D049BB133111EB, z ^ z >> 31, all mod 2^64), with
+    ``key`` XORed into the fourth, seed a PCG64DXSM (`_SeedWords`). The
+    finalizer is a bijection, so different seeds start from different
+    states, and the key sits in the stream selector, so the two streams of
+    one seed differ. Each call builds its own generator: no two runs, nor a
+    run and a lazy replay, share a bit generator.
+    """
+    x, words = master_seed, []
+    for _ in range(4):
+        x = (x + 0x9E3779B97F4A7C15) & _M64
+        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        words.append(z ^ (z >> 31))
+    words[3] ^= key
+    return np.random.Generator(np.random.PCG64DXSM(_SeedWords(words)))
 
 
 def _class_chain(cfg: ExperimentConfig, t_mask: int) -> _Chain:
     """Draw how a run's trials spread over the 8 classes.
 
-    Draw order of random stream version 4, from stream 0, starting with
+    Draw order of random stream version 5, from stream 0, starting with
     every trial in class 0:
 
     1. For each station k = 0 .. q-1 and each class c = 0 .. 7 in turn:
@@ -168,7 +209,7 @@ def _class_chain(cfg: ExperimentConfig, t_mask: int) -> _Chain:
     the array form makes the same draws in the same order, at ~12x the
     call overhead. The counts live in locals and _NEXT is spelled out as
     one assignment per t_mask bit, so a station costs little more than its
-    draws; a run's remaining fixed cost is building its stream.
+    draws.
     """
     binomial = _stream(cfg.master_seed, 0).binomial
     picks: list[list[int]] = []
@@ -285,6 +326,16 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Expe
     )
 
 
+@lru_cache(maxsize=64, typed=True)
+def _z_score(level: float) -> float:
+    """The two-sided normal quantile of ``level``, taken once per level.
+
+    Typed, so a level of another numeric type with an equal value (whose
+    arithmetic may round differently) gets its own entry.
+    """
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
+
+
 def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
@@ -295,7 +346,7 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[f
     successes = _check_int(successes, "successes", 0, trials)
     if not 0.0 < _real(level) < 1.0:
         raise DomainError(f"interval level must lie in (0, 1), got {_shown(level)}")
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    z = _z_score(level)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

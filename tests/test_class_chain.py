@@ -1,7 +1,7 @@
-"""The class chain against a reference copy of random stream version 4.
+"""The class chain against a reference copy of random stream version 5.
 
 `tests/golden_tallies.json` pins the stream at q <= 12, 69857 trials and
-canonical masks only. This file keeps the array form of the v4 chain (one
+canonical masks only. This file keeps the array form of the v5 chain (one
 Generator.binomial call over the 8-vector of class counts per station, then
 one for the parities) as a test-only reference, and checks that the
 production chain draws exactly the same numbers over a wider grid: small
@@ -9,7 +9,8 @@ and large q, trial counts up to 2^62, eps down to 1e-300 and masks that are
 empty, canonical or random, or hold one bit: bit 0, bit q-1 or a random one.
 The chain draws 4 classes up to the station of t_mask's lowest set bit and
 8 from there on, so the one-bit masks put that switch first, last and in
-between.
+between. It also pins the stream's seed map (SplitMix64 words into
+PCG64DXSM) against a copy of SplitMix64 of its own.
 """
 
 import random
@@ -25,6 +26,7 @@ from ghzgap.experiment import (
     _FAILING,
     _class_chain,
     _class_rule,
+    _SeedWords,
     _stream,
     run_experiment,
 )
@@ -41,7 +43,7 @@ NEXT = np.array([[1, 2, 3, 0, 5, 6, 7, 4], [5, 6, 7, 4, 1, 2, 3, 0]])
 
 
 def reference_chain(cfg, t_mask):
-    """Random stream v4 in array form: (picks, counts, odd) as lists."""
+    """Random stream v5 in array form: (picks, counts, odd) as lists."""
     rng = _stream(cfg.master_seed, 0)
     counts = np.zeros(8, dtype=np.int64)
     counts[0] = cfg.trials
@@ -84,9 +86,73 @@ def _grid(q, kind):
             yield ExperimentConfig(q, model, trials, rnd.getrandbits(64)), t_mask
 
 
-def test_reference_is_stream_version_4():
+def test_reference_is_stream_version_5():
     # a new stream needs a new reference here, as well as new goldens
-    assert STREAM_VERSION == 4
+    assert STREAM_VERSION == 5
+
+
+def splitmix64(seed, n):
+    """The first n outputs of SplitMix64 started at seed."""
+    out = []
+    for _ in range(n):
+        seed = (seed + 0x9E3779B97F4A7C15) % 2**64
+        z = (seed ^ seed >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        out.append(z ^ z >> 31)
+    return out
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self.words, dtype=dtype)[:n_words]
+
+
+#: Edge seeds of the 64-bit range, and 1000 random ones, each with its neighbours.
+_rnd = random.Random("seed-map")
+SEEDS = sorted(
+    {0, 1, 2, 1 << 32, (1 << 63) - 1, 1 << 63, (1 << 64) - 2, (1 << 64) - 1}
+    | {(s + d) % 2**64 for s in (_rnd.getrandbits(64) for _ in range(1000)) for d in (-1, 0, 1)}
+)
+
+
+def test_splitmix64_copy():
+    assert splitmix64(0, 4) == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC
+    ]
+
+
+@pytest.mark.parametrize("key", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 7, 9100, 1 << 63, (1 << 64) - 1, 0x0123456789ABCDEF])
+def test_stream_is_seeded_from_splitmix64_words(seed, key):
+    # words 0-1 are PCG64DXSM's state, 2-3 its stream selector; the key
+    # goes into the last word
+    words = splitmix64(seed, 4)
+    words[3] ^= key
+    expected = np.random.PCG64DXSM(_Words(words)).state
+    assert _stream(seed, key).bit_generator.state == expected
+
+
+def test_seeds_and_keys_start_distinct_streams():
+    starts = set()
+    for seed in SEEDS:
+        for key in (0, 1):
+            state = _stream(seed, key).bit_generator.state["state"]
+            starts.add((state["state"], state["inc"]))
+    assert len(starts) == 2 * len(SEEDS)
+
+
+def test_chain_and_replay_streams_differ():
+    for seed in SEEDS[::50]:
+        raw = [_stream(seed, key).bit_generator.random_raw(4).tolist() for key in (0, 1)]
+        assert raw[0] != raw[1], seed
+
+
+def test_seed_words_serve_only_pcg64dxsm():
+    with pytest.raises(ValueError):
+        np.random.MT19937(_SeedWords(splitmix64(0, 4)))
 
 
 @pytest.mark.parametrize("kind", MASKS)

@@ -235,7 +235,7 @@ class TestSimulate:
         )
         assert payload["manifest"]["environment"] == {
             "rng": "PCG64DXSM",
-            "stream_version": 4,
+            "stream_version": 5,
             "sampler": "class-chain",
         }
         unseeded = run_json(capsys, "classify", "--config", "lrr")

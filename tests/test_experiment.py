@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +134,34 @@ class TestReproducibility:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [[report] * 4 for report in expected]
+
+    def test_thread_pool_gives_the_sequential_reports(self):
+        # every run builds its own generator from its seed, so running on a
+        # pool cannot change a report; long (large-q) runs give the threads
+        # time to switch inside a run
+        configs = [
+            qm_config(q=q, model=model, trials=trials, master_seed=seed)
+            for q, model, trials, seed in [
+                (3, QuantumModel(), 10_000, 0),
+                (33, QuantumModel(NoiseModel(0.01)), 65536 + 7, 1),
+                (64, QuantumModel(NoiseModel(0.05)), 1 << 40, (1 << 64) - 1),
+                (64, QuantumModel(NoiseModel(0.2)), 999, 1 << 63),
+                (10, LhvModel(), 10_000, 0),
+                (33, LhvModel(noise=NoiseModel(0.01)), 65536 + 7, 1),
+                (64, LhvModel(noise=NoiseModel(0.05)), 1 << 40, (1 << 63) - 1),
+                (64, LhvModel(CanonicalStrategy(64, -1, 0xF0F0F0F0F0F0F0F)), 4321, 12345),
+            ]
+        ]
+        expected = [run_experiment(cfg) for cfg in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the lock over inside runs
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run_experiment, cfg) for cfg in configs * 8]
+                reports = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == expected * 8
 
 
 class TestTallies:

@@ -3,7 +3,9 @@
 The file pins every byte a report writes, manifest included, with the
 timestamp fixed by SOURCE_DATE_EPOCH. Any change to a report's text makes
 these tests fail, so only a deliberate format change may regenerate the
-goldens (`PYTHONPATH=src python tests/test_golden_reports.py`).
+goldens (`PYTHONPATH=src python tests/test_golden_reports.py`). The
+regenerator prints the argv of each case whose stdout or exit code differs
+from the file (or that the file lacks) before it rewrites every case.
 """
 
 import contextlib
@@ -65,6 +67,10 @@ def test_argv_pins_report(monkeypatch, argv):
 if __name__ == "__main__":
     os.environ["SOURCE_DATE_EPOCH"] = SOURCE_DATE_EPOCH
     cases = [{"argv": argv, **_report(argv)} for argv in CASES]
+    pinned = {c["argv"]: c for c in _golden()["cases"]} if GOLDEN_PATH.exists() else {}
+    for case in cases:
+        if pinned.get(case["argv"]) != case:
+            print(f"changed: {case['argv']}")
     golden = {"source_date_epoch": int(SOURCE_DATE_EPOCH), "cases": cases}
     # One stdout line per file line, so a format change reads as a line diff.
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
