@@ -1,19 +1,20 @@
 """Command-line surface: every library quantity as a JSON or CSV report.
 
-Each handler returns the report's fields, a table among them as their last
-value: `EncodedRows` of the chosen format, all that a CSV report writes.
-``main`` alone adds the manifest, picks the writer and writes. `enumerate` and
-`gap sweep` check every parameter, then hand over rows encoded block by block.
-Payloads go to standard output only; diagnostics and optional ``--verbose``
-summaries go to standard error. Exit codes: 0 success, 2 usage error,
-3 domain or capacity error, a report that could not be written, or any
-other error a command raised (one ``error:`` line naming its type, never a
-traceback). Each command loads only the layers it runs: ``simulate`` loads
-the Monte Carlo layer (`experiment`, and `strategies` and numpy with it),
-``lhv optimize`` loads `strategies`, and ``classify``, ``enumerate``,
-``gap``, ``gap sweep``, ``disprove`` and ``cat`` load neither. Only
-``lhv optimize --verify-brute-force`` loads the cross-checks (`oracles`),
-and only it and ``simulate`` load numpy.
+Each handler only computes: it returns the report's fields, a table among
+them as their last value (`EncodedRows` of the chosen format, all that a CSV
+report writes). ``main`` alone adds the manifest, picks the writer and writes
+both streams: the report to standard output, and to standard error any
+``error:`` line and the ``--verbose`` line (`_summary`). `enumerate` and
+`gap sweep` check every parameter, then hand over rows encoded block by
+block. Exit codes: 0 success, 2 usage error, 3 domain or capacity error, a
+report that could not be written, or any other error a command raised (one
+``error:`` line naming its type, never a traceback). Each command loads
+only the layers it runs: ``simulate`` loads the Monte Carlo layer
+(`experiment`, and `strategies` and numpy with it), ``lhv optimize`` loads
+`strategies`, and ``classify``, ``enumerate``, ``gap``, ``gap sweep``,
+``disprove`` and ``cat`` load neither. Only ``lhv optimize
+--verify-brute-force`` loads the cross-checks (`oracles`), and only it and
+``simulate`` load numpy.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from .configs import (
 )
 from .errors import CapacityError, GhzGapError
 from .quantum import NoiseModel
-from .reporting import SPLICE, EncodedRows, build_manifest, encode, fragments, write_csv, write_json
-from .reporting import dumps_csv, dumps_json  # noqa: F401  (bench/spans.py traces them here)
+from .reporting import SPLICE, EncodedRows, build_manifest, dumps_json, encode, fragments
+from .reporting import write_csv, write_json
+from .reporting import dumps_csv  # noqa: F401  (bench/spans.py traces it here)
 
 if TYPE_CHECKING:
     from .strategies import CanonicalStrategy
@@ -91,14 +93,26 @@ _Report = dict[str, Any]
 _GAP_COLUMNS = ["q", "eps", "p_qm", "p_classical_exact", "gap_exact", "gap_asymptotic"]
 
 
+def _parameters(args: argparse.Namespace) -> dict[str, Any]:
+    """The options of the command that ran, under their argparse names."""
+    return {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
+
+
 def _manifest(args: argparse.Namespace) -> dict[str, Any]:
     """Manifest payload naming the command that ran and echoing its options
     from the namespace; a seeded run also states its random stream."""
     names = (args.command, getattr(args, "lhv_command", None), getattr(args, "gap_command", None))
-    parameters = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
     seed = getattr(args, "seed", None)
     environment = None if seed is None else _lazy.stream_environment()
-    return build_manifest(" ".join(name for name in names if name), parameters, seed, environment)
+    return build_manifest(" ".join(name for name in names if name), _parameters(args), seed, environment)
+
+
+def _summary(args: argparse.Namespace, fields: _Report) -> str:
+    """`--verbose`'s line: the report's scalar fields (all but the table,
+    lists and objects) as one line of JSON, or the parameters of a report
+    that is only a table."""
+    scalars = {k: v for k, v in fields.items() if not isinstance(v, (EncodedRows, list, dict))}
+    return dumps_json(scalars or _parameters(args), compact=True)
 
 
 def _strategy_fields(strategy: CanonicalStrategy) -> dict[str, Any]:
@@ -120,10 +134,6 @@ def _classification_fields(config: Configuration) -> dict[str, Any]:
 
 def _cmd_classify(args: argparse.Namespace) -> _Report:
     config = parse_configuration(args.config)
-    if args.verbose:
-        cls = classify(config)
-        tail = f" with eigenvalue {cls.eigenvalue:+d}" if isinstance(cls, Word) else ""
-        print(f"{config.text()} is a {cls.kind}{tail}", file=sys.stderr)
     return {"q": config.q, "r_count": config.r_count, **_classification_fields(config)}
 
 
@@ -165,8 +175,6 @@ def _enumerate_rows(q: int, words_only: bool, fmt: str) -> EncodedRows:
 def _cmd_enumerate(args: argparse.Namespace) -> _Report:
     items = _enumerate_rows(args.q, args.words_only, args.format)  # checks q
     count = word_count(args.q) if args.words_only else 1 << args.q
-    if args.verbose:
-        print(f"{count} configurations at q={args.q}", file=sys.stderr)
     return {"q": args.q, "words_only": args.words_only, "count": count, "items": items}
 
 
@@ -194,12 +202,6 @@ def _cmd_lhv_optimize(args: argparse.Namespace) -> _Report:
             "bad_count": brute.bad_count,
             "matches": brute.bad_count == report.bad_count,
         }
-    if args.verbose:
-        print(
-            f"optimal strategy misses {report.bad_count} of "
-            f"{1 << (args.q - 1)} words (probability {report.probability})",
-            file=sys.stderr,
-        )
     return fields
 
 
@@ -229,15 +231,8 @@ def _cmd_simulate(args: argparse.Namespace) -> _Report:
         "ci_high": report.ci_high,
         "theory": report.theory,
     }
-    if args.verbose:
-        print(
-            f"{report.failures} failures / {report.trials} trials: "
-            f"rate {report.failure_rate:.6f}, theory {report.theory:.6f}, "
-            f"CI [{report.ci_low:.6f}, {report.ci_high:.6f}]",
-            file=sys.stderr,
-        )
     if args.format == "csv":
-        return {"rows": encode("csv", list(row), [tuple(row.values())])}
+        return {**row, "rows": encode("csv", list(row), [tuple(row.values())])}
     strategy = None if report.strategy is None else _strategy_fields(report.strategy)
     return {**row, "strategy": strategy, "station_r_counts": list(report.station_r_counts)}
 
@@ -256,11 +251,6 @@ def _parse_q(text: str) -> int | float:
 
 def _cmd_gap(args: argparse.Namespace) -> _Report:
     report = gap(args.q, NoiseModel(args.eps))
-    if args.verbose:
-        print(
-            f"q={args.q}, eps={args.eps}: asymptotic gap {report.gap_asymptotic:.6e}",
-            file=sys.stderr,
-        )
     cells = report[:4] + report[5:]  # all but p_classical_limit, in _GAP_COLUMNS order
     return {**dict(zip(_GAP_COLUMNS, cells)), "p_classical_limit": report.p_classical_limit}
 
@@ -274,30 +264,17 @@ def _cmd_gap_sweep(args: argparse.Namespace) -> _Report:
             f"gap sweep supports at most {_GAP_SWEEP_LIMIT} rows, got {row_count}"
         )
     noises = [NoiseModel(eps) for eps in args.eps_list]  # every eps checked up front
-    if args.verbose:
-        print(f"{row_count} gap rows", file=sys.stderr)
     rows = gap_rows(range(args.q_min, args.q_max + 1), noises)
     return {"rows": encode(args.format, _GAP_COLUMNS, rows)}
 
 
 def _cmd_disprove(args: argparse.Namespace) -> _Report:
     trials = min_trials_to_disprove(args.p_failure, args.confidence)
-    if args.verbose:
-        print(
-            f"{trials} trials expose a failure with confidence {args.confidence}",
-            file=sys.stderr,
-        )
     return {"p_failure": args.p_failure, "confidence": args.confidence, "trials": trials}
 
 
 def _cmd_cat(args: argparse.Namespace) -> _Report:
     report = macroscopic_report(args.mass_kg, args.delta, args.convention)
-    if args.verbose:
-        print(
-            f"q≈{report.q:.3e}; derived threshold {report.epsilon_derived:.3e} "
-            f"vs reference {report.epsilon_reference:.3e}",
-            file=sys.stderr,
-        )
     return report._asdict()
 
 
@@ -308,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     first call (3-5 ms on a 2-core host)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--verbose", action="store_true", help="human-readable summary on stderr"
+        "--verbose",
+        action="store_true",
+        help="one JSON line on stderr: the report's scalar fields (gap sweep: its parameters)",
     )
     common.set_defaults(format="json")
 
@@ -416,6 +395,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             args.eps = 0.0
     try:
         fields = args.handler(args)
+        if args.verbose:
+            print(_summary(args, fields), file=sys.stderr)
         with _report_stream(sys.stdout) as out:
             if args.format == "csv":
                 write_csv(out, next(reversed(fields.values())))

@@ -57,14 +57,16 @@ def _fraction_text(value: Any) -> str:
 _CELL_ENCODER = json.JSONEncoder(separators=("\n", ": "), allow_nan=False, default=_fraction_text)
 
 
-def dumps_json(payload: Any) -> str:
-    """JSON text, keys in insertion order; a Fraction becomes "n/d"."""
+def dumps_json(payload: Any, compact: bool = False) -> str:
+    """JSON text, keys in insertion order; a Fraction becomes "n/d".
+    Compact text is one line without spaces, else it is indented by 2."""
     # json.dump feeds the encoder's chunks to the buffer one at a time;
     # json.dumps would first collect them all in one list to join, which
     # doubles the peak memory of a large payload.
     buf = io.StringIO()
     try:
-        json.dump(payload, buf, indent=2, allow_nan=False, default=_fraction_text)
+        layout = {"separators": (",", ":")} if compact else {"indent": 2}
+        json.dump(payload, buf, allow_nan=False, default=_fraction_text, **layout)
     except ValueError as exc:
         raise DomainError(f"cannot serialize to JSON: {exc}") from exc
     return buf.getvalue()

@@ -1,5 +1,6 @@
 """Command-line surface: payload shapes, exit codes, and format parity."""
 
+import ast
 import json
 import math
 import os
@@ -151,7 +152,8 @@ class TestEnumerate:
         code, out, err = run_cli(capsys, "enumerate", "--q", "13", "--words-only", "--verbose")
         assert code == 0
         payload = json.loads(out)
-        assert err == f"{len(payload['items'])} configurations at q=13\n"
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert json.loads(err)["count"] == len(payload["items"])
         assert payload["count"] == len(payload["items"]) == 1 << 12
 
 
@@ -409,6 +411,12 @@ class TestGap:
         argv = ["gap", "sweep", "--q-min", q, "--q-max", q, "--format", fmt]
         assert run_cli(capsys, *argv) == (3, "", point_err)
 
+    def test_q_not_a_number_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gap", "--q", "abc"])
+        assert excinfo.value.code == 2
+        assert "argument --q: not a number: 'abc'" in capsys.readouterr().err
+
     def test_bad_range_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "gap", "sweep", "--q-min", "5", "--q-max", "2")
         assert code == 3
@@ -506,6 +514,12 @@ class TestDisproveAndCat:
         )
         assert payload["trials"] == 35
 
+    # The float ceiling gives 6 and 4; the exact settle moves it both ways.
+    @pytest.mark.parametrize("p, c, n", [("0.5", "0.96875", 5), ("0.15910358474628544", "0.5", 5)])
+    def test_disprove_settles_float_ceiling(self, capsys, p, c, n):
+        payload = run_json(capsys, "disprove", "--p-failure", p, "--confidence", c)
+        assert payload["trials"] == n
+
     def test_disprove_tiny_rate(self, capsys):
         payload = run_json(
             capsys, "disprove", "--p-failure", "1e-20", "--confidence", "0.99"
@@ -602,6 +616,13 @@ class TestManifest:
         assert err.startswith(f"error: SOURCE_DATE_EPOCH {epoch} ")
         assert len(err.splitlines()) == 1
 
+    def test_epoch_not_an_integer_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        code, out, err = run_cli(capsys, "classify", "--config", "r")
+        assert code == 3
+        assert out == ""
+        assert err == "error: SOURCE_DATE_EPOCH must be an integer epoch second, got 'abc'\n"
+
     @pytest.mark.parametrize(
         "epoch, timestamp",
         [
@@ -612,6 +633,104 @@ class TestManifest:
     def test_epoch_at_date_limits_accepted(self, capsys, monkeypatch, epoch, timestamp):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
         assert run_json(capsys, "classify", "--config", "r")["manifest"]["timestamp"] == timestamp
+
+
+def scalar_fields(report):
+    """A JSON report's fields that are neither its manifest, a list nor an object."""
+    return {
+        key: value for key, value in report.items()
+        if key != "manifest" and not isinstance(value, (list, dict))
+    }
+
+
+class TestVerbose:
+    # Each command as run with --verbose, the same command as a JSON report
+    # (None: the command itself), and the report fields whose values the
+    # hand-written summary before the JSON line printed.
+    @pytest.mark.parametrize(
+        "argv, json_argv, printed",
+        [
+            (["classify", "--config", "llr"], None, ["configuration", "kind", "eigenvalue"]),
+            (["classify", "--config", "lrr"], None, ["configuration", "kind", "eigenvalue"]),
+            (["enumerate", "--q", "4", "--words-only"], None, ["count", "q"]),
+            (["enumerate", "--q", "4", "--format", "csv"], ["enumerate", "--q", "4"], ["count", "q"]),
+            (["lhv", "optimize", "--q", "5"], None, ["bad_count", "q", "failure_probability"]),
+            (
+                ["simulate", "--q", "3", "--model", "qm", "--eps", "0.1", "--trials", "500",
+                 "--seed", "7"],
+                None,
+                ["failures", "trials", "failure_rate", "theory", "ci_low", "ci_high"],
+            ),
+            (
+                ["simulate", "--q", "4", "--model", "lhv", "--eps", "0.1", "--trials", "500",
+                 "--seed", "7", "--csv"],
+                ["simulate", "--q", "4", "--model", "lhv", "--eps", "0.1", "--trials", "500",
+                 "--seed", "7"],
+                ["failures", "trials", "failure_rate", "theory", "ci_low", "ci_high"],
+            ),
+            (["gap", "--q", "12", "--eps", "0.01"], None, ["q", "eps", "gap_asymptotic"]),
+            (["gap", "--q", "4e27", "--eps", "0.01"], None, ["q", "eps", "gap_asymptotic"]),
+            (
+                ["gap", "sweep", "--q-min", "2", "--q-max", "4", "--eps-list", "0", "0.01"],
+                ["gap", "sweep", "--q-min", "2", "--q-max", "4", "--eps-list", "0", "0.01",
+                 "--format", "json"],
+                [],
+            ),
+            (
+                ["disprove", "--p-failure", "0.125", "--confidence", "0.99"],
+                None,
+                ["trials", "confidence"],
+            ),
+            (
+                ["cat", "--mass-kg", "4"],
+                None,
+                ["q", "epsilon_derived", "epsilon_reference"],
+            ),
+        ],
+    )
+    def test_one_json_line_of_the_reports_scalars(
+        self, capsys, monkeypatch, argv, json_argv, printed
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, verbose_out, line = run_cli(capsys, *argv, "--verbose")
+        assert code == 0
+        assert verbose_out == out
+        assert line.endswith("\n") and line.count("\n") == 1
+        summary = json.loads(line)
+        report = run_json(capsys, *(json_argv or argv))
+        if argv[:2] == ["gap", "sweep"]:
+            # A report that is only a table: its parameters, and with them
+            # the row count the summary used to print.
+            assert summary == report["manifest"]["parameters"]
+            rows = (summary["q_max"] - summary["q_min"] + 1) * len(summary["eps_list"])
+            assert rows == len(report["rows"])
+        else:
+            assert summary == scalar_fields(report)
+            assert set(printed) <= set(summary)
+
+    def test_only_main_writes_to_a_stream(self):
+        with open(cli.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        writers, handlers = set(), set()
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            if function.name.startswith("_cmd_"):
+                handlers.add(function.name)
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                    writers.add((function.name, "print"))
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("stdout", "stderr")
+                    and getattr(node.value, "id", None) == "sys"
+                ):
+                    writers.add((function.name, f"sys.{node.attr}"))
+        assert len(handlers) == 8
+        assert {stream for name, stream in writers if name == "main"} >= {"print", "sys.stderr"}
+        assert {(name, stream) for name, stream in writers if name != "main"} == set()
 
 
 class FillingDevice:

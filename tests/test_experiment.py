@@ -326,6 +326,22 @@ class TestSampleSizes:
         # confidence 1 - 2^-7 sits exactly on the n = 7 boundary at p = 1/2
         assert min_trials_to_disprove(0.5, 1 - 2**-7) == 7
 
+    # The float ceiling of the log ratio lands one step off the answer, so
+    # only the exact settle gets these right: above it where (1 - p)^N is
+    # exactly 1 - c (6, 4, 10), below it in the last case (4).
+    @pytest.mark.parametrize(
+        "p, c, n",
+        [
+            (0.5, 0.96875, 5),
+            (0.25, 0.578125, 3),
+            (0.5, 0.998046875, 9),
+            (0.15910358474628544, 0.5, 5),
+        ],
+    )
+    def test_exact_settle_both_ways(self, p, c, n):
+        assert min_trials_to_disprove(p, c) == n
+        assert (1 - Fraction(p)) ** n <= 1 - Fraction(c) < (1 - Fraction(p)) ** (n - 1)
+
     def test_tiny_failure_probability(self):
         # 1 - p rounds to 1.0 here, so log(1 - p) would be 0
         n = min_trials_to_disprove(1e-20, 0.99)

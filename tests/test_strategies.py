@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzgap.configs import (
+    Configuration,
     enumerate_configurations,
     enumerate_words,
     parse_configuration,
@@ -268,6 +269,11 @@ class TestPredictions:
         strategy = CanonicalStrategy(q=3, a_sign=+1, t_mask=0)
         with pytest.raises(DomainError):
             predict_total(strategy, parse_configuration("llrr"))
+
+    def test_raw_station_count_mismatch_rejected(self):
+        raw = DeterministicStrategy.from_masks(3, 0, 0)
+        with pytest.raises(DomainError):
+            raw.predict_total(Configuration(2, 1))
 
     def test_bad_words_empty_for_q2(self):
         report = minimize_bad_words(2)
