@@ -32,6 +32,8 @@ CASES = [
     "gap --q 3 --eps 0",
     "gap --q 1000000 --eps 0.01",
     "gap --q 4e27 --eps 6e-28",
+    "gap --q 2.0 --eps 0.1",
+    "gap --q 10.5 --eps 0.01",
     "gap sweep --q-min 2 --q-max 30 --eps-list 0 0.01 0.1",
     "gap sweep --q-min 2 --q-max 5 --eps-list 0 0.01 --format json",
     "disprove --p-failure 0.125 --confidence 0.99",
