@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .configs import _index, _real, _shown
 from .errors import DomainError
-from .quantum import NoiseModel, _check_q, _log_attenuation, failure_probability_closed
-from .quantum import parity_attenuation
+from .quantum import NoiseModel, _check_q, _log_attenuation, parity_attenuation
+from .quantum import failure_probability_closed  # noqa: F401  (bench/spans.py traces it here)
 
 
 def __getattr__(name: str):
@@ -55,20 +55,17 @@ CONSTITUENT_FACTORS = {
 REFERENCE_EPSILON = 6e-28
 
 
-class GapReport(NamedTuple):
-    """Failure probabilities of both models at one (q, epsilon) point.
+#: The cells of one gap row, in the order `gap_rows` yields them: `gap
+#: sweep`'s columns, and every field of `GapReport` but the last. A new gap
+#: field is a name here and a cell in `gap_rows`.
+GAP_COLUMNS = ("q", "eps", "p_qm", "p_classical_exact", "gap_exact", "gap_asymptotic")
 
-    Exact fields are filled only on the integer-q path; for real q (the
-    macroscopic regime) only the asymptotic gap is meaningful.
-    """
 
-    q: float
-    epsilon: float
-    p_qm: float
-    p_classical_exact: Optional[float]
-    p_classical_limit: float
-    gap_exact: Optional[float]
-    gap_asymptotic: float
+class GapReport(NamedTuple("GapReport", [(n, Any) for n in (*GAP_COLUMNS, "p_classical_limit")])):
+    """Failure probabilities of both models at one (q, eps) point: the
+    `gap_rows` row at that point, then the classical limit 1/4."""
+
+    __slots__ = ()
 
 
 class MacroscopicReport(NamedTuple):
@@ -89,10 +86,15 @@ def gap_asymptotic(q: float, noise: NoiseModel) -> float:
     return 0.25 * parity_attenuation(q, noise)
 
 
-def gap_rows(qs: Iterable[int], noises: Sequence[NoiseModel]) -> Iterator[tuple]:
-    """Integer-q gap rows (q, eps, p_qm, p_classical_exact, gap_exact,
-    gap_asymptotic), for each q of `qs` one per noise model, each q checked
-    as `gap` checks it when its first row is asked for.
+def gap_rows(qs: Iterable[float], noises: Sequence[NoiseModel]) -> Iterator[tuple]:
+    """Gap rows, cells in `GAP_COLUMNS` order, for each q of `qs` one per
+    noise model, each q checked as `gap` checks it when its first row is
+    asked for.
+
+    An integer q ≥ 2 (anything `operator.index` takes but a bool, reported
+    as an int) fills every cell; any other real q ≥ 1 (e.g. 4e27) leaves
+    the exact classical probability and the exact gap None. q must be
+    finite, and an integer q must fit the float range.
 
     The classical probability mermin_bound(q) / 2^q is 1/4 - 2^-floor((q+3)/2)
     exactly. One float subtraction rounds it correctly, without that ratio's
@@ -105,6 +107,11 @@ def gap_rows(qs: Iterable[int], noises: Sequence[NoiseModel]) -> Iterator[tuple]
     logs = [(noise.epsilon, _log_attenuation(1, noise)) for noise in noises]
     for q in qs:
         _check_q(q)
+        if (n := _index(q, None)) is None or isinstance(q, bool):
+            for eps, log in logs:
+                yield q, eps, -0.25 * math.expm1(q * log), None, None, 0.25 * math.exp(q * log)
+            continue
+        q = n
         if q < 2:
             raise DomainError(f"classical failure probability needs q >= 2, got {q}")
         power = math.ldexp(1.0, -((q + 3) // 2))
@@ -118,19 +125,9 @@ def gap_rows(qs: Iterable[int], noises: Sequence[NoiseModel]) -> Iterator[tuple]
 
 
 def gap(q: float, noise: NoiseModel) -> GapReport:
-    """Full gap report at one point.
-
-    Integer q ≥ 2 (anything `operator.index` takes but a bool, reported as an int)
-    fills the exact classical probability and exact gap, as the `gap_rows`
-    row at (q, eps); any real q ≥ 1 (e.g. 4e27) fills the asymptotic fields
-    only. q must be finite, and an integer q must fit the float range.
-    """
-    if (n := _index(q, None)) is not None and not isinstance(q, bool):
-        q, eps, p_qm, p_classical, gap_exact, asymptotic = next(gap_rows([n], [noise]))
-    else:
-        eps, p_classical, gap_exact = noise.epsilon, None, None
-        p_qm, asymptotic = failure_probability_closed(q, noise), gap_asymptotic(q, noise)
-    return GapReport(q, eps, p_qm, p_classical, 0.25, gap_exact, asymptotic)
+    """Full gap report at one point: the `gap_rows` row at (q, eps), then
+    the classical limit 1/4."""
+    return GapReport(*next(gap_rows([q], [noise])), 0.25)
 
 
 def epsilon_threshold(q: float, delta: float) -> float:

@@ -25,7 +25,8 @@ import functools
 import sys
 from typing import TYPE_CHECKING, Any, ContextManager, Optional, TextIO
 
-from .asymptotics import CONSTITUENT_FACTORS, gap, gap_rows, macroscopic_report, min_trials_to_disprove
+from .asymptotics import CONSTITUENT_FACTORS, GAP_COLUMNS, gap, gap_rows, macroscopic_report
+from .asymptotics import min_trials_to_disprove
 from .configs import (
     ENUMERATION_LIMIT,
     Configuration,
@@ -36,7 +37,7 @@ from .configs import (
     Word,
     word_count,
 )
-from .errors import CapacityError, GhzGapError
+from .errors import CapacityError, DomainError, GhzGapError
 from .quantum import NoiseModel
 from .reporting import SPLICE, EncodedRows, build_manifest, dumps_json, encode, fragments
 from .reporting import write_csv, write_json
@@ -88,9 +89,6 @@ _NOT_PARAMETERS = frozenset(
 #: its last value, as `EncodedRows` of the format asked for; in CSV the
 #: table is the whole report.
 _Report = dict[str, Any]
-
-#: `gap sweep`'s columns, the cells of a `gap_rows` row; the first fields of `gap`.
-_GAP_COLUMNS = ["q", "eps", "p_qm", "p_classical_exact", "gap_exact", "gap_asymptotic"]
 
 
 def _parameters(args: argparse.Namespace) -> dict[str, Any]:
@@ -250,14 +248,12 @@ def _parse_q(text: str) -> int | float:
 
 
 def _cmd_gap(args: argparse.Namespace) -> _Report:
-    report = gap(args.q, NoiseModel(args.eps))
-    cells = report[:4] + report[5:]  # all but p_classical_limit, in _GAP_COLUMNS order
-    return {**dict(zip(_GAP_COLUMNS, cells)), "p_classical_limit": report.p_classical_limit}
+    return gap(args.q, NoiseModel(args.eps))._asdict()
 
 
 def _cmd_gap_sweep(args: argparse.Namespace) -> _Report:
     if args.q_min > args.q_max:
-        raise GhzGapError(f"--q-min {args.q_min} exceeds --q-max {args.q_max}")
+        raise DomainError(f"--q-min {args.q_min} exceeds --q-max {args.q_max}")
     row_count = (args.q_max - args.q_min + 1) * len(args.eps_list)
     if row_count > _GAP_SWEEP_LIMIT:
         raise CapacityError(
@@ -265,7 +261,7 @@ def _cmd_gap_sweep(args: argparse.Namespace) -> _Report:
         )
     noises = [NoiseModel(eps) for eps in args.eps_list]  # every eps checked up front
     rows = gap_rows(range(args.q_min, args.q_max + 1), noises)
-    return {"rows": encode(args.format, _GAP_COLUMNS, rows)}
+    return {"rows": encode(args.format, GAP_COLUMNS, rows)}
 
 
 def _cmd_disprove(args: argparse.Namespace) -> _Report:

@@ -11,6 +11,7 @@ from ghzgap.asymptotics import (
     epsilon_threshold,
     gap,
     gap_asymptotic,
+    gap_rows,
     macroscopic_report,
     particles_in_mass,
     REFERENCE_EPSILON,
@@ -88,6 +89,16 @@ class TestGap:
             for q in (2, 3, 10, 1000, 10**6):
                 exact, real = gap(q, NoiseModel(eps)), gap(float(q), NoiseModel(eps))
                 assert (real.p_qm, real.gap_asymptotic) == (exact.p_qm, exact.gap_asymptotic)
+
+    def test_point_report_is_the_row_plus_the_limit(self):
+        # gap_rows takes integer and real q in one run; a real q's exact
+        # cells are None, and its q is reported as given
+        qs, noises = [3, 3.0, np.int64(30), 4e27, True], [NoiseModel(0.01), NoiseModel(0.3)]
+        rows = list(gap_rows(qs, noises))
+        assert rows == [gap(q, noise)[:-1] for q in qs for noise in noises]
+        assert [row[3] is None for row in rows[::2]] == [False, True, False, True, True]
+        assert all(gap(q, noise).p_classical_limit == 0.25 for q in qs for noise in noises)
+        assert [type(row[0]) for row in rows[::2]] == [int, float, int, float, bool]
 
     def test_rational_identity(self):
         # the discrepancy between exact and asymptotic gap is exactly the

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from ghzgap import cli
-from ghzgap.asymptotics import gap_rows
+from ghzgap.asymptotics import GAP_COLUMNS, GapReport, gap_rows
 from ghzgap.cli import main
 from ghzgap.configs import Word, classify, enumerate_configurations
 from ghzgap.reporting import BATCH_ROWS, dumps_csv, dumps_json
@@ -337,6 +337,19 @@ class TestGap:
         by_key = {(r["q"], r["eps"]): r for r in rows}
         assert float(by_key[("3", "0.0")]["gap_exact"]) == 0.125
 
+    @pytest.mark.parametrize("q", ["3", "4e27"], ids=["integer-q", "real-q"])
+    def test_gap_fields_are_the_one_list(self, capsys, q):
+        # gap's keys, the sweep's CSV header and its JSON row keys all come
+        # from GAP_COLUMNS; the point report adds only the 1/4 limit.
+        assert GapReport._fields == (*GAP_COLUMNS, "p_classical_limit")
+        point = run_json(capsys, "gap", "--q", q)
+        assert list(point) == ["manifest", *GapReport._fields]
+        argv = ["gap", "sweep", "--q-min", "2", "--q-max", "3", "--eps-list", "0", "0.1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.splitlines()[0] == ",".join(GAP_COLUMNS)
+        rows = run_json(capsys, *argv, "--format", "json")["rows"]
+        assert [tuple(row) for row in rows] == [GAP_COLUMNS] * 4
+
     def test_sweep_json_matches_csv(self, capsys):
         args = ["gap", "sweep", "--q-min", "2", "--q-max", "5", "--eps-list", "0.01"]
         code, csv_out, _ = run_cli(capsys, *args + ["--format", "csv"])
@@ -355,7 +368,7 @@ class TestGap:
         argv += ["--eps-list", *map(repr, eps_list)]
         code, out, _ = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0
-        assert out == dumps_csv(cli._GAP_COLUMNS, rows)
+        assert out == dumps_csv(GAP_COLUMNS, rows)
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         manifest = json.loads(out)["manifest"]
@@ -368,11 +381,7 @@ class TestGap:
         for q in range(2, 3001):
             for eps in eps_list:
                 report = cli.gap(q, cli.NoiseModel(eps))
-                rows.append({
-                    "q": q, "eps": eps, "p_qm": report.p_qm,
-                    "p_classical_exact": report.p_classical_exact,
-                    "gap_exact": report.gap_exact, "gap_asymptotic": report.gap_asymptotic,
-                })
+                rows.append({column: getattr(report, column) for column in GAP_COLUMNS})
         assert len(rows) > 2 * BATCH_ROWS
         self.assert_sweep_is_whole_text(capsys, 3000, eps_list, rows)
 
@@ -381,7 +390,7 @@ class TestGap:
     def test_sweep_is_whole_text_of_gap_rows(self, capsys):
         eps_list = [0.0, 1e-300, 1e-12, 0.01, 0.2, 0.5]
         noises = [cli.NoiseModel(eps) for eps in eps_list]
-        rows = [dict(zip(cli._GAP_COLUMNS, row)) for row in gap_rows(range(2, 301), noises)]
+        rows = [dict(zip(GAP_COLUMNS, row)) for row in gap_rows(range(2, 301), noises)]
         self.assert_sweep_is_whole_text(capsys, 300, eps_list, rows)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 1000, 10**6])
@@ -396,8 +405,8 @@ class TestGap:
         lines = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == len(lines) == len(points)
         for row, line, point in zip(rows, lines, points):
-            want = [point[column] for column in cli._GAP_COLUMNS]
-            assert [repr(row[column]) for column in cli._GAP_COLUMNS] == list(map(repr, want))
+            want = [point[column] for column in GAP_COLUMNS]
+            assert [repr(row[column]) for column in GAP_COLUMNS] == list(map(repr, want))
             assert line == ["" if value is None else repr(value) for value in want]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -418,8 +427,10 @@ class TestGap:
         assert "argument --q: not a number: 'abc'" in capsys.readouterr().err
 
     def test_bad_range_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "gap", "sweep", "--q-min", "5", "--q-max", "2")
-        assert code == 3
+        argv = ["gap", "sweep", "--q-min", "5", "--q-max", "2"]
+        assert run_cli(capsys, *argv) == (3, "", "error: --q-min 5 exceeds --q-max 2\n")
+        with pytest.raises(cli.DomainError):
+            cli._cmd_gap_sweep(cli.build_parser().parse_args(argv))
 
     def test_sweep_checks_every_eps_before_any_row(self, capsys):
         # the q = 1 row would fail too, but the eps list is checked first
