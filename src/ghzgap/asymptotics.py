@@ -88,8 +88,7 @@ def gap_asymptotic(q: float, noise: NoiseModel) -> float:
 
 def gap_rows(qs: Iterable[float], noises: Sequence[NoiseModel]) -> Iterator[tuple]:
     """Gap rows, cells in `GAP_COLUMNS` order, for each q of `qs` one per
-    noise model, each q checked as `gap` checks it when its first row is
-    asked for.
+    noise model, each q checked when its first row is asked for.
 
     An integer q ≥ 2 (anything `operator.index` takes but a bool, reported
     as an int) fills every cell; any other real q ≥ 1 (e.g. 4e27) leaves
