@@ -5,18 +5,20 @@ chooses l or r), obtains the total result from the selected model, and
 counts a failure when a word's total result differs from its eigenvalue.
 Strings never fail.
 
-A trial's failure depends only on its class: its r count mod 4, which gives
-the word flag and the eigenvalue, and the parity of its r choices inside
-the strategy's t_mask, which gives the hidden-variable prediction. So a run
-draws no trial: it follows how many of its trials sit in each of the 8
-classes through the q stations. At each station a Bin(n_c, 1/2) share of
-class c picks r and moves on to the class one r further (a fixed
-permutation of the classes); after the last station a Bin(n_c, 2 p_qm)
-share of each class has odd error parity. These draws, one scalar binomial
-per non-empty class at each station and once more at the end, give a run's
-failures, word trials and station r counts exactly in law, at a cost that
-does not depend on the trial count. Their order is random stream version
-STREAM_VERSION (see `_class_chain`); its seed map is `_stream`'s.
+A trial's failure depends only on its class u = (r count + 2 tpar) mod 4,
+where tpar is the parity of its r choices inside the strategy's t_mask: u
+is odd exactly for a word, and whether a word's prediction matches its
+eigenvalue depends on u's top bit and the strategy's a_sign alone (see
+_FAILING). So a run draws no trial: it follows how many of its trials sit
+in each of the 4 classes through the q stations. At each station a
+Bin(n_u, 1/2) share of class u picks r and moves on to class u + 1, or
+u + 3 at a t_mask station (a fixed rotation of the classes); after the last
+station a Bin(n_u, 2 p_qm) share of each class has odd error parity. These
+draws, one scalar binomial per non-empty class at each station and once
+more at the end, give a run's failures, word trials and station r counts
+exactly in law, at a cost that does not depend on the trial count. Their
+order is random stream version STREAM_VERSION (see `_class_chain`); its
+seed map is `_stream`'s.
 
 Every run draws from a numpy Generator, so the module imports numpy when
 it is imported; the commands that run no trials never import this module.
@@ -40,7 +42,7 @@ from .strategies import CanonicalStrategy, bad_word_count_analytic, minimize_bad
 
 #: Version of the seed -> draws contract: bumped whenever the draw order or
 #: the streams change, so every such change is deliberate.
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
 #: Largest trial count a run accepts. Generator.binomial takes an int64
 #: count and draws from any count in about the same time, so a run's cost
@@ -131,19 +133,19 @@ def _resolve_strategy(cfg: ExperimentConfig) -> Optional[CanonicalStrategy]:
     return minimize_bad_words(cfg.q).strategy
 
 
-#: A trial's class is (r count mod 4) | tpar << 2, where tpar is the parity
-#: of its r choices inside the strategy's t_mask. _NEXT[b][c] is the class
-#: a trial of class c moves to when it picks r at a station whose t_mask
-#: bit is b.
-_NEXT = ([1, 2, 3, 0, 5, 6, 7, 4], [5, 6, 7, 4, 1, 2, 3, 0])
+#: A trial's class is u = (r count + 2 tpar) mod 4, tpar the parity of its
+#: r choices inside the strategy's t_mask. _NEXT[b][u] is the class a trial
+#: of class u moves to when it picks r at a station whose t_mask bit is b:
+#: its r count grows by 1, and at a t_mask station tpar flips, adding 2.
+_NEXT = ([1, 2, 3, 0], [3, 0, 1, 2])
 
 
 class _Chain(NamedTuple):
     """Class counts of one run, as Python ints."""
 
-    picks: list[list[int]]  # q lists of 8: trials of each class that pick r at station k
-    counts: list[int]  # 8: trials of each class after the last station
-    odd: list[int]  # 8: of those, the trials with odd error parity
+    picks: list[list[int]]  # q lists of 4: trials of each class that pick r at station k
+    counts: list[int]  # 4: trials of each class after the last station
+    odd: list[int]  # 4: of those, the trials with odd error parity
 
 
 _M64 = (1 << 64) - 1
@@ -171,9 +173,10 @@ class _SeedWords(ISeedSequence):
 def _stream(master_seed: int, key: int) -> np.random.Generator:
     """The run's stream ``key``: 0 draws the class chain, 1 `iter_trials`' replay.
 
-    Seed map of random stream version 5: the first four outputs of
-    SplitMix64 started at ``master_seed`` (x += 0x9E3779B97F4A7C15, then the
-    finalizer z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9,
+    Seed map of random stream version 6, unchanged since version 5: the
+    first four outputs of SplitMix64 started at ``master_seed``
+    (x += 0x9E3779B97F4A7C15, then the finalizer
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9,
     z = (z ^ z >> 27) * 0x94D049BB133111EB, z ^ z >> 31, all mod 2^64), with
     ``key`` XORed into the fourth, seed a PCG64DXSM (`_SeedWords`). The
     finalizer is a bijection, so different seeds start from different
@@ -192,90 +195,61 @@ def _stream(master_seed: int, key: int) -> np.random.Generator:
 
 
 def _class_chain(cfg: ExperimentConfig, t_mask: int) -> _Chain:
-    """Draw how a run's trials spread over the 8 classes.
+    """Draw how a run's trials spread over the 4 classes.
 
-    Draw order of random stream version 5, from stream 0, starting with
+    Draw order of random stream version 6, from stream 0, starting with
     every trial in class 0:
 
-    1. For each station k = 0 .. q-1 and each class c = 0 .. 7 in turn:
-       picked[c] = binomial(counts[c], 1/2). Those trials pick r and move
-       from class c to _NEXT[t_mask >> k & 1][c].
-    2. For each class c in turn: odd[c] = binomial(counts[c], 2 * p) with
+    1. For each station k = 0 .. q-1 and each class u = 0 .. 3 in turn:
+       picked[u] = binomial(counts[u], 1/2). Those trials pick r and move
+       from class u to _NEXT[t_mask >> k & 1][u].
+    2. For each class u in turn: odd[u] = binomial(counts[u], 2 * p) with
        p = failure_probability_closed(q, noise), the trials of the class
        whose q independent flips are odd in number.
 
     A count of 0, or p = 0 (no errors), returns 0 without touching the bit
     generator, so empty classes are skipped. Each draw is one scalar call:
     the array form makes the same draws in the same order, at ~12x the
-    call overhead. The counts live in locals and _NEXT is spelled out as
-    one assignment per t_mask bit, so a station costs little more than its
+    call overhead. The counts live in locals, _NEXT is spelled out as one
+    assignment per t_mask bit, and a run with t_mask = 0 (every quantum
+    run) never reads the bit, so a station costs little more than its
     draws.
+
+    The classes lump version 5's 8 classes (r count mod 4, tpar), which
+    moved and failed only through u: two merged classes' Bin(n_a, 1/2) and
+    Bin(n_b, 1/2) shares have the law of one Bin(n_a + n_b, 1/2) share and
+    move to the same class, and so for the parity draws, so every tally
+    keeps its law. With t_mask = 0, u is the r count mod 4 and these are
+    version 5's draws.
     """
     binomial = _stream(cfg.master_seed, 0).binomial
     picks: list[list[int]] = []
     append = picks.append
-    # Classes 4-7 (odd tpar) stay empty until the station of t_mask's lowest
-    # set bit, so the stations before it (all of a quantum run) draw 4 classes.
-    split = (t_mask & -t_mask).bit_length() - 1 if t_mask else cfg.q
     c0, c1, c2, c3 = cfg.trials, 0, 0, 0
-    for _ in range(split):
+    for k in range(cfg.q):
         m0 = binomial(c0, 0.5) if c0 else 0
         m1 = binomial(c1, 0.5) if c1 else 0
         m2 = binomial(c2, 0.5) if c2 else 0
         m3 = binomial(c3, 0.5) if c3 else 0
-        append([m0, m1, m2, m3, 0, 0, 0, 0])
-        c0, c1, c2, c3 = c0 - m0 + m3, c1 - m1 + m0, c2 - m2 + m1, c3 - m3 + m2
-    c4 = c5 = c6 = c7 = 0
-    for k in range(split, cfg.q):
-        m0 = binomial(c0, 0.5) if c0 else 0
-        m1 = binomial(c1, 0.5) if c1 else 0
-        m2 = binomial(c2, 0.5) if c2 else 0
-        m3 = binomial(c3, 0.5) if c3 else 0
-        m4 = binomial(c4, 0.5) if c4 else 0
-        m5 = binomial(c5, 0.5) if c5 else 0
-        m6 = binomial(c6, 0.5) if c6 else 0
-        m7 = binomial(c7, 0.5) if c7 else 0
-        append([m0, m1, m2, m3, m4, m5, m6, m7])
-        if t_mask >> k & 1:  # _NEXT[1]: 0->5, 1->6, 2->7, 3->4, 4->1, 5->2, 6->3, 7->0
-            c0, c1, c2, c3, c4, c5, c6, c7 = (
-                c0 - m0 + m7, c1 - m1 + m4, c2 - m2 + m5, c3 - m3 + m6,
-                c4 - m4 + m3, c5 - m5 + m0, c6 - m6 + m1, c7 - m7 + m2,
-            )
-        else:  # _NEXT[0]: 0->1, 1->2, 2->3, 3->0, 4->5, 5->6, 6->7, 7->4
-            c0, c1, c2, c3, c4, c5, c6, c7 = (
-                c0 - m0 + m3, c1 - m1 + m0, c2 - m2 + m1, c3 - m3 + m2,
-                c4 - m4 + m7, c5 - m5 + m4, c6 - m6 + m5, c7 - m7 + m6,
-            )
-    counts = [c0, c1, c2, c3, c4, c5, c6, c7]
+        append([m0, m1, m2, m3])
+        if t_mask and t_mask >> k & 1:  # _NEXT[1]: u -> u + 3
+            c0, c1, c2, c3 = c0 - m0 + m1, c1 - m1 + m2, c2 - m2 + m3, c3 - m3 + m0
+        else:  # _NEXT[0]: u -> u + 1
+            c0, c1, c2, c3 = c0 - m0 + m3, c1 - m1 + m0, c2 - m2 + m1, c3 - m3 + m2
+    counts = [c0, c1, c2, c3]
     p = 2.0 * failure_probability_closed(cfg.q, cfg.model.noise)
     return _Chain(picks, counts, [binomial(n, p) if n else 0 for n in counts])
 
 
-def _class_rule(strategy: Optional[CanonicalStrategy]) -> tuple[list[int], list[int]]:
-    """Per class c: the predicted total as a bit (1 for -1), and the error
-    parity at which a trial of the class fails (-1 for never: a string).
-
-    Both models share one rule: the observed total is the predicted total
-    inverted by odd error parity, and a word (odd r count) fails when that
-    misses its eigenvalue bit c >> 1 & 1. The quantum model predicts the
-    eigenvalue itself, so its words fail exactly on odd parity; the
-    hidden-variable model predicts a_bit ^ tpar.
-    """
-    predicted, failing = [], []
-    for c in range(8):
-        eigen = c >> 1 & 1
-        bit = eigen if strategy is None else c >> 2 ^ (strategy.a_sign != +1)
-        predicted.append(bit)
-        failing.append(1 ^ bit ^ eigen if c & 1 else -1)
-    return predicted, failing
-
-
-#: _class_rule's failing table by the played strategy's a_sign (None for the
-#: quantum model), the only part of a strategy the rule reads.
-_FAILING = {
-    sign: _class_rule(None if sign is None else CanonicalStrategy(1, sign, 0))[1]
-    for sign in (None, +1, -1)
-}
+#: Per class u, the error parity at which a trial of the class fails (-1
+#: for never: a string), by the played strategy's a_sign (None for the
+#: quantum model). A word's observed total is its predicted total inverted
+#: by odd error parity, and it fails when that misses its eigenvalue bit,
+#: (r count >> 1) & 1 = u >> 1 ^ tpar. The quantum model predicts the
+#: eigenvalue itself, so its words fail exactly on odd parity; the
+#: hidden-variable model predicts a_bit ^ tpar, so its words fail when the
+#: parity is 1 ^ a_bit ^ u >> 1, whatever tpar is.
+_FAILING = {None: [-1, 1, -1, 1], +1: [-1, 1, -1, 0], -1: [-1, 0, -1, 1]}
 
 
 def _theory_value(cfg: ExperimentConfig, strategy: Optional[CanonicalStrategy]) -> float:
@@ -299,17 +273,16 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Expe
     """Run all trials and return the aggregate report.
 
     The tallies come from the run's class chain (_class_chain), each class's
-    failures from the one per-class rule (_class_rule, tabled once per
-    a_sign in _FAILING). ``workers`` is accepted for existing callers and
-    ignored: it is neither read nor checked, and the report never depended
-    on it.
+    failures from the per-class rule of the played a_sign (_FAILING).
+    ``workers`` is accepted for existing callers and ignored: it is neither
+    read nor checked, and the report never depended on it.
     """
     strategy = _resolve_strategy(cfg)
     t_mask, sign = (0, None) if strategy is None else (strategy.t_mask, strategy.a_sign)
     picks, counts, odd = _class_chain(cfg, t_mask)
     failing = _FAILING[sign]
     word_trials = sum(counts[1::2])
-    failures = sum(odd[c] if failing[c] else counts[c] - odd[c] for c in range(1, 8, 2))
+    failures = sum(odd[u] if failing[u] else counts[u] - odd[u] for u in (1, 3))
     low, high = wilson_interval(failures, cfg.trials, cfg.ci_level)
     return ExperimentReport(
         config=cfg,

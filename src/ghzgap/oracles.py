@@ -9,10 +9,10 @@ taxonomy and the sampling law from a 2^q state vector (small q only); the
 (`canonicalize`), a class's Mermin sum, and the classical optimum by brute
 force over the raw tables; and the trial-by-trial replay of a run.
 
-`iter_trials` replays the class chain of `experiment` trial by trial: a
+`iter_trials` replays the 4-class chain of `experiment` trial by trial: a
 second stream picks which trials of each class pick r at each station and
 which have odd error parity, each a uniform subset, so its records tally to
-the report.
+the report. A record's predicted total comes from its own configuration.
 
 No module of the package imports this one. The package's lazy names reach
 it, and of the commands only ``lhv optimize --verify-brute-force`` does.
@@ -349,25 +349,27 @@ def iter_trials(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
     """Replay the run trial by trial, yielding exactly the draws a report sums.
 
     The replay draws the run's class chain, then, from the run's second
-    stream (spawn key (1,)), which of each class's trials pick r at each
-    station and which have odd error parity, each a uniform subset of the
-    class. So the records' tallies equal run_experiment's for the same
-    configuration. A quantum trial's result tuple is uniform over the
-    tuples of its total's parity (over all tuples for a string), drawn
-    next from the same stream. Runs above REPLAY_LIMIT trials raise
-    CapacityError before anything is drawn. Each trial's configuration is
-    packed into one uint64, so the replay stops at q = 64 even where ROADMAP
-    item 7 lifts that cap for runs.
+    stream (key 1), which of each class's trials pick r at each station and
+    which have odd error parity, each a uniform subset of the class. So the
+    records' tallies equal run_experiment's for the same configuration. A
+    trial's predicted total, as a bit (1 for -1), comes from its own
+    configuration: the eigenvalue bit (r count >> 1) & 1 for the quantum
+    model, a_bit ^ tpar for the hidden-variable model. A quantum trial's
+    result tuple is uniform over the tuples of its total's parity (over all
+    tuples for a string), drawn next from the same stream. Runs above
+    REPLAY_LIMIT trials raise CapacityError before anything is drawn. Each
+    trial's configuration is packed into one uint64, so the replay stops at
+    q = 64 even where ROADMAP item 7 lifts that cap for runs.
     """
     # Imported on call: `lhv optimize --verify-brute-force` loads this module,
     # and it runs no trials.
-    from .experiment import _NEXT, QuantumModel, _class_chain, _class_rule, _resolve_strategy
+    from .experiment import _FAILING, _NEXT, QuantumModel, _class_chain, _resolve_strategy
     from .experiment import _stream
 
     if cfg.trials > REPLAY_LIMIT:
         raise CapacityError(f"iter_trials replays at most {REPLAY_LIMIT} trials, got {cfg.trials}")
     strategy = _resolve_strategy(cfg)
-    t_mask = 0 if strategy is None else strategy.t_mask
+    t_mask, sign = (0, None) if strategy is None else (strategy.t_mask, strategy.a_sign)
     chain = _class_chain(cfg, t_mask)
     rng = _stream(cfg.master_seed, 1)
     nexts = np.array(_NEXT)
@@ -379,9 +381,12 @@ def iter_trials(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
         classes[moved] = nexts[t_mask >> k & 1][classes[moved]]
     odd = np.zeros(cfg.trials, dtype=np.intp)
     odd[_uniform_subsets(rng, classes, chain.odd)] = 1
-    predicted, failing = (np.array(rule)[classes] for rule in _class_rule(strategy))
+    if strategy is None:
+        predicted = np.bitwise_count(masks) >> 1 & 1
+    else:
+        predicted = np.bitwise_count(masks & np.uint64(t_mask)) & 1 ^ (sign != +1)
     parity = predicted ^ odd
-    failures = (failing == odd).tolist()
+    failures = (np.array(_FAILING[sign])[classes] == odd).tolist()
     if isinstance(cfg.model, QuantumModel):
         bits = sample_parity_tuples(cfg.q, parity.astype(np.uint8), classes & 1 == 1, rng)
         signs = 1 - 2 * bits.view(np.int8)

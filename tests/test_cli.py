@@ -237,7 +237,7 @@ class TestSimulate:
         )
         assert payload["manifest"]["environment"] == {
             "rng": "PCG64DXSM",
-            "stream_version": 5,
+            "stream_version": 6,
             "sampler": "class-chain",
         }
         unseeded = run_json(capsys, "classify", "--config", "lrr")

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import random
 import sys
 import threading
 import tracemalloc
@@ -269,6 +270,26 @@ class TestTrialIteration:
             assert record.outcome in (+1, -1)
             if isinstance(record.config_class, Word) and not record.failure:
                 assert record.outcome == record.config_class.eigenvalue
+
+    def test_records_match_the_strategy(self):
+        # each record's total is the played table's, inverted by odd error
+        # parity; noiseless, it is a_sign * (-1)^popcount(mask & t_mask)
+        rnd = random.Random("replay-strategy")
+        for q in (2, 5, 12, 64):
+            for eps in (0.0, 0.1):
+                t_mask = rnd.getrandbits(q) | 1 | 1 << q - 1
+                strategy = CanonicalStrategy(q, rnd.choice((+1, -1)), t_mask)
+                cfg = qm_config(
+                    q=q, model=LhvModel(strategy, NoiseModel(eps)), trials=3_000,
+                    master_seed=rnd.getrandbits(64),
+                )
+                for record in iter_trials(cfg):
+                    if eps == 0.0:
+                        tpar = (record.configuration.r_mask & t_mask).bit_count() & 1
+                        assert record.outcome == strategy.a_sign * (-1) ** tpar
+                    kind = record.config_class
+                    missed = isinstance(kind, Word) and record.outcome != kind.eigenvalue
+                    assert record.failure == missed, (cfg, record)
 
     def test_spans_chunk_boundary(self):
         cfg = qm_config(model=QuantumModel(NoiseModel(0.1)), trials=65536 + 5)

@@ -5,7 +5,9 @@ these tests fail, so a new stream must come with a new STREAM_VERSION and
 regenerated goldens (`PYTHONPATH=src python tests/test_golden_tallies.py`).
 Its header is the stream_environment() block of the stream it pins. The
 regenerator refuses to rewrite a tally under the file's own stream_version:
-it exits non-zero and names the first case whose tallies changed.
+it exits non-zero and names the first case whose tallies changed. Under a
+new stream_version it prints which cases changed their tallies and which
+kept them before it rewrites the file.
 """
 
 import json
@@ -89,25 +91,35 @@ def test_seed_pins_tallies(case):
     assert _tallies(_report(case)) == expected
 
 
-def _first_changed(cases):
-    """The first case whose tallies differ from the golden file's at the
-    same stream version, or None: only a new stream may change them."""
-    golden = _golden() if GOLDEN_PATH.exists() else None
-    if golden is None or golden["environment"]["stream_version"] != STREAM_VERSION:
-        return None
+def _label(case):
+    return f"{case['model']} q={case['q']} eps={case['eps']} seed={case['seed']}"
+
+
+def _changed(cases, golden):
+    """The cases whose tallies differ from the ones the golden file pins
+    (a case the file lacks has none to differ from)."""
     pinned = {_key(c): c for c in golden["cases"]}
-    return next((c for c in cases if pinned.get(_key(c), c) != c), None)
+    return [c for c in cases if pinned.get(_key(c), c) != c]
 
 
 if __name__ == "__main__":
     cases = [{**case, **_tallies(_report(case))} for case in _cases()]
-    changed = _first_changed(cases)
-    if changed is not None:
-        sys.exit(
-            f"tallies of {changed['model']} q={changed['q']} eps={changed['eps']} "
-            f"seed={changed['seed']} differ from {GOLDEN_PATH.name} at stream_version "
-            f"{STREAM_VERSION}: a new stream needs a new STREAM_VERSION"
-        )
+    if GOLDEN_PATH.exists():
+        golden = _golden()
+        changed = _changed(cases, golden)
+        pinned_version = golden["environment"]["stream_version"]
+        if pinned_version == STREAM_VERSION and changed:
+            sys.exit(
+                f"tallies of {_label(changed[0])} differ from {GOLDEN_PATH.name} at "
+                f"stream_version {STREAM_VERSION}: a new stream needs a new STREAM_VERSION"
+            )
+        if pinned_version != STREAM_VERSION:
+            print(
+                f"stream_version {pinned_version} -> {STREAM_VERSION}: "
+                f"{len(changed)} of {len(cases)} cases changed their tallies"
+            )
+            for case in cases:
+                print(f"  {'changed' if case in changed else 'kept   '} {_label(case)}")
     body = ",\n".join(json.dumps(c) for c in cases)  # one case per line
     environment = json.dumps(stream_environment())
     GOLDEN_PATH.write_text(f'{{"environment": {environment}, "cases": [\n{body}\n]}}\n')
