@@ -10,15 +10,17 @@ where tpar is the parity of its r choices inside the strategy's t_mask: u
 is odd exactly for a word, and whether a word's prediction matches its
 eigenvalue depends on u's top bit and the strategy's a_sign alone (see
 _FAILING). So a run draws no trial: it follows how many of its trials sit
-in each of the 4 classes through the q stations. At each station a
-Bin(n_u, 1/2) share of class u picks r and moves on to class u + 1, or
-u + 3 at a t_mask station (a fixed rotation of the classes); after the last
-station a Bin(n_u, 2 p_qm) share of each class has odd error parity. These
-draws, one scalar binomial per non-empty class at each station and once
-more at the end, give a run's failures, word trials and station r counts
-exactly in law, at a cost that does not depend on the trial count. Their
-order is random stream version STREAM_VERSION (see `_class_chain`); its
-seed map is `_stream`'s.
+in each class through the q stations. At each station a Bin(n_u, 1/2)
+share of class u picks r and moves on to class u + 1, or u + 3 at a
+t_mask station (a fixed rotation of the classes); after the last station a
+Bin(n_u, 2 p_qm) share of a class has odd error parity. A quantum word
+fails on odd error parity alone, so a quantum run follows only the 2
+classes v = u mod 2, the parity of the r count, and draws the error parity
+of the words alone. These draws, one scalar binomial per non-empty class
+at each station and once more at the end, give a run's failures, word
+trials and station r counts exactly in law, at a cost that does not
+depend on the trial count. Their order is random stream version
+STREAM_VERSION (see `_class_chain`); its seed map is `_stream`'s.
 
 Every run draws from a numpy Generator, so the module imports numpy when
 it is imported; the commands that run no trials never import this module.
@@ -42,7 +44,7 @@ from .strategies import CanonicalStrategy, bad_word_count_analytic, minimize_bad
 
 #: Version of the seed -> draws contract: bumped whenever the draw order or
 #: the streams change, so every such change is deliberate.
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 
 #: Largest trial count a run accepts. Generator.binomial takes an int64
 #: count and draws from any count in about the same time, so a run's cost
@@ -143,9 +145,9 @@ _NEXT = ([1, 2, 3, 0], [3, 0, 1, 2])
 class _Chain(NamedTuple):
     """Class counts of one run, as Python ints."""
 
-    picks: list[list[int]]  # q lists of 4: trials of each class that pick r at station k
-    counts: list[int]  # 4: trials of each class after the last station
-    odd: list[int]  # 4: of those, the trials with odd error parity
+    picks: list[list[int]]  # q lists of 2 or 4: trials of each class that pick r at station k
+    counts: list[int]  # 2 or 4: trials of each class after the last station
+    odd: list[int]  # 2 or 4: of those, the trials with odd error parity
 
 
 _M64 = (1 << 64) - 1
@@ -173,7 +175,7 @@ class _SeedWords(ISeedSequence):
 def _stream(master_seed: int, key: int) -> np.random.Generator:
     """The run's stream ``key``: 0 draws the class chain, 1 `iter_trials`' replay.
 
-    Seed map of random stream version 6, unchanged since version 5: the
+    Seed map of random stream version 7, unchanged since version 5: the
     first four outputs of SplitMix64 started at ``master_seed``
     (x += 0x9E3779B97F4A7C15, then the finalizer
     z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9,
@@ -195,36 +197,56 @@ def _stream(master_seed: int, key: int) -> np.random.Generator:
 
 
 def _class_chain(cfg: ExperimentConfig, t_mask: int) -> _Chain:
-    """Draw how a run's trials spread over the 4 classes.
+    """Draw how a run's trials spread over its classes: 2 for the quantum
+    model, 4 for the hidden-variable model.
 
-    Draw order of random stream version 6, from stream 0, starting with
-    every trial in class 0:
+    Draw order of random stream version 7, from stream 0, starting with
+    every trial in class 0, with p = failure_probability_closed(q, noise):
 
-    1. For each station k = 0 .. q-1 and each class u = 0 .. 3 in turn:
-       picked[u] = binomial(counts[u], 1/2). Those trials pick r and move
-       from class u to _NEXT[t_mask >> k & 1][u].
-    2. For each class u in turn: odd[u] = binomial(counts[u], 2 * p) with
-       p = failure_probability_closed(q, noise), the trials of the class
-       whose q independent flips are odd in number.
+    - Hidden-variable model, classes u = (r count + 2 tpar) mod 4:
+      1. For each station k = 0 .. q-1 and each class u = 0 .. 3 in turn:
+         picked[u] = binomial(counts[u], 1/2). Those trials pick r and move
+         from class u to _NEXT[t_mask >> k & 1][u].
+      2. For each class u in turn: odd[u] = binomial(counts[u], 2 * p),
+         the trials of the class whose q independent flips are odd in
+         number.
+    - Quantum model, classes v = r count mod 2 (t_mask is not read):
+      1. For each station k: picked[0] = binomial(counts[0], 1/2), then
+         picked[1] = binomial(counts[1], 1/2). Those trials pick r and
+         swap class.
+      2. odd = [0, binomial(counts[1], 2 * p)]: the words' error parity.
+         A string never fails and its replayed results are uniform over
+         all tuples, so its parity is never read, and not drawn.
 
     A count of 0, or p = 0 (no errors), returns 0 without touching the bit
     generator, so empty classes are skipped. Each draw is one scalar call:
     the array form makes the same draws in the same order, at ~12x the
     call overhead. The counts live in locals, _NEXT is spelled out as one
-    assignment per t_mask bit, and a run with t_mask = 0 (every quantum
-    run) never reads the bit, so a station costs little more than its
-    draws.
+    assignment per t_mask bit, and a hidden-variable run with t_mask = 0
+    never reads the bit, so a station costs little more than its draws.
 
-    The classes lump version 5's 8 classes (r count mod 4, tpar), which
-    moved and failed only through u: two merged classes' Bin(n_a, 1/2) and
-    Bin(n_b, 1/2) shares have the law of one Bin(n_a + n_b, 1/2) share and
-    move to the same class, and so for the parity draws, so every tally
-    keeps its law. With t_mask = 0, u is the r count mod 4 and these are
-    version 5's draws.
+    Both chains are lumpings (Kemeny & Snell, Finite Markov Chains, 6.3):
+    two merged classes' Bin(n_a, 1/2) and Bin(n_b, 1/2) shares have the
+    law of one Bin(n_a + n_b, 1/2) share and move to the same class, and
+    so for the parity draws, so every tally keeps its law. The 4 classes
+    lump version 5's 8 (r count mod 4, tpar), which moved and failed only
+    through u; a hidden-variable run with t_mask = 0 makes version 5's
+    draws, and every hidden-variable run version 6's. The 2 quantum classes
+    lump version 6's 4 onto v = u mod 2: any pick flips v, and a quantum
+    trial fails exactly when v = 1 and its error parity is odd.
     """
     binomial = _stream(cfg.master_seed, 0).binomial
     picks: list[list[int]] = []
     append = picks.append
+    p = 2.0 * failure_probability_closed(cfg.q, cfg.model.noise)
+    if isinstance(cfg.model, QuantumModel):
+        c0, c1 = cfg.trials, 0
+        for _ in range(cfg.q):
+            m0 = binomial(c0, 0.5) if c0 else 0
+            m1 = binomial(c1, 0.5) if c1 else 0
+            append([m0, m1])
+            c0, c1 = c0 - m0 + m1, c1 - m1 + m0
+        return _Chain(picks, [c0, c1], [0, binomial(c1, p) if c1 else 0])
     c0, c1, c2, c3 = cfg.trials, 0, 0, 0
     for k in range(cfg.q):
         m0 = binomial(c0, 0.5) if c0 else 0
@@ -237,19 +259,19 @@ def _class_chain(cfg: ExperimentConfig, t_mask: int) -> _Chain:
         else:  # _NEXT[0]: u -> u + 1
             c0, c1, c2, c3 = c0 - m0 + m3, c1 - m1 + m0, c2 - m2 + m1, c3 - m3 + m2
     counts = [c0, c1, c2, c3]
-    p = 2.0 * failure_probability_closed(cfg.q, cfg.model.noise)
     return _Chain(picks, counts, [binomial(n, p) if n else 0 for n in counts])
 
 
-#: Per class u, the error parity at which a trial of the class fails (-1
-#: for never: a string), by the played strategy's a_sign (None for the
-#: quantum model). A word's observed total is its predicted total inverted
-#: by odd error parity, and it fails when that misses its eigenvalue bit,
-#: (r count >> 1) & 1 = u >> 1 ^ tpar. The quantum model predicts the
-#: eigenvalue itself, so its words fail exactly on odd parity; the
-#: hidden-variable model predicts a_bit ^ tpar, so its words fail when the
-#: parity is 1 ^ a_bit ^ u >> 1, whatever tpar is.
-_FAILING = {None: [-1, 1, -1, 1], +1: [-1, 1, -1, 0], -1: [-1, 0, -1, 1]}
+#: Per class, the error parity at which a trial of the class fails (-1 for
+#: never: a string), by the played strategy's a_sign (None for the quantum
+#: model, whose classes are v = u mod 2). A word's observed total is its
+#: predicted total inverted by odd error parity, and it fails when that
+#: misses its eigenvalue bit, (r count >> 1) & 1 = u >> 1 ^ tpar. The
+#: quantum model predicts the eigenvalue itself, so its words (v = 1) fail
+#: exactly on odd parity; the hidden-variable model predicts a_bit ^ tpar,
+#: so its words fail when the parity is 1 ^ a_bit ^ u >> 1, whatever tpar
+#: is.
+_FAILING = {None: [-1, 1], +1: [-1, 1, -1, 0], -1: [-1, 0, -1, 1]}
 
 
 def _theory_value(cfg: ExperimentConfig, strategy: Optional[CanonicalStrategy]) -> float:
@@ -282,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Expe
     picks, counts, odd = _class_chain(cfg, t_mask)
     failing = _FAILING[sign]
     word_trials = sum(counts[1::2])
-    failures = sum(odd[u] if failing[u] else counts[u] - odd[u] for u in (1, 3))
+    failures = sum(odd[u] if failing[u] else counts[u] - odd[u] for u in range(1, len(counts), 2))
     low, high = wilson_interval(failures, cfg.trials, cfg.ci_level)
     return ExperimentReport(
         config=cfg,

@@ -9,10 +9,11 @@ taxonomy and the sampling law from a 2^q state vector (small q only); the
 (`canonicalize`), a class's Mermin sum, and the classical optimum by brute
 force over the raw tables; and the trial-by-trial replay of a run.
 
-`iter_trials` replays the 4-class chain of `experiment` trial by trial: a
-second stream picks which trials of each class pick r at each station and
-which have odd error parity, each a uniform subset, so its records tally to
-the report. A record's predicted total comes from its own configuration.
+`iter_trials` replays the class chain of `experiment` (2 classes for the
+quantum model, 4 for the hidden-variable model) trial by trial: a second
+stream picks which trials of each class pick r at each station and which
+have odd error parity, each a uniform subset, so its records tally to the
+report. A record's predicted total comes from its own configuration.
 
 No module of the package imports this one. The package's lazy names reach
 it, and of the commands only ``lhv optimize --verify-brute-force`` does.
@@ -348,7 +349,8 @@ def _uniform_subsets(
 def iter_trials(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
     """Replay the run trial by trial, yielding exactly the draws a report sums.
 
-    The replay draws the run's class chain, then, from the run's second
+    The replay draws the run's class chain (2 classes for the quantum
+    model, 4 for the hidden-variable model), then, from the run's second
     stream (key 1), which of each class's trials pick r at each station and
     which have odd error parity, each a uniform subset of the class. So the
     records' tallies equal run_experiment's for the same configuration. A
@@ -372,7 +374,10 @@ def iter_trials(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
     t_mask, sign = (0, None) if strategy is None else (strategy.t_mask, strategy.a_sign)
     chain = _class_chain(cfg, t_mask)
     rng = _stream(cfg.master_seed, 1)
-    nexts = np.array(_NEXT)
+    # u -> _NEXT[bit][u] on 4 classes; on the quantum model's 2 classes
+    # v = u mod 2 every pick flips v, and both rows reduce to [1, 0]
+    n_classes = len(chain.counts)
+    nexts = np.array(_NEXT)[:, :n_classes] % n_classes
     classes = np.zeros(cfg.trials, dtype=np.intp)
     masks = np.zeros(cfg.trials, dtype=np.uint64)
     for k in range(cfg.q):

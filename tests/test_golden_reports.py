@@ -12,7 +12,10 @@ the JSON key paths (a list's items under ``[]``) or the CSV header row. A
 report whose fields differ from the pinned ones needs a new SCHEMA_VERSION;
 the regenerator refuses to rewrite such a case under the file's own
 version, exits non-zero and names the first such case. A change of values
-only needs none.
+only needs none, except in a seeded report (one whose argv has --seed):
+its values are the random stream's draws, so the regenerator likewise
+refuses to rewrite a seeded case whose stdout changed while the file's
+manifests still state the current `experiment.STREAM_VERSION`.
 """
 
 import contextlib
@@ -25,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from ghzgap.cli import main
+from ghzgap.experiment import STREAM_VERSION
 from ghzgap.reporting import SCHEMA_VERSION
 
 GOLDEN_PATH = Path(__file__).with_name("golden_reports.json")
@@ -91,6 +95,31 @@ def _unversioned_change(cases):
     return next((c for c in cases if pinned.get(c["argv"], c["fields"]) != c["fields"]), None)
 
 
+def _unversioned_draws(cases):
+    """The first seeded case whose stdout differs from the golden file's
+    while the file's manifests state the current stream version, or None:
+    only a new STREAM_VERSION may change the draws behind a seeded report.
+    A CSV report has no manifest; the file's JSON manifests speak for it."""
+    if not GOLDEN_PATH.exists():
+        return None
+    golden = _golden()
+    stated = {
+        json.loads("\n".join(c["stdout"]))["manifest"]["environment"]["stream_version"]
+        for c in golden["cases"]
+        if "manifest.environment.stream_version" in c["fields"]
+    }
+    if STREAM_VERSION not in stated:
+        return None
+    pinned = {c["argv"]: c["stdout"] for c in golden["cases"]}
+    return next(
+        (
+            c for c in cases
+            if "--seed" in c["argv"].split() and pinned.get(c["argv"], c["stdout"]) != c["stdout"]
+        ),
+        None,
+    )
+
+
 def test_golden_file_lists_the_cases():
     golden = _golden()
     assert golden["source_date_epoch"] == int(SOURCE_DATE_EPOCH)
@@ -116,6 +145,11 @@ def test_fields_change_only_with_schema_version(reports):
     assert changed is None, f"{changed['argv']}: new fields need a new SCHEMA_VERSION"
 
 
+def test_draws_change_only_with_stream_version(reports):
+    changed = _unversioned_draws([{"argv": argv, **reports[argv]} for argv in CASES])
+    assert changed is None, f"{changed['argv']}: new draws need a new STREAM_VERSION"
+
+
 if __name__ == "__main__":
     os.environ["SOURCE_DATE_EPOCH"] = SOURCE_DATE_EPOCH
     cases = [{"argv": argv, **_report(argv)} for argv in CASES]
@@ -124,6 +158,12 @@ if __name__ == "__main__":
         sys.exit(
             f"fields of {changed['argv']!r} differ from {GOLDEN_PATH.name} at schema_version "
             f"{SCHEMA_VERSION}: new fields need a new SCHEMA_VERSION"
+        )
+    changed = _unversioned_draws(cases)
+    if changed is not None:
+        sys.exit(
+            f"stdout of seeded {changed['argv']!r} differs from {GOLDEN_PATH.name} at "
+            f"stream_version {STREAM_VERSION}: new draws need a new STREAM_VERSION"
         )
     pinned = {c["argv"]: c for c in _golden()["cases"]} if GOLDEN_PATH.exists() else {}
     for case in cases:
