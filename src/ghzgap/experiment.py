@@ -39,12 +39,12 @@ from numpy.random.bit_generator import ISeedSequence
 from .configs import MAX_STATIONS, _check_int, _check_int_q, _real, _shown
 from .errors import DomainError
 from .quantum import NoiseModel, failure_probability_closed, parity_attenuation
-from .quantum import sample_result_bits  # noqa: F401  (re-exported: callers look it up here)
+from .quantum import sample_result_bits  # noqa: F401  (bench/spans.py traces it here)
 from .strategies import CanonicalStrategy, bad_word_count_analytic, minimize_bad_words
 
 #: Version of the seed -> draws contract: bumped whenever the draw order or
 #: the streams change, so every such change is deliberate.
-STREAM_VERSION = 7
+STREAM_VERSION = 8
 
 #: Largest trial count a run accepts. Generator.binomial takes an int64
 #: count and draws from any count in about the same time, so a run's cost

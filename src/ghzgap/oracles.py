@@ -117,7 +117,7 @@ def sample_outcome_batch(
     n = _check_int(size, "sample size", 1, SAMPLE_LIMIT, CapacityError)
     r = np.full(n, config.r_count, dtype=np.int64)
     bits = _sample_from_r_counts(r, config.q, noise, rng)
-    return 1 - 2 * bits.astype(np.int8)
+    return 1 - 2 * bits.view(np.int8)
 
 
 class OracleEntry(NamedTuple):
@@ -358,7 +358,8 @@ def iter_trials(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
     configuration: the eigenvalue bit (r count >> 1) & 1 for the quantum
     model, a_bit ^ tpar for the hidden-variable model. A quantum trial's
     result tuple is uniform over the tuples of its total's parity (over all
-    tuples for a string), drawn next from the same stream. Runs above
+    tuples for a string), drawn next from the same stream as one packed
+    q-bit word per trial (`sample_parity_tuples`). Runs above
     REPLAY_LIMIT trials raise CapacityError before anything is drawn. Each
     trial's configuration is packed into one uint64, so the replay stops at
     q = 64 even where ROADMAP item 7 lifts that cap for runs.

@@ -5,7 +5,8 @@ the q results are uniform over the sign tuples whose product equals the
 word's eigenvalue, on a string they are uniform over all tuples, and each
 station's result is then flipped independently with the per-station error
 probability. Since a flip mask acts on a word only through its parity, the
-sampler draws one odd-flip bit per row instead of q flips.
+sampler draws one odd-flip bit per row instead of q flips, and a row's q
+results as one packed q-bit word.
 
 The closed forms are pure Python. Only the samplers build arrays, and each
 imports numpy on its first call, so a process that never samples never
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .configs import _real, _shown
+from .configs import MAX_STATIONS, _check_int_q, _real, _shown
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -79,32 +80,27 @@ def failure_probability_closed(q: float, noise: NoiseModel) -> float:
     return -0.25 * math.expm1(_log_attenuation(q, noise))
 
 
-#: Up to this many stations, row parity is taken as a XOR over the q
-#: columns, 3-7x faster than np.bitwise_xor.reduce along the short rows;
-#: beyond it the q strided passes cost more than the reduce (10^6 rows).
-_COLUMN_XOR_LIMIT = 12
-
-
 def sample_parity_tuples(
     q: int, parity: np.ndarray, fixed: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """(n, q) result bits, uniform over the tuples of a given parity.
 
     Row i is uniform over the q-bit tuples with parity ``parity[i]`` where
-    ``fixed[i]`` is set, and uniform over all tuples elsewhere: q fair bits
-    are drawn, then the last station absorbs any parity mismatch.
+    ``fixed[i]`` is set, and uniform over all tuples elsewhere: one uniform
+    q-bit word is drawn per row, in the smallest unsigned type that holds
+    it, with station k+1's bit at bit k; then bit q-1, the last station,
+    absorbs any parity mismatch. 1 <= q <= 64.
     """
     import numpy as np
 
-    bits = rng.integers(0, 2, size=(len(parity), q), dtype=np.uint8)
-    if q <= _COLUMN_XOR_LIMIT:
-        mismatch = parity ^ bits[:, 0]
-        for k in range(1, q):
-            mismatch ^= bits[:, k]
-    else:
-        mismatch = np.bitwise_xor.reduce(bits, axis=1) ^ parity
-    bits[:, -1] ^= mismatch & fixed
-    return bits
+    dtype = np.min_scalar_type((1 << q) - 1)
+    words = rng.integers(0, (1 << q) - 1, size=len(parity), dtype=dtype, endpoint=True)
+    mismatch = (np.bitwise_count(words) ^ parity) & fixed
+    words ^= mismatch.astype(dtype) << (q - 1)
+    # a little-endian byte view (no copy on a little-endian host) puts
+    # station 1 at bit 0 of byte 0
+    octets = words.astype(dtype.newbyteorder("<"), copy=False)[:, None].view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=q, bitorder="little")
 
 
 def _sample_from_r_counts(
@@ -135,10 +131,11 @@ def sample_result_bits(
     """Draw result bits for a batch of configurations given as bit rows.
 
     `config_bits` has shape (n, q) with entry 1 where the station applies
-    ``r``. The returned array has the same shape with entry 1 meaning the
-    station reported -1.
+    ``r``, q at most MAX_STATIONS (CapacityError). The returned array has
+    the same shape with entry 1 meaning the station reported -1.
     """
     import numpy as np
 
+    q = _check_int_q(config_bits.shape[1], MAX_STATIONS)
     r = config_bits.sum(axis=1, dtype=np.int64)
-    return _sample_from_r_counts(r, config_bits.shape[1], noise, rng)
+    return _sample_from_r_counts(r, q, noise, rng)

@@ -131,9 +131,9 @@ def _grid(q, kind):
             yield ExperimentConfig(q, model, trials, rnd.getrandbits(64)), t_mask
 
 
-def test_reference_is_stream_version_7():
+def test_reference_is_stream_version_8():
     # a new stream needs a new reference here, as well as new goldens
-    assert STREAM_VERSION == 7
+    assert STREAM_VERSION == 8
     assert NEXT.tolist() == list(map(list, _NEXT))
     assert [len(_FAILING[sign]) for sign in (None, +1, -1)] == [2, 4, 4]
 

@@ -151,7 +151,7 @@ if __name__ == "__main__":
     replays = [{**case, **_replay(case)} for case in _replay_cases()]
     if GOLDEN_PATH.exists():
         golden = _golden()
-        changed = _changed(cases, golden["cases"]) + _changed(replays, golden.get("replays", []))
+        changed = _changed(cases, golden["cases"]) + _changed(replays, golden["replays"])
         pinned_version = golden["environment"]["stream_version"]
         if pinned_version == STREAM_VERSION and changed:
             sys.exit(

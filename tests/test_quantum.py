@@ -31,6 +31,8 @@ from ghzgap.quantum import (
 )
 
 EPS_GRID = (0.0, 1e-6, 0.01, 0.1, 0.25, 0.5)
+#: Both sides of every word size the packed sampler draws in (8 to 64 bits).
+PACKED_QS = (1, 2, 8, 9, 16, 17, 32, 33, 64)
 
 
 def rng(seed=0):
@@ -272,28 +274,43 @@ class TestSampler:
         assert batch.shape == (n, config.q) and batch.dtype == np.int8
         assert np.array_equal(batch, 1 - 2 * tiled.astype(np.int8))
 
-    def test_parity_tuples(self):
+    @pytest.mark.parametrize("q, error", [(0, DomainError), (65, CapacityError)])
+    def test_result_bits_need_1_to_64_stations(self, q, error):
+        # one packed word per row holds at most 64 stations
+        with pytest.raises(error, match="station count"):
+            sample_result_bits(np.zeros((3, q), dtype=np.uint8), NoiseModel(0.1), rng(11))
+
+    @pytest.mark.parametrize("q", PACKED_QS)
+    def test_parity_tuples(self, q):
+        n = 10_000
         gen = rng(8)
-        parity = gen.integers(0, 2, size=10_000, dtype=np.uint8)
-        fixed = np.arange(10_000) % 3 != 0
-        bits = sample_parity_tuples(5, parity, fixed, gen)
-        assert bits.shape == (10_000, 5)
+        parity = gen.integers(0, 2, size=n, dtype=np.uint8)
+        fixed = np.arange(n) % 3 != 0
+        bits = sample_parity_tuples(q, parity, fixed, gen)
+        assert bits.shape == (n, q) and bits.dtype == np.uint8
         row_parity = bits.sum(axis=1) & 1
         assert (row_parity[fixed] == parity[fixed]).all()
         free = row_parity[~fixed] != parity[~fixed]
         assert abs(free.mean() - 0.5) < 4 * 0.5 / math.sqrt(free.size)
+        # every station's result is a fair coin, the last one's too
+        assert (np.abs(bits.mean(axis=0) - 0.5) < 4 * 0.5 / math.sqrt(n)).all()
 
-    @pytest.mark.parametrize("q", [1, 2, 12, 13, 64])
+    @pytest.mark.parametrize("q", PACKED_QS)
     def test_parity_tuples_fix_only_the_last_station(self, q):
-        # oracle: the same stream's raw bits with the last column set by a
-        # row sum, on both sides of the column-XOR limit
+        # oracle: the same stream's q-bit words, unpacked by Python int
+        # shifts (station k+1 at bit k), with bit q-1 flipped where a fixed
+        # row's popcount misses its parity
         n = 2000
         parity = rng(9).integers(0, 2, size=n, dtype=np.uint8)
         fixed = np.arange(n) % 3 != 0
-        expected = rng(10).integers(0, 2, size=(n, q), dtype=np.uint8)
-        mismatch = (expected.sum(axis=1) & 1) ^ parity
-        expected[:, -1] ^= (mismatch & fixed).astype(np.uint8)
-        assert np.array_equal(sample_parity_tuples(q, parity, fixed, rng(10)), expected)
+        dtype = np.min_scalar_type((1 << q) - 1)
+        words = rng(10).integers(0, (1 << q) - 1, size=n, dtype=dtype, endpoint=True)
+        expected = []
+        for word, want, fix in zip(words.tolist(), parity.tolist(), fixed.tolist()):
+            if fix and word.bit_count() & 1 != want:
+                word ^= 1 << (q - 1)
+            expected.append([word >> k & 1 for k in range(q)])
+        assert sample_parity_tuples(q, parity, fixed, rng(10)).tolist() == expected
 
 
 class TestOracle:
